@@ -375,7 +375,7 @@ def hom_complex(M: CatRep, N: CatRep):
     Returns (dims, differentials): the dimension of each term and the
     dense differential matrices d_p mapping term p to term p+1.
     """
-    if M.category is not N.category and M.category.objects != N.category.objects:
+    if M.category is not N.category:
         raise ConError("representations live on different categories")
     cat = M.category
     chains = _chains(cat)

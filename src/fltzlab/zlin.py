@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import prod
+from math import gcd, lcm, prod
 
 
 class ZlinError(ValueError):
@@ -129,7 +129,7 @@ class IntMatrix:
         return sign * m[n - 1][n - 1]
 
     def rank(self):
-        return rational_rank([[Fraction(x) for x in row] for row in self.entries])
+        return rational_rank(self.entries)
 
     def is_unimodular(self):
         return self.rows == self.cols and self.det() in (1, -1)
@@ -143,91 +143,95 @@ class IntMatrix:
 
 
 # ---------------------------------------------------------------------------
-# rational elimination helpers (shared by the geometric modules)
+# exact elimination on sparse integer rows (shared by the geometric modules)
+
+
+def _sparse_rows(rows):
+    """Rows of Fractions/ints as primitive sparse ``{col: int}`` rows.
+
+    Each row is scaled by the lcm of its denominators and divided by its
+    content; zero rows are dropped.
+    """
+    rows = list(rows)
+    ncols = len(rows[0]) if rows else 0
+    out = []
+    for row in rows:
+        if len(row) != ncols:
+            raise ZlinError("ragged rows in rational matrix")
+        r = {j: x for j, x in enumerate(row) if x}
+        if not r:
+            continue
+        den = lcm(*(x.denominator for x in r.values()))
+        r = {j: x.numerator * (den // x.denominator) for j, x in r.items()}
+        out.append(_primitive(r))
+    return out
+
+
+def _primitive(r):
+    g = gcd(*r.values())
+    if g == 1:
+        return r
+    return {j: x // g for j, x in r.items()}
+
+
+def _eliminate(r, p, col):
+    """Fraction-free ``a*r - b*p`` clearing column ``col``, made primitive."""
+    g = gcd(r[col], p[col])
+    a, b = p[col] // g, r[col] // g
+    out = {j: a * x for j, x in r.items()} if a != 1 else dict(r)
+    for j, y in p.items():
+        v = out.get(j, 0) - b * y
+        if v:
+            out[j] = v
+        else:
+            del out[j]
+    return _primitive(out) if out else out
+
+
+def _echelon(rows):
+    """Row echelon form of sparse integer rows, keyed by leading column.
+
+    Rows are inserted one at a time; each is reduced against the pivot
+    rows by fraction-free elimination (Bareiss 1968) until its leading
+    column is new or it vanishes.  Entries stay integers throughout.
+    """
+    echelon = {}
+    for r in rows:
+        while r:
+            lead = min(r)
+            p = echelon.get(lead)
+            if p is None:
+                echelon[lead] = r
+                break
+            r = _eliminate(r, p, lead)
+    return echelon
 
 
 def rational_rank(rows):
     """Rank of a matrix given as a list of rows of Fractions/ints."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    ncols = len(m[0]) if m else 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(rank, len(m)):
-            if m[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        pv = m[rank][col]
-        m[rank] = [x / pv for x in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-        rank += 1
-    return rank
+    return len(_echelon(_sparse_rows(rows)))
 
 
 def rational_inverse(rows):
-    """Inverse of a square matrix of Fractions/ints, by Gauss-Jordan."""
-    n = len(rows)
-    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot = None
-        for i in range(col, n):
-            if m[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            raise ZlinError("matrix is singular")
-        m[col], m[pivot] = m[pivot], m[col]
-        pv = m[col][col]
-        m[col] = [x / pv for x in m[col]]
-        for i in range(n):
-            if i != col and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[col])]
-    return [row[n:] for row in m]
+    """Inverse of a square matrix of Fractions/ints, as rows of Fractions.
 
-
-def rational_solve(rows, rhs):
-    """Solve M x = rhs exactly; returns None if inconsistent.
-
-    M need not be square; when the solution is not unique an arbitrary
-    (deterministic) one is returned.
+    Eliminates ``[A | I]`` to echelon form, then back-substitutes.
     """
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    m = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(r, nrows):
-            if m[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][col]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-    for i in range(r, nrows):
-        if m[i][ncols] != 0:
-            return None
-    x = [Fraction(0)] * ncols
-    for i, col in enumerate(pivots):
-        x[col] = m[i][ncols]
-    return tuple(x)
+    rows = [list(row) for row in rows]
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ZlinError("inverse of a non-square matrix")
+    echelon = _echelon(_sparse_rows(
+        row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)))
+    if any(lead not in echelon for lead in range(n)):
+        raise ZlinError("matrix is singular")
+    for col in reversed(range(n)):
+        p = echelon[col]
+        for lead in range(col):
+            if col in echelon[lead]:
+                echelon[lead] = _eliminate(echelon[lead], p, col)
+    return [[Fraction(echelon[i].get(n + j, 0), echelon[i][i]) for j in range(n)]
+            for i in range(n)]
 
 
 # ---------------------------------------------------------------------------

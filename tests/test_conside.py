@@ -168,6 +168,25 @@ class TestRepHom:
         with pytest.raises(ConError):
             poset_rep(sq, dims, maps)
 
+    def test_categories_with_equal_objects_rejected(self):
+        # chain(3) and the P2 chamber category both have objects (0, 1, 2)
+        M = corepresentable(FinitePoset.chain(3), 0)
+        N = corepresentable(ChamberCategory(2), 0)
+        with pytest.raises(ConError):
+            rep_hom(M, N)
+
+    def test_p3_generator_end_and_hom(self):
+        cat = ChamberCategory(3)
+        g3, g4 = beilinson_rep(3, 3, cat), beilinson_rep(3, 4, cat)
+        assert rep_hom(g4, g4) == [1]
+        assert rep_hom(g4, g3) == [0]
+
+    def test_ext_of_outer_simple_on_p4(self):
+        cat = ChamberCategory(4)
+        s4 = CatRep(cat, {4: 1}, {})
+        s0 = CatRep(cat, {0: 1}, {})
+        assert rep_hom(s4, s0) == [0, 0, 0, 0, 5]
+
 
 class TestCartanEuler:
     def test_antichain(self):

@@ -11,6 +11,8 @@ from fltzlab.zlin import (
     character_quotient,
     cokernel,
     kernel_basis,
+    rational_inverse,
+    rational_rank,
     smith_normal_form,
 )
 
@@ -196,3 +198,106 @@ class TestCharacters:
         b = FiniteAbelianGroup((3,)).character((1,))
         with pytest.raises(ZlinError):
             a + b
+
+
+def dense_rank(rows):
+    """Reference rank: dense Gauss-Jordan over Fractions."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        m[rank] = [x / m[rank][col] for x in m[rank]]
+        for i in range(len(m)):
+            if i != rank and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def random_sparse_matrix(rng, max_dim=12):
+    """A sparse Fraction matrix with some zero rows and dependent rows."""
+    nrows, ncols = rng.randint(0, max_dim), rng.randint(0, max_dim)
+    rows = []
+    for _ in range(nrows):
+        kind = rng.random()
+        if kind < 0.15 or not rows and kind < 0.3:
+            rows.append([Fraction(0)] * ncols)
+        elif kind < 0.35 and rows:
+            a, b = rng.choice(rows), rng.choice(rows)
+            s, t = (Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                    for _ in range(2))
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+        else:
+            rows.append([Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                         if rng.random() < 0.3 else Fraction(0)
+                         for _ in range(ncols)])
+    return rows
+
+
+def mat_mul(a, b):
+    return [[sum(a[i][k] * b[k][j] for k in range(len(b)))
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+class TestExactElimination:
+    def test_rank_matches_dense_reference(self):
+        rng = random.Random(11)
+        for _ in range(400):
+            rows = random_sparse_matrix(rng)
+            assert rational_rank(rows) == dense_rank(rows)
+
+    def test_rank_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(12)
+        for _ in range(150):
+            rows = random_sparse_matrix(rng)
+            ncols = len(rows[0]) if rows else 0
+            flat = [sympy.Rational(x.numerator, x.denominator)
+                    for row in rows for x in row]
+            expected = sympy.Matrix(len(rows), ncols, flat).rank()
+            assert rational_rank(rows) == expected
+
+    def test_rank_of_integer_rows(self):
+        assert rational_rank([[2, 4, 6], [1, 2, 3], [0, 0, 5]]) == 2
+        assert rational_rank([(0, 0), (0, 0)]) == 0
+        assert rational_rank([]) == 0
+        assert IntMatrix([[3, 6], [2, 4]]).rank() == 1
+
+    def test_inverse_is_exact(self):
+        rng = random.Random(13)
+        checked = 0
+        while checked < 60:
+            n = rng.randint(1, 7)
+            rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                     if rng.random() < 0.5 else Fraction(0)
+                     for _ in range(n)] for _ in range(n)]
+            if dense_rank(rows) < n:
+                continue
+            inv = rational_inverse(rows)
+            identity = [[Fraction(int(i == j)) for j in range(n)]
+                        for i in range(n)]
+            assert all(isinstance(x, Fraction) for row in inv for x in row)
+            assert mat_mul(rows, inv) == identity
+            assert mat_mul(inv, rows) == identity
+            checked += 1
+        assert rational_inverse([]) == []
+
+    def test_inverse_rejects_non_square(self):
+        with pytest.raises(ZlinError):
+            rational_inverse([[1, 2, 3], [4, 5, 6]])
+        with pytest.raises(ZlinError):
+            rational_inverse([[1, 2], [3]])
+
+    def test_inverse_rejects_singular(self):
+        with pytest.raises(ZlinError, match="singular"):
+            rational_inverse([[1, 2], [2, 4]])
+        with pytest.raises(ZlinError, match="singular"):
+            rational_inverse([[0, 0], [0, 0]])
+
+    def test_rank_rejects_ragged_rows(self):
+        with pytest.raises(ZlinError):
+            rational_rank([[1, 2], [3]])
