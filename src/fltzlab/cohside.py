@@ -94,6 +94,10 @@ class AffineMonoid:
         self.rank = int(rank)
         self.inequalities = tuple(tuple(int(x) for x in a)
                                   for a in inequality_normals)
+        for a in self.inequalities:
+            if len(a) != self.rank:
+                raise CohError(f"inequality {a!r} has length {len(a)}, "
+                               f"expected {self.rank}")
         self.denominator = int(denominator)
         if self.denominator < 1:
             raise CohError("denominator must be positive")

@@ -54,12 +54,6 @@ class FinitePoset:
         self.objects = self._linear_extension()
 
     @classmethod
-    def from_leq(cls, elements, leq):
-        elements = list(elements)
-        return cls(elements, [(x, y) for x in elements for y in elements
-                              if leq(x, y)])
-
-    @classmethod
     def chain(cls, n):
         return cls(range(n), [(i, j) for i in range(n) for j in range(i, n)])
 
@@ -530,9 +524,6 @@ class BeilinsonGenerator:
     chamber_dims: dict
     decorations: dict
     class_dims: tuple
-
-    def chamber_dim_vector(self, chambers):
-        return tuple(self.chamber_dims[c] for c in chambers)
 
 
 def beilinson_generators(n: int):

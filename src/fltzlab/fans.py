@@ -1,10 +1,11 @@
 """Rational polyhedral cones, fans, stacky fans, and Cech nerves.
 
 All cone computations are exact: V- and H-representations are carried
-between each other by a small double description pass over Fractions,
-and canonical forms use primitive integer generators sorted
-lexicographically.  Desk-scale only; no attempt at large-dimension
-performance.
+between each other by a double description pass on primitive integer
+vectors, which decides adjacency of rays from their zero sets rather
+than by rank computations, and canonical forms use primitive integer
+generators sorted lexicographically.  Desk-scale only; no attempt at
+large-dimension performance.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from operator import mul
 
 from .zlin import (
     IntMatrix,
@@ -28,8 +30,17 @@ class FanError(ValueError):
     pass
 
 
+def _divide_content(vec):
+    """Divide an integer vector by the gcd of its entries (zero stays zero)."""
+    g = gcd(*vec)
+    return tuple(x // g for x in vec) if g > 1 else tuple(vec)
+
+
 def primitivize(vec):
     """Scale a rational vector to a primitive integer vector."""
+    vec = tuple(vec)
+    if all(type(x) is int for x in vec):
+        return _divide_content(vec)
     fracs = [Fraction(x) for x in vec]
     if all(f == 0 for f in fracs):
         return tuple(0 for _ in fracs)
@@ -44,7 +55,7 @@ def primitivize(vec):
 
 
 def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -84,64 +95,85 @@ def _canonical_lines(lines, rank):
         if pivot[col] < 0:
             pivot = [-x for x in pivot]
         norm.append(primitivize(pivot))
-        basis = [[a - Fraction(b[col], pivot[col]) * p
-                  for a, p in zip(b, pivot)] for b in basis]
+        # pivot[col] > 0, so each row is only rescaled positively
+        basis = [_divide_content([pivot[col] * a - b[col] * p
+                                  for a, p in zip(b, pivot)]) for b in basis]
         basis = [b for b in basis if any(x != 0 for x in b)]
-    return [tuple(int(x) for x in v) for v in norm]
+    return norm
+
+
+def _eliminate(pl, vec, d, pivot):
+    """Primitive positive multiple of vec - (d / pl) * pivot, for pl > 0."""
+    if d == 0:
+        return vec
+    return _divide_content([pl * x - d * y for x, y in zip(vec, pivot)])
 
 
 def dd_generators(inequalities, rank):
     """Generators of {x : a.x >= 0 for all a} as (rays, lines).
 
-    Classic double description with per-step extremality pruning; exact
-    over Fractions, fine at desk scale.
+    Double description on primitive integer vectors.  Each ray carries its
+    zero set over the inequalities processed so far, as a bit mask.  Two
+    rays on opposite sides of a new hyperplane are combined only when they
+    are adjacent, which their zero sets decide without rank computations
+    (Fukuda-Prodon, "Double description method revisited", 1996).  Every
+    vector is a positive multiple of the one exact rational elimination
+    gives, so signs, zero sets and the canonical output are the same.
     """
-    ineqs = [tuple(a) for a in inequalities if any(x != 0 for x in a)]
-    lines = [tuple(Fraction(int(i == j)) for j in range(rank)) for i in range(rank)]
+    ineqs = []
+    for a in inequalities:
+        a = tuple(a)
+        if len(a) != rank:
+            raise FanError(f"inequality {a!r} has length {len(a)}, "
+                           f"expected {rank}")
+        a = primitivize(a)
+        if any(a):
+            ineqs.append(a)
+    lines = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
     rays = []
-
-    def tight_rank(vec, upto):
-        tight = [ineqs[i] for i in range(upto) if _dot(ineqs[i], vec) == 0]
-        if not tight:
-            return 0
-        return rational_rank(tight)
+    zeros = []  # bit i of zeros[k] is set iff ineqs[i] . rays[k] == 0
 
     for idx, a in enumerate(ineqs):
-        pivot_idx = next((i for i, l in enumerate(lines) if _dot(a, l) != 0), None)
+        bit = 1 << idx
+        dots = [_dot(a, l) for l in lines]
+        pivot_idx = next((i for i, v in enumerate(dots) if v != 0), None)
         if pivot_idx is not None:
-            pivot_line = lines.pop(pivot_idx)
-            if _dot(a, pivot_line) < 0:
-                pivot_line = tuple(-x for x in pivot_line)
-            pl = _dot(a, pivot_line)
-            lines = [tuple(x - Fraction(_dot(a, l), pl) * y
-                           for x, y in zip(l, pivot_line)) for l in lines]
-            lines = [l for l in lines if any(x != 0 for x in l)]
-            rays = [tuple(x - Fraction(_dot(a, r), pl) * y
-                          for x, y in zip(r, pivot_line)) for r in rays]
-            rays.append(pivot_line)
-        else:
-            plus = [r for r in rays if _dot(a, r) > 0]
-            zero = [r for r in rays if _dot(a, r) == 0]
-            minus = [r for r in rays if _dot(a, r) < 0]
-            new = []
-            for p in plus:
-                for q in minus:
-                    cand = tuple(_dot(a, p) * y - _dot(a, q) * x
-                                 for x, y in zip(p, q))
-                    if any(x != 0 for x in cand):
-                        new.append(cand)
-            rays = plus + zero + new
-        # prune to extreme rays of the cone cut out so far
-        processed = idx + 1
-        full_rank = rational_rank([list(q) for q in ineqs[:processed]])
-        seen = {}
-        for r in rays:
-            if all(_dot(ineqs[i], r) >= 0 for i in range(processed)):
-                key = primitivize(r)
-                if any(x != 0 for x in key):
-                    seen.setdefault(key, r)
-        rays = [r for key, r in sorted(seen.items())
-                if tight_rank(r, processed) == full_rank - 1]
+            # a leaves the span of the earlier inequalities: one line
+            # becomes a ray, every old ray stays extreme
+            pivot = lines.pop(pivot_idx)
+            pl = dots.pop(pivot_idx)
+            if pl < 0:
+                pivot, pl = tuple(-x for x in pivot), -pl
+            lines = [_eliminate(pl, l, d, pivot) for l, d in zip(lines, dots)]
+            rays = [_eliminate(pl, r, _dot(a, r), pivot) for r in rays]
+            zeros = [z | bit for z in zeros]
+            rays.append(pivot)
+            zeros.append(bit - 1)
+            continue
+        signs = [_dot(a, r) for r in rays]
+        # adjacent rays span a 2-face, whose tight rows have rank
+        # rank(cone) - 2; they are adjacent iff no third ray is tight on
+        # all of those rows
+        need = rank - len(lines) - 2
+        new_rays, new_zeros = [], []
+        for p, sp in enumerate(signs):
+            if sp <= 0:
+                continue
+            for q, sq in enumerate(signs):
+                if sq >= 0:
+                    continue
+                common = zeros[p] & zeros[q]
+                if common.bit_count() < need or any(
+                        z & common == common
+                        for k, z in enumerate(zeros) if k != p and k != q):
+                    continue
+                new_rays.append(_divide_content(
+                    [sp * y - sq * x for x, y in zip(rays[p], rays[q])]))
+                new_zeros.append(common | bit)
+        kept = [k for k, s in enumerate(signs) if s >= 0]
+        rays = [rays[k] for k in kept] + new_rays
+        zeros = [zeros[k] | (bit if signs[k] == 0 else 0)
+                 for k in kept] + new_zeros
 
     ray_keys = sorted({primitivize(r) for r in rays})
     line_keys = _canonical_lines([primitivize(l) for l in lines], rank)
@@ -166,14 +198,20 @@ class Cone:
     __slots__ = ("ambient_rank", "rays", "lines", "_dual_gens")
 
     def __init__(self, generators=(), ambient_rank=None):
-        gens = [tuple(int(x) for x in g) for g in generators]
+        gens = [tuple(g) for g in generators]
         if ambient_rank is None:
             if not gens:
                 raise FanError("ambient rank needed for a generator-free cone")
             ambient_rank = len(gens[0])
+        if ambient_rank < 0:
+            raise FanError(f"ambient rank {ambient_rank} is negative")
         for g in gens:
             if len(g) != ambient_rank:
                 raise FanError("generator length does not match ambient rank")
+            for x in g:
+                if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+                    raise FanError(f"generator entry {x!r} is not an integer "
+                                   "or a Fraction")
         gens = [primitivize(g) for g in gens if any(x != 0 for x in g)]
         # canonicalize through the double dual
         if gens:
@@ -239,7 +277,7 @@ class Cone:
 
     def contains(self, point, strict=False):
         """Exact membership; `strict` asks for the relative interior."""
-        point = tuple(Fraction(x) for x in point)
+        point = tuple(x if type(x) is int else Fraction(x) for x in point)
         if len(point) != self.ambient_rank:
             raise FanError("point has the wrong dimension")
         for a in self._dual_gens:
@@ -587,8 +625,15 @@ def fan_from_json(text):
     data = json.loads(text) if isinstance(text, str) else text
     if not isinstance(data, dict) or "rank" not in data:
         raise FanError("fan JSON must be an object with a 'rank' field")
-    rank = int(data["rank"])
+    rank = data["rank"]
+    if isinstance(rank, bool) or not isinstance(rank, int):
+        raise FanError(f"fan JSON 'rank' must be an integer, not {rank!r}")
     max_cones = data.get("max_cones", [])
+    if not isinstance(max_cones, list) or not all(
+            isinstance(gens, list) and all(isinstance(v, list) for v in gens)
+            for gens in max_cones):
+        raise FanError("fan JSON 'max_cones' must be a list of cones, each "
+                       "a list of generator vectors")
     cones = [Cone([tuple(v) for v in gens], ambient_rank=rank)
              for gens in max_cones]
     fan = fan_from_max_cones(cones, rank=rank) if cones else Fan([], rank)

@@ -50,6 +50,17 @@ class TestFanInfo:
             {"rank": 2, "max_cones": [[[1, 0], [0, 1]], [[1, 1], [1, -1]]]}))
         assert main(["fan-info", str(path)]) == 2
 
+    @pytest.mark.parametrize("data,message", [
+        ({"rank": 2, "max_cones": 5}, "'max_cones' must be a list"),
+        ({"rank": "x", "max_cones": []}, "'rank' must be an integer"),
+        ({"rank": 2.5, "max_cones": []}, "'rank' must be an integer"),
+        ({"rank": 2, "max_cones": [[[0.5, 1], [0, 1]]]}, "entry 0.5"),
+    ])
+    def test_schema_errors_exit_2(self, data, message, capsys):
+        assert main(["fan-info", json.dumps(data)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
     def test_parse_error_reports_position(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{"rank": 2\n "max_cones": []}')

@@ -306,6 +306,10 @@ class TestAffineMonoid:
         assert mono.contains((0, 0))
         assert not mono.contains((Fraction(1, 2), 0))  # off the lattice
 
+    def test_wrong_length_inequality_rejected(self):
+        with pytest.raises(CohError, match="length 3"):
+            AffineMonoid(2, [(1, 2, 3)])
+
     def test_elements_by_degree(self):
         mono = orthant_monoid(2)
         by_deg = mono.elements_by_degree(3)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -7,7 +8,9 @@ from fltzlab.fans import (
     Cone,
     FanError,
     StackyFan,
+    _reduce_mod_lines,
     cech_nerve,
+    dd_generators,
     dual_cone,
     faces,
     fan_from_json,
@@ -20,7 +23,120 @@ from fltzlab.fans import (
     standard_fan,
     validate_stacky,
 )
-from fltzlab.zlin import IntMatrix
+from fltzlab.zlin import IntMatrix, kernel_basis, rational_rank
+
+
+def _frac_dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def reference_canonical_lines(lines, rank):
+    """Canonical line basis with the column echelon done over Fractions."""
+    if not lines:
+        return []
+    ann = kernel_basis(IntMatrix([list(l) for l in lines]))
+    if not ann:
+        basis = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    else:
+        basis = kernel_basis(IntMatrix([list(a) for a in ann]))
+    basis = [list(b) for b in basis]
+    norm = []
+    for col in range(rank):
+        pivot = next((b for b in basis if b[col] != 0 and
+                      all(x == 0 for x in b[:col])), None)
+        if pivot is None:
+            continue
+        if pivot[col] < 0:
+            pivot = [-x for x in pivot]
+        norm.append(primitivize(pivot))
+        basis = [[a - Fraction(b[col], pivot[col]) * p
+                  for a, p in zip(b, pivot)] for b in basis]
+        basis = [b for b in basis if any(x != 0 for x in b)]
+    return [tuple(int(x) for x in v) for v in norm]
+
+
+def reference_dd_generators(inequalities, rank):
+    """Double description over Fractions, extremality by rank tests.
+
+    The algorithm the integer double description replaced, kept as an
+    oracle: every candidate combination is formed, then pruned to the
+    rays whose tight inequalities have rank one less than the cone's.
+    """
+    ineqs = [tuple(a) for a in inequalities if any(x != 0 for x in a)]
+    lines = [tuple(Fraction(int(i == j)) for j in range(rank))
+             for i in range(rank)]
+    rays = []
+
+    def tight_rank(vec, upto):
+        tight = [ineqs[i] for i in range(upto)
+                 if _frac_dot(ineqs[i], vec) == 0]
+        return rational_rank(tight) if tight else 0
+
+    for idx, a in enumerate(ineqs):
+        pivot_idx = next((i for i, l in enumerate(lines)
+                          if _frac_dot(a, l) != 0), None)
+        if pivot_idx is not None:
+            pivot_line = lines.pop(pivot_idx)
+            if _frac_dot(a, pivot_line) < 0:
+                pivot_line = tuple(-x for x in pivot_line)
+            pl = _frac_dot(a, pivot_line)
+            lines = [tuple(x - Fraction(_frac_dot(a, l), pl) * y
+                           for x, y in zip(l, pivot_line)) for l in lines]
+            lines = [l for l in lines if any(x != 0 for x in l)]
+            rays = [tuple(x - Fraction(_frac_dot(a, r), pl) * y
+                          for x, y in zip(r, pivot_line)) for r in rays]
+            rays.append(pivot_line)
+        else:
+            plus = [r for r in rays if _frac_dot(a, r) > 0]
+            zero = [r for r in rays if _frac_dot(a, r) == 0]
+            minus = [r for r in rays if _frac_dot(a, r) < 0]
+            new = []
+            for p in plus:
+                for q in minus:
+                    cand = tuple(_frac_dot(a, p) * y - _frac_dot(a, q) * x
+                                 for x, y in zip(p, q))
+                    if any(x != 0 for x in cand):
+                        new.append(cand)
+            rays = plus + zero + new
+        processed = idx + 1
+        full_rank = rational_rank([list(q) for q in ineqs[:processed]])
+        seen = {}
+        for r in rays:
+            if all(_frac_dot(ineqs[i], r) >= 0 for i in range(processed)):
+                key = primitivize(r)
+                if any(x != 0 for x in key):
+                    seen.setdefault(key, r)
+        rays = [r for key, r in sorted(seen.items())
+                if tight_rank(r, processed) == full_rank - 1]
+
+    ray_keys = sorted({primitivize(r) for r in rays})
+    line_keys = reference_canonical_lines([primitivize(l) for l in lines],
+                                          rank)
+    ray_keys = [_reduce_mod_lines(r, line_keys) for r in ray_keys]
+    ray_keys = sorted({primitivize(r) for r in ray_keys
+                       if any(x != 0 for x in r)})
+    return ray_keys, line_keys
+
+
+def random_inequalities(rng, rank):
+    """0-10 rows with zero, duplicate, opposite, scaled and Fraction rows."""
+    rows = []
+    for _ in range(rng.randint(0, 10)):
+        kind = rng.random()
+        if rows and kind < 0.1:
+            rows.append(rng.choice(rows))
+        elif rows and kind < 0.2:
+            rows.append(tuple(-x for x in rng.choice(rows)))
+        elif rows and kind < 0.3:
+            rows.append(tuple(rng.randint(2, 3) * x for x in rng.choice(rows)))
+        elif kind < 0.35:
+            rows.append(tuple(0 for _ in range(rank)))
+        else:
+            rows.append(tuple(rng.randint(-3, 3) for _ in range(rank)))
+    if rng.random() < 0.2:
+        rows = [tuple(Fraction(x, rng.randint(1, 4)) for x in r)
+                for r in rows]
+    return rows
 
 
 def brute_force_dual_points(generators, rank, radius=5):
@@ -199,11 +315,58 @@ class TestSmoothness:
             assert is_smooth_cone(c) == completable(c.rays, c.ambient_rank)
 
 
+class TestDoubleDescription:
+    def test_matches_fraction_reference(self):
+        rng = random.Random(41)
+        shapes = {"pointed": 0, "lines": 0, "rays": 0}
+        for _ in range(500):
+            rank = rng.randint(0, 5)
+            rows = random_inequalities(rng, rank)
+            rays, lines = dd_generators(rows, rank)
+            assert (rays, lines) == reference_dd_generators(rows, rank), \
+                (rows, rank)
+            shapes["lines" if lines else "pointed"] += 1
+            shapes["rays"] += bool(rays and lines)
+        # the draw covers pointed and non-pointed cones alike
+        assert min(shapes.values()) > 50, shapes
+
+    def test_wrong_length_rejected(self):
+        with pytest.raises(FanError, match="length 3"):
+            dd_generators([(1, 2, 3)], 2)
+        with pytest.raises(FanError):
+            dd_generators([(1, 0), (1,)], 2)
+
+
 class TestConeBasics:
     def test_primitivize(self):
         assert primitivize((2, 4)) == (1, 2)
         assert primitivize((0, 0)) == (0, 0)
         assert primitivize((-3, 6)) == (-1, 2)
+        assert primitivize(()) == ()
+        assert primitivize((Fraction(3, 2), 1)) == (3, 2)
+
+    def test_primitivize_int_path_matches_fraction_path(self):
+        rng = random.Random(43)
+        for _ in range(500):
+            vec = tuple(rng.randint(-30, 30) * rng.choice((1, 1, 6))
+                        for _ in range(rng.randint(0, 5)))
+            fast = primitivize(vec)
+            assert fast == primitivize([Fraction(x) for x in vec])
+            assert all(type(x) is int for x in fast)
+
+    def test_rational_generators_are_scaled_not_truncated(self):
+        assert Cone([(Fraction(3, 2), 1)]).rays == ((3, 2),)
+        assert Cone([(Fraction(1, 2), Fraction(1, 3))]).rays == ((3, 2),)
+
+    @pytest.mark.parametrize("gens", [[(0.5, 1)], [(1.0, 0)], [("1", 0)],
+                                      [(None, 0)], [(True, 0)]])
+    def test_non_rational_generators_rejected(self, gens):
+        with pytest.raises(FanError, match="not an integer"):
+            Cone(gens)
+
+    def test_negative_ambient_rank_rejected(self):
+        with pytest.raises(FanError, match="negative"):
+            Cone((), ambient_rank=-1)
 
     def test_canonical_generators(self):
         a = Cone([(2, 0), (0, 3), (1, 1)])
@@ -217,6 +380,8 @@ class TestConeBasics:
         assert not c.contains((0, 1))
         assert c.contains((1, 1), strict=True)
         assert not c.contains((1, 0), strict=True)
+        assert c.contains((Fraction(1, 2), Fraction(1, 3)))
+        assert not c.contains((Fraction(1, 2), Fraction(3, 2)))
 
     def test_strict_convexity(self):
         assert Cone([(1, 0), (0, 1)]).is_strictly_convex()
@@ -413,6 +578,19 @@ class TestJson:
     def test_bad_schema(self):
         with pytest.raises(FanError):
             fan_from_json("[1, 2, 3]")
+
+    @pytest.mark.parametrize("data", [
+        {"rank": 2, "max_cones": 5},
+        {"rank": 2, "max_cones": [[1, 0]]},
+        {"rank": 2, "max_cones": [5]},
+        {"rank": "x", "max_cones": []},
+        {"rank": 1.5, "max_cones": []},
+        {"rank": -1, "max_cones": []},
+        {"rank": 2, "max_cones": [[[0.5, 1], [0, 1]]]},
+    ])
+    def test_schema_errors_are_fan_errors(self, data):
+        with pytest.raises(FanError):
+            fan_from_json(data)
 
     def test_point_fan_round_trip(self):
         pt = standard_fan("point")
