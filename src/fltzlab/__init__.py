@@ -14,6 +14,8 @@ entirely in exact arithmetic:
   derived homs, Euler forms, decomposition generators, cone reduction;
 * :mod:`fltzlab.picsym` -- formal line-bundle monomials, anchor data,
   monodromy, symmetric powers, component labels;
+* :mod:`fltzlab.checks` -- the check registry shared by ``fltzlab verify``
+  and the acceptance tests (not imported here);
 * :mod:`fltzlab.cli` -- the command-line surface.
 """
 

@@ -14,11 +14,9 @@ import os
 import random
 import sys
 import tempfile
-from fractions import Fraction
-from math import comb
+from itertools import chain
 
-from . import cohside, conside, fans, picsym, skeleton
-from .zlin import IntMatrix
+from . import checks, cohside, conside, fans, picsym, skeleton
 
 DEFAULT_SEED = 20240814
 
@@ -203,177 +201,28 @@ def cmd_quiver(args):
 # ---------------------------------------------------------------------------
 # verification suites
 
-
-def _check(name, ok, detail=""):
-    status = "PASS" if ok else "FAIL"
-    print(f"[{status}] {name}" + (f": {detail}" if detail and not ok else ""))
-    return bool(ok)
-
-
-def verify_ccc(n):
-    ok = True
-    for e in range(0, 5):
-        coh = cohside.pn_line_bundle_cohomology(n, e)
-        ok &= _check(f"P{n} H0(O({e})) = C({n + e},{n})",
-                     coh[0] == comb(n + e, n), f"{coh}")
-        ok &= _check(f"P{n} middle cohomology of O({e}) vanishes",
-                     all(x == 0 for x in coh[1:]), f"{coh}")
-    for d in range(-n - 1, -n - 5, -1):
-        coh = cohside.pn_line_bundle_cohomology(n, d)
-        ok &= _check(f"P{n} Hn(O({d})) = C({-d - 1},{n})",
-                     coh[n] == comb(-d - 1, n) and
-                     all(x == 0 for x in coh[:n]), f"{coh}")
-    for e in range(-4, 5):
-        expected = _binomial_continuation(n, e)
-        got = cohside.euler_pairing_coherent(n, 0, e)
-        ok &= _check(f"P{n} euler pairing O -> O({e}) = {expected}",
-                     got == expected, f"got {got}")
-    if n <= 3:
-        cat = conside.ChamberCategory(n)
-        gens = [conside.beilinson_rep(n, k, cat) for k in range(1, n + 2)]
-        gram = [[conside.euler_form(cat, a.dim_vector(), b.dim_vector())
-                 for b in gens] for a in gens]
-        coh_gram = [[cohside.euler_pairing_coherent(n, i, j)
-                     for j in range(n + 1)] for i in range(n + 1)]
-        ok &= _check(f"P{n} euler Gram matches coherent Gram",
-                     gram == coh_gram, f"{gram} vs {coh_gram}")
-    if n <= 2:
-        cat = conside.ChamberCategory(n)
-        gens = [conside.beilinson_rep(n, k, cat) for k in range(1, n + 2)]
-        for i in range(n + 1):
-            for j in range(n + 1):
-                ext = conside.rep_hom(gens[i], gens[j])
-                coh = cohside.pn_line_bundle_cohomology(n, j - i)
-                ok &= _check(
-                    f"P{n} rep hom gen{i + 1} -> gen{j + 1} = coherent H0",
-                    ext[0] == coh[0] and all(x == 0 for x in ext[1:]),
-                    f"{ext} vs {coh}")
-    return ok
-
-
-def _binomial_continuation(n, e):
-    num = 1
-    for i in range(1, n + 1):
-        num *= e + i
-    den = 1
-    for i in range(1, n + 1):
-        den *= i
-    return num // den
-
-
-def verify_chambers(n):
-    ok = True
-    chambers = skeleton.enumerate_chambers(n)
-    counts = skeleton.chamber_step_counts(n)
-    by_step = [0] * (n + 1)
-    for c in chambers:
-        by_step[c.step] += 1
-    ok &= _check(f"n={n} geometric counts match the closed formula",
-                 by_step == counts, f"{by_step} vs {counts}")
-    eps2 = Fraction(1, 4 * n + 4)
-    ok &= _check(f"n={n} chamber set is stable under a finer epsilon",
-                 skeleton.enumerate_chambers(n, eps2) == chambers)
-    if n == 2:
-        ok &= _check("n=2 total chamber count is 7", len(chambers) == 7)
-    return ok
-
-
-def verify_kappa(n):
-    ok = True
-    stack = fans.StackyFan(
-        IntMatrix([[n]]),
-        fans.fan_from_max_cones([fans.Cone([(1,)], ambient_rank=1)]))
-    G = cohside.gamma_category(stack)
-    ray = fans.Cone([(1,)], ambient_rank=1)
-    for i in range(n):
-        chi = (Fraction(i, n),)
-        iso = cohside.isotypic_component(G.monoid, chi, 10)
-        stalk = cohside.costandard_stalk(ray, chi, 10, denominator=n)
-        ok &= _check(f"kappa on the order-{n} cyclic chart, character {i}",
-                     iso.dims == stalk.dims, f"{iso.dims} vs {stalk.dims}")
-    for m in range(1, 4):
-        for k in range(1, m + 1):
-            cone = fans.Cone([tuple(int(i == j) for j in range(m))
-                              for i in range(k)], ambient_rank=m)
-            monoid = cohside.AffineMonoid(
-                k, [tuple(int(i == j) for j in range(k)) for i in range(k)])
-            iso = cohside.isotypic_component(monoid, (0,) * k, 10)
-            stalk = cohside.costandard_stalk(cone, (0,) * m, 10)
-            ok &= _check(f"kappa on cone(e1..e{k}) in Z^{m}",
-                         iso.dims == stalk.dims,
-                         f"{iso.dims} vs {stalk.dims}")
-    return ok
-
-
-def verify_monodromy(n):
-    ok = True
-    pic = [picsym.PicMonomial.generator(i, n) for i in range(n)]
-    q = skeleton.chamber_quiver(n, pic)
-    mono = picsym.monodromy(
-        IntMatrix.identity(n),
-        picsym.Ikari(IntMatrix([[-x for x in row]
-                                for row in IntMatrix.identity(n).entries])))
-    for v in q.vertices:
-        a, _ = v.region()
-        disp = tuple(x - y for x, y in
-                     zip(a, skeleton._canonical_avec(n, v.step)))
-        ok &= _check(
-            f"label of {v.chamber.flag_string()},{v.chamber.slant} matches "
-            "monodromy transport",
-            v.label == mono.transport(disp))
-    if n == 2:
-        expected = sorted([(0, 0), (0, 1), (0, 0), (-1, 1), (0, 1),
-                           (1, 0), (0, 0)])
-        got = sorted(v.label.exponents for v in q.vertices)
-        ok &= _check("n=2 twisted label multiset matches the comparison "
-                     "picture", got == expected, f"{got}")
-    from itertools import product as iproduct
-    homomorphic = all(
-        mono.transport(v1) * mono.transport(v2) ==
-        mono.transport(tuple(a + b for a, b in zip(v1, v2)))
-        for v1 in iproduct(range(-2, 3), repeat=n)
-        for v2 in iproduct(range(-2, 3), repeat=n))
-    ok &= _check("transport is path independent (composite = direct on all "
-                 "translation pairs)", homomorphic)
-    return ok
-
-
-def verify_generation(n, seed):
-    ok = True
-    rng = random.Random(seed)
-    failures = 0
-    for _ in range(100):
-        d = [rng.randint(-5, 5) for _ in range(n + 1)]
-        try:
-            trace = conside.reduce_dimension_vector(n, d)
-            good = (len(trace) == n + 1 and
-                    all(x == 0 for x in trace[-1].remainder))
-        except conside.GenerationFailure:
-            good = False
-        if not good:
-            failures += 1
-    ok &= _check(f"100 seeded random reductions reach zero in {n + 1} steps",
-                 failures == 0, f"{failures} failures")
-    cat = conside.ChamberCategory(n)
-    gens = [conside.beilinson_rep(n, k, cat) for k in range(1, n + 2)]
-    gram = [[conside.euler_form(cat, a.dim_vector(), b.dim_vector())
-             for b in gens] for a in gens]
-    tri = all(gram[i][j] == 0 for i in range(n + 1) for j in range(i))
-    uni = all(gram[i][i] == 1 for i in range(n + 1))
-    ok &= _check(f"n={n} generator Gram is unimodular triangular",
-                 tri and uni, f"{gram}")
-    return ok
+VERIFY_SUITES = {
+    "ccc": lambda args: chain(checks.pn_cohomology(args.n),
+                              checks.two_sided(args.n)),
+    "kappa": lambda args: chain(checks.kappa_cyclic(args.n),
+                                checks.kappa_coordinate()),
+    "chambers": lambda args: checks.chambers(args.n),
+    "monodromy": lambda args: checks.monodromy(args.n),
+    "generation": lambda args: checks.generation(args.n,
+                                                 random.Random(args.seed)),
+}
 
 
 def cmd_verify(args):
-    suites = {
-        "ccc": lambda: verify_ccc(args.n),
-        "chambers": lambda: verify_chambers(args.n),
-        "kappa": lambda: verify_kappa(args.n),
-        "monodromy": lambda: verify_monodromy(args.n),
-        "generation": lambda: verify_generation(args.n, args.seed),
-    }
-    ok = suites[args.what]()
+    if args.n < 1:
+        raise InputError("--n must be at least 1")
+    ok = True
+    for check in VERIFY_SUITES[args.what](args):
+        line = f"[{'PASS' if check.ok else 'FAIL'}] {check.name}"
+        if check.detail and not check.ok:
+            line += f": {check.detail}"
+        print(line)
+        ok &= check.ok
     print("all checks passed" if ok else "verification FAILED")
     return 0 if ok else 1
 
@@ -412,9 +261,7 @@ def build_parser():
     p.set_defaults(func=cmd_hom)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--what", required=True,
-                   choices=("ccc", "kappa", "chambers", "monodromy",
-                            "generation"))
+    p.add_argument("--what", required=True, choices=VERIFY_SUITES)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=cmd_verify)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 
 from .fans import Cone, StackyFan, dd_generators, validate_stacky
 from .skeleton import UnsupportedConeError, _character_superlattice
@@ -92,8 +92,16 @@ class AffineMonoid:
 
     def __init__(self, rank, inequality_normals, denominator=1, lattice_basis=None):
         self.rank = int(rank)
-        self.inequalities = tuple(tuple(int(x) for x in a)
-                                  for a in inequality_normals)
+        rows = []
+        for a in inequality_normals:
+            for x in a:
+                if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+                    raise CohError(f"inequality entry {x!r} is not an "
+                                   "integer or a Fraction")
+            # a positive scale clears the denominators and keeps the cone
+            scale = lcm(*(x.denominator for x in a))
+            rows.append(tuple(int(x * scale) for x in a))
+        self.inequalities = tuple(rows)
         for a in self.inequalities:
             if len(a) != self.rank:
                 raise CohError(f"inequality {a!r} has length {len(a)}, "
@@ -228,7 +236,7 @@ def _adapted_quotient(cone: Cone):
     q = n - len(perp)
 
     def project(v):
-        img = u.apply(tuple(Fraction(x) for x in v))
+        img = u @ [Fraction(x) for x in v]
         return tuple(img[n - q:])
 
     u_inv = rational_inverse([list(r) for r in u.entries])

@@ -241,7 +241,8 @@ class CatRep:
                         f, _zeros(self.dims[y], self.dims[x]))
                     if (len(m), len(m[0]) if m else 0) != (self.dims[y],
                                                            self.dims[x]):
-                        if self.dims[y] == 0 or self.dims[x] == 0:
+                        # an empty matrix stands for the map to or from 0
+                        if 0 in (self.dims[y], self.dims[x]) and not any(m):
                             self.matrices[f] = _zeros(self.dims[y], self.dims[x])
                         else:
                             raise ConError(f"matrix shape mismatch on {f!r}")

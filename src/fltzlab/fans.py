@@ -637,7 +637,14 @@ def fan_from_json(text):
     cones = [Cone([tuple(v) for v in gens], ambient_rank=rank)
              for gens in max_cones]
     fan = fan_from_max_cones(cones, rank=rank) if cones else Fan([], rank)
-    if "beta" in data and data["beta"] is not None:
-        beta = IntMatrix(data["beta"])
-        return StackyFan(beta, fan)
+    beta = data.get("beta")
+    if beta is not None:
+        if not isinstance(beta, list) or not all(
+                isinstance(row, list) and len(row) == len(beta[0]) and all(
+                    isinstance(x, int) and not isinstance(x, bool)
+                    for x in row)
+                for row in beta):
+            raise FanError("fan JSON 'beta' must be a rectangular list of "
+                           f"integer rows, not {beta!r}")
+        return StackyFan(IntMatrix(beta), fan)
     return fan

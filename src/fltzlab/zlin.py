@@ -87,16 +87,8 @@ class IntMatrix:
                       for k in range(self.cols))
                   for j in range(other.cols)]
                  for i in range(self.rows)])
-        # matrix * integer vector
+        # matrix * vector with int or Fraction entries
         vec = tuple(other)
-        if self.cols != len(vec):
-            raise ZlinError("shape mismatch in matrix-vector product")
-        return tuple(sum(self.entries[i][k] * vec[k] for k in range(self.cols))
-                     for i in range(self.rows))
-
-    def apply(self, vec):
-        """Apply to a vector with Fraction or int entries."""
-        vec = tuple(vec)
         if self.cols != len(vec):
             raise ZlinError("shape mismatch in matrix-vector product")
         return tuple(sum(self.entries[i][k] * vec[k] for k in range(self.cols))

@@ -5,19 +5,9 @@ per-criterion pass lines).
 """
 
 import random
-from fractions import Fraction
-from itertools import product
-from math import comb
 
-from fltzlab.cohside import (
-    costandard_stalk,
-    cyclic_quiver_paths,
-    euler_pairing_coherent,
-    gamma_category,
-    hom_graded,
-    isotypic_component,
-    pn_line_bundle_cohomology,
-)
+from fltzlab import checks
+from fltzlab.cohside import cyclic_quiver_paths, gamma_category, hom_graded
 from fltzlab.conside import (
     CatRep,
     ChamberCategory,
@@ -26,21 +16,27 @@ from fltzlab.conside import (
     beilinson_rep,
     corepresentable,
     euler_form,
-    reduce_dimension_vector,
     rep_hom,
 )
-from fltzlab.cohside import AffineMonoid
 from fltzlab.fans import Cone, StackyFan, dual_cone, fan_from_max_cones
 from fltzlab.picsym import PicMonomial
-from fltzlab.skeleton import chamber_quiver, chamber_step_counts, enumerate_chambers
+from fltzlab.skeleton import chamber_quiver
 from fltzlab.zlin import IntMatrix, smith_normal_form
 
 SEED = 20240814
 
 
-def _report(num, text, ok):
+def _report(num, text, ok=True):
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {num}: {text}")
     assert ok, f"criterion {num} failed: {text}"
+
+
+def _expect(records, count):
+    """Assert that a check family yields exactly ``count`` records, all ok."""
+    records = list(records)
+    assert len(records) == count, f"{len(records)} records, expected {count}"
+    failed = [f"{r.name}: {r.detail}" for r in records if not r.ok]
+    assert not failed, failed
 
 
 def cyclic_stack(n):
@@ -63,118 +59,48 @@ def test_criterion_1_stacky_cyclic_check():
 
 
 def test_criterion_2_ccc_binomials():
-    ok = True
     for n in (1, 2, 3):
-        for e in range(0, 5):
-            coh = pn_line_bundle_cohomology(n, e)
-            ok = ok and coh[0] == comb(n + e, n)
-            ok = ok and all(x == 0 for x in coh[1:])
-        for d in range(-n - 1, -n - 5, -1):
-            coh = pn_line_bundle_cohomology(n, d)
-            ok = ok and coh[n] == comb(-d - 1, n)
-            ok = ok and all(x == 0 for x in coh[:n])
-        for e in range(-4, 5):
-            num, den = 1, 1
-            for i in range(1, n + 1):
-                num *= e + i
-                den *= i
-            ok = ok and euler_pairing_coherent(n, 0, e) == num // den
+        _expect(checks.pn_cohomology(n), 23)
     _report(2, "projective-space cohomology matches the binomial values and "
-               "the Euler pairing matches the signed continuation", ok)
+               "the Euler pairing matches the signed continuation")
 
 
 def test_criterion_3_two_sided_match():
-    ok = True
     for n in (1, 2):
-        cat = ChamberCategory(n)
-        gens = [beilinson_rep(n, k, cat) for k in range(1, n + 2)]
-        for i in range(n + 1):
-            for j in range(n + 1):
-                ext = rep_hom(gens[i], gens[j])
-                h0 = pn_line_bundle_cohomology(n, j - i)[0]
-                ok = ok and ext[0] == h0
-                ok = ok and all(x == 0 for x in ext[1:])
-        gram = [[euler_form(cat, a.dim_vector(), b.dim_vector())
-                 for b in gens] for a in gens]
-        coh_gram = [[euler_pairing_coherent(n, i, j)
-                     for j in range(n + 1)] for i in range(n + 1)]
-        ok = ok and gram == coh_gram
-        if n == 2:
-            ok = ok and gram == [[1, 3, 6], [0, 1, 3], [0, 0, 1]]
+        _expect(checks.two_sided(n), 1 + (n + 1) ** 2)
+    cat = ChamberCategory(2)
+    gens = [beilinson_rep(2, k, cat) for k in range(1, 4)]
+    gram = [[euler_form(cat, a.dim_vector(), b.dim_vector())
+             for b in gens] for a in gens]
     _report(3, "constructible rep homs and Euler Gram matrices equal the "
-               "coherent ones (n = 1, 2; P2 rows (1,3,6),(0,1,3),(0,0,1))", ok)
+               "coherent ones (n = 1, 2; P2 rows (1,3,6),(0,1,3),(0,0,1))",
+            gram == [[1, 3, 6], [0, 1, 3], [0, 0, 1]])
 
 
 def test_criterion_4_chamber_counts():
-    ok = True
     for n in (1, 2, 3, 4):
-        counts = chamber_step_counts(n)
-        for eps in (None, Fraction(1, 4 * n + 4)):
-            chambers = enumerate_chambers(n, eps)
-            by_step = [0] * (n + 1)
-            for c in chambers:
-                by_step[c.step] += 1
-            ok = ok and by_step == counts
-        ok = ok and (n != 2 or sum(counts) == 7)
+        _expect(checks.chambers(n), 3 if n == 2 else 2)
     _report(4, "geometric chamber enumeration equals the closed formula for "
-               "n = 1..4, total 7 for n = 2, stable under two epsilons", ok)
+               "n = 1..4, total 7 for n = 2, stable under two epsilons")
 
 
 def test_criterion_5_kappa_verification():
-    ok = True
-    for n in range(1, 4):
-        for k in range(1, n + 1):
-            cone = Cone([tuple(int(i == j) for j in range(n))
-                         for i in range(k)], ambient_rank=n)
-            monoid = AffineMonoid(
-                k, [tuple(int(i == j) for j in range(k)) for i in range(k)])
-            iso = isotypic_component(monoid, (0,) * k, 10)
-            stalk = costandard_stalk(cone, (0,) * n, 10)
-            ok = ok and iso.dims == stalk.dims
-    ray = Cone([(1,)], ambient_rank=1)
+    _expect(checks.kappa_coordinate(), 6)
     for n in range(1, 7):
-        G = gamma_category(cyclic_stack(n))
-        for i in range(n):
-            chi = (Fraction(i, n),)
-            iso = isotypic_component(G.monoid, chi, 10)
-            stalk = costandard_stalk(ray, chi, 10, denominator=n)
-            ok = ok and iso.dims == stalk.dims
+        _expect(checks.kappa_cyclic(n), n)
     _report(5, "costandard stalks equal isotypic components degreewise "
                "(coordinate cones k <= n <= 3; cyclic charts n <= 6, all "
-               "characters; bound 10)", ok)
+               "characters; bound 10)")
 
 
 def test_criterion_6_twisted_labels():
-    ok = True
-    L2 = PicMonomial.generator(0, 2)
-    M2 = PicMonomial.generator(1, 2)
-    q2 = chamber_quiver(2, [L2, M2])
-    got = sorted(v.label.exponents for v in q2.vertices)
-    expected = sorted([(0, 0), (1, 0), (0, 1),        # a, aL, aM
-                       (0, 0), (0, 1), (-1, 1),       # b, bM, bL^-1M
-                       (0, 0)])                       # c
-    ok = ok and got == expected
+    # seven label transports, the P2 multiset, path independence
+    _expect(checks.monodromy(2), 9)
     q1 = chamber_quiver(1, [PicMonomial.generator(0, 1)])
     labels1 = sorted(v.label.exponents for v in q1.vertices)
-    ok = ok and labels1 == [(0,), (0,), (1,)]
+    ok = labels1 == [(0,), (0,), (1,)]
     ok = ok and len(q1.edges) == 2
     ok = ok and all(q1.vertices[e.target].step == 0 for e in q1.edges)
-    # path independence: every label is the monodromy transport of its
-    # displacement, and transport is a homomorphism on translations
-    from fltzlab.picsym import Ikari, monodromy
-    from fltzlab.skeleton import _canonical_avec
-    neg = Ikari(IntMatrix([[-x for x in row]
-                           for row in IntMatrix.identity(2).entries]))
-    mono = monodromy(IntMatrix.identity(2), neg)
-    for v in q2.vertices:
-        a, _ = v.region()
-        disp = tuple(x - y for x, y in zip(a, _canonical_avec(2, v.step)))
-        ok = ok and v.label == mono.transport(disp)
-    for v1 in product(range(-2, 3), repeat=2):
-        for v2 in product(range(-2, 3), repeat=2):
-            s = tuple(a + b for a, b in zip(v1, v2))
-            ok = ok and (mono.transport(v1) * mono.transport(v2)
-                         == mono.transport(s))
     _report(6, "twisted chamber labels reproduce the figures (P2 multiset "
                "and the three-vertex line picture) and transport is path "
                "independent", ok)
@@ -184,11 +110,8 @@ def test_criterion_7_generation():
     ok = True
     rng = random.Random(SEED)
     for n in (1, 2, 3):
-        for _ in range(100):
-            d = [rng.randint(-5, 5) for _ in range(n + 1)]
-            trace = reduce_dimension_vector(n, d)
-            ok = ok and len(trace) == n + 1
-            ok = ok and trace[-1].remainder == (0,) * (n + 1)
+        _expect(checks.generation(n, rng), 2)
+        # the Gram again, from the generators' class dimensions
         cat = ChamberCategory(n)
         gens = beilinson_generators(n)
         gram = [[euler_form(cat, a.class_dims, b.class_dims)

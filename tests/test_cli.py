@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from fltzlab.cli import main
+from fltzlab import checks
+from fltzlab.cli import VERIFY_SUITES, main
 from fltzlab.fans import fan_from_json, fan_to_json, standard_fan
 
 
@@ -55,6 +56,14 @@ class TestFanInfo:
         ({"rank": "x", "max_cones": []}, "'rank' must be an integer"),
         ({"rank": 2.5, "max_cones": []}, "'rank' must be an integer"),
         ({"rank": 2, "max_cones": [[[0.5, 1], [0, 1]]]}, "entry 0.5"),
+        ({"rank": 1, "max_cones": [[[1]]], "beta": [[1, 2], [3]]},
+         "'beta' must be a rectangular list"),
+        ({"rank": 1, "max_cones": [[[1]]], "beta": 5},
+         "'beta' must be a rectangular list"),
+        ({"rank": 1, "max_cones": [[[1]]], "beta": [[0.5]]},
+         "'beta' must be a rectangular list"),
+        ({"rank": 1, "max_cones": [[[1]]], "beta": [[True]]},
+         "'beta' must be a rectangular list"),
     ])
     def test_schema_errors_exit_2(self, data, message, capsys):
         assert main(["fan-info", json.dumps(data)]) == 2
@@ -155,6 +164,26 @@ class TestVerifyCmd:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert "all checks passed" in out
+
+    @pytest.mark.parametrize("what", list(VERIFY_SUITES))
+    def test_n_below_one_rejected(self, what, capsys):
+        for n in ("0", "-2"):
+            assert main(["verify", "--what", what, "--n", n]) == 2
+            captured = capsys.readouterr()
+            assert "--n must be at least 1" in captured.err
+            assert captured.out == ""
+
+    def test_failure_is_reported(self, monkeypatch, capsys):
+        def planted(n):
+            yield checks.Check("planted mismatch", False, "1 vs 2")
+            yield checks.Check("planted match", True, "hidden on pass")
+
+        monkeypatch.setattr(checks, "chambers", planted)
+        assert main(["verify", "--what", "chambers", "--n", "2"]) == 1
+        assert capsys.readouterr().out == (
+            "[FAIL] planted mismatch: 1 vs 2\n"
+            "[PASS] planted match\n"
+            "verification FAILED\n")
 
 
 class TestQuiverCmd:

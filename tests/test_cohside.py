@@ -310,6 +310,19 @@ class TestAffineMonoid:
         with pytest.raises(CohError, match="length 3"):
             AffineMonoid(2, [(1, 2, 3)])
 
+    def test_fraction_inequalities_scaled_not_truncated(self):
+        mono = AffineMonoid(2, [(Fraction(1, 2), 1), (Fraction(3, 2), -1)])
+        assert mono.inequalities == ((1, 2), (3, -2))
+        assert mono.contains((2, -1)) and not mono.contains((0, -1))
+        # int rows stay exactly as given, even when not primitive
+        mono = AffineMonoid(2, [(2, 4), (0, 3)])
+        assert mono.inequalities == ((2, 4), (0, 3))
+
+    @pytest.mark.parametrize("bad", [0.5, "1", True, None])
+    def test_non_exact_inequality_entry_rejected(self, bad):
+        with pytest.raises(CohError, match="not an integer or a Fraction"):
+            AffineMonoid(2, [(1, 0), (bad, 1)])
+
     def test_elements_by_degree(self):
         mono = orthant_monoid(2)
         by_deg = mono.elements_by_degree(3)

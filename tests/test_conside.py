@@ -160,6 +160,14 @@ class TestRepHom:
         with pytest.raises(ConError):
             CatRep(p, {0: 1, 1: 1}, {(0, 1): [[1], [0]]})
 
+    def test_misshaped_matrix_at_zero_dimension_rejected(self):
+        p = FinitePoset.chain(2)
+        with pytest.raises(ConError, match="shape mismatch"):
+            CatRep(p, {0: 0, 1: 2}, {(0, 1): [[1, 2], [3, 4]]})
+        # an empty matrix still stands for the zero map out of 0
+        rep = CatRep(p, {0: 0, 1: 2}, {(0, 1): []})
+        assert rep.matrices[(0, 1)] == ((), ())
+
     def test_noncommuting_square_rejected(self):
         sq = FinitePoset.chain(2).product(FinitePoset.chain(2))
         dims = {v: 1 for v in sq.elements}
