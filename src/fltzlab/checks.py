@@ -36,7 +36,8 @@ def _binomial_continuation(n, e):
     return num // den
 
 
-def _generator_gram(n, cat):
+def generator_gram(n, cat):
+    """The Beilinson generators of ``cat`` and their Euler Gram matrix."""
     gens = [conside.beilinson_rep(n, k, cat) for k in range(1, n + 2)]
     gram = [[conside.euler_form(cat, a.dim_vector(), b.dim_vector())
              for b in gens] for a in gens]
@@ -72,7 +73,7 @@ def two_sided(n):
     if n > 3:
         return
     cat = conside.ChamberCategory(n)
-    gens, gram = _generator_gram(n, cat)
+    gens, gram = generator_gram(n, cat)
     coh_gram = [[cohside.euler_pairing_coherent(n, i, j)
                  for j in range(n + 1)] for i in range(n + 1)]
     yield Check(f"P{n} euler Gram matches coherent Gram",
@@ -179,14 +180,14 @@ def generation(n, rng):
         try:
             trace = conside.reduce_dimension_vector(n, d)
             good = (len(trace) == n + 1 and
-                    all(x == 0 for x in trace[-1].remainder))
+                    trace[-1].remainder == (0,) * (n + 1))
         except conside.GenerationFailure:
             good = False
         if not good:
             failures += 1
     yield Check(f"100 seeded random reductions reach zero in {n + 1} steps",
                 failures == 0, f"{failures} failures")
-    _, gram = _generator_gram(n, conside.ChamberCategory(n))
+    _, gram = generator_gram(n, conside.ChamberCategory(n))
     tri = all(gram[i][j] == 0 for i in range(n + 1) for j in range(i))
     uni = all(gram[i][i] == 1 for i in range(n + 1))
     yield Check(f"n={n} generator Gram is unimodular triangular",

@@ -13,7 +13,6 @@ from fltzlab.conside import (
     ChamberCategory,
     FinitePoset,
     beilinson_generators,
-    beilinson_rep,
     corepresentable,
     euler_form,
     rep_hom,
@@ -68,10 +67,7 @@ def test_criterion_2_ccc_binomials():
 def test_criterion_3_two_sided_match():
     for n in (1, 2):
         _expect(checks.two_sided(n), 1 + (n + 1) ** 2)
-    cat = ChamberCategory(2)
-    gens = [beilinson_rep(2, k, cat) for k in range(1, 4)]
-    gram = [[euler_form(cat, a.dim_vector(), b.dim_vector())
-             for b in gens] for a in gens]
+    _, gram = checks.generator_gram(2, ChamberCategory(2))
     _report(3, "constructible rep homs and Euler Gram matrices equal the "
                "coherent ones (n = 1, 2; P2 rows (1,3,6),(0,1,3),(0,0,1))",
             gram == [[1, 3, 6], [0, 1, 3], [0, 0, 1]])
