@@ -6,12 +6,14 @@ entirely in exact arithmetic:
 
 * :mod:`fltzlab.zlin` -- Smith normal form, cokernels, lattice quotients;
 * :mod:`fltzlab.fans` -- cones, fans, stacky fans, Cech nerves;
-* :mod:`fltzlab.skeleton` -- skeleton components, strata posets,
-  chambers of the perturbed projective skeleton, the chamber quiver;
+* :mod:`fltzlab.skeleton` -- skeleton components, chambers of the
+  perturbed projective skeleton, the chamber quiver;
 * :mod:`fltzlab.cohside` -- lattice-point hom counting, isotypic
   components, costandard stalks, Cech cohomology on projective space;
-* :mod:`fltzlab.conside` -- poset/quiver representations, nerve-complex
-  derived homs, Euler forms, decomposition generators, cone reduction;
+* :mod:`fltzlab.conside` -- finite posets (among them the strata poset
+  of an affine chart and its collapse), poset/quiver representations,
+  nerve-complex derived homs, Euler forms, decomposition generators,
+  cone reduction;
 * :mod:`fltzlab.picsym` -- formal line-bundle monomials, anchor data,
   monodromy, symmetric powers, component labels;
 * :mod:`fltzlab.checks` -- the check registry shared by ``fltzlab verify``

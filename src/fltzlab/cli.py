@@ -16,7 +16,7 @@ import sys
 import tempfile
 from itertools import chain
 
-from . import checks, cohside, conside, fans, picsym, skeleton
+from . import checks, cohside, conside, fans, picsym, skeleton, zlin
 
 DEFAULT_SEED = 20240814
 
@@ -152,12 +152,10 @@ def cmd_hom(args):
                 obj = fans.StackyFan.nonstacky(obj)
             G = cohside.gamma_category(obj)
             chars = G.group.characters()
-            try:
-                chi = chars[args.src]
-                chi2 = chars[args.dst]
-            except IndexError as exc:
-                raise InputError("character index out of range") from exc
-            dims = cohside.hom_graded(G, chi, chi2, bound)
+            if not all(0 <= i < len(chars) for i in (args.src, args.dst)):
+                raise InputError("character index out of range")
+            dims = cohside.hom_graded(G, chars[args.src], chars[args.dst],
+                                      bound)
             _emit(_dims_table(f"hom({args.src} -> {args.dst})", dims),
                   args.output)
         else:
@@ -191,6 +189,8 @@ def _dims_table(title, dims):
 
 def cmd_quiver(args):
     n = args.n
+    if n < 1:
+        raise InputError("--n must be at least 1")
     pic, names = _parse_pic(None if args.untwisted else args.pic, n)
     q = skeleton.chamber_quiver(n, pic)
     dot = conside.quiver_to_dot(q, names)
@@ -284,7 +284,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (fans.FanError, skeleton.SkeletonError, cohside.CohError,
-            conside.ConError, picsym.PicError) as exc:
+            conside.ConError, picsym.PicError, zlin.ZlinError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

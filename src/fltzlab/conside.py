@@ -1,11 +1,13 @@
 """The constructible side, decategorified.
 
-Finite posets and the finite directed categories presented by the
-chamber quiver with commuting squares, their representations with exact
-rational matrices, derived homs via the nerve (bar) cochain complex,
-Cartan matrices and Euler forms, the display/dimension data of the
-ordered-decomposition generators over the chamber set, the iterative
-cone reduction of dimension vectors, and DOT export.
+Finite posets (among them the l/c/r strata poset of an affine chart
+with its two-point collapse onto the arrow poset) and the finite
+directed categories presented by the chamber quiver with commuting
+squares, their representations with exact rational matrices, derived
+homs via the nerve (bar) cochain complex, Cartan matrices and Euler
+forms, the display/dimension data of the ordered-decomposition
+generators over the chamber set, the iterative cone reduction of
+dimension vectors, and DOT export.
 
 A finite poset is the special case of a directed category whose hom
 spaces have dimension at most one; a single nerve-complex implementation
@@ -16,10 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import comb
 
+from .fans import Cone, is_smooth_cone
 from .picsym import PicMonomial, format_monomial
-from .skeleton import ChamberQuiver, chamber_quiver, enumerate_chambers
+from .skeleton import (ChamberQuiver, UnsupportedConeError, chamber_quiver,
+                       enumerate_chambers)
 from .zlin import IntMatrix, rational_inverse, rational_rank
 
 
@@ -91,6 +96,13 @@ class FinitePoset:
                  if self.leq(a, c) and other.leq(b, d)]
         return FinitePoset(elems, pairs)
 
+    def power(self, k):
+        """The product order on k-tuples; k = 0 gives the one-point poset."""
+        elems = list(product(self.elements, repeat=k))
+        pairs = [(a, b) for a in elems for b in elems
+                 if all(self.leq(x, y) for x, y in zip(a, b))]
+        return FinitePoset(elems, pairs)
+
     def leq(self, x, y):
         return (x, y) in self._leq
 
@@ -145,6 +157,25 @@ class FinitePoset:
 
     def __repr__(self):
         return f"FinitePoset({len(self.elements)} elements)"
+
+
+def strata_poset_affine(c: Cone):
+    """Strata poset of the affine chart of a smooth cone, with its collapse.
+
+    Returns ``(strata, arrows, collapse)``: the power of the poset
+    c < l, c < r with one factor per ray of the cone, the power of the
+    arrow poset 0 < 1, and the map between them.  The center stratum and
+    its left neighbor have isomorphic stalks, so sheaves with skeletal
+    singular support factor through the arrow poset; the collapse sends
+    c and l to 0 and r to 1 in each factor.
+    """
+    if not is_smooth_cone(c):
+        raise UnsupportedConeError("strata poset requires a smooth cone")
+    k = len(c.rays)
+    strata = FinitePoset.from_covers("lcr", [("c", "l"), ("c", "r")]).power(k)
+    arrows = FinitePoset.chain(2).power(k)
+    collapse = {e: tuple(int(x == "r") for x in e) for e in strata.elements}
+    return strata, arrows, collapse
 
 
 class ChamberCategory:

@@ -521,10 +521,6 @@ class CechNerve:
     vertices: tuple
     simplices: dict  # frozenset of vertex indices -> Cone
 
-    def simplices_of_dim(self, d):
-        return sorted((s for s in self.simplices if len(s) == d + 1),
-                      key=sorted)
-
     def count_by_dim(self):
         out = {}
         for s in self.simplices:

@@ -66,14 +66,6 @@ class PicMonomial:
         return f"PicMonomial({self.exponents})"
 
 
-def pic_mul(a: PicMonomial, b: PicMonomial) -> PicMonomial:
-    return a * b
-
-
-def pic_inv(a: PicMonomial) -> PicMonomial:
-    return a.inverse()
-
-
 def format_monomial(m: PicMonomial, names=None) -> str:
     """Render as "L1^a L2^b ..." with "1" for the unit."""
     if names is None:
@@ -139,15 +131,6 @@ class Ikari:
     """A homomorphism from the dual fiber lattice Z^n into Pic = Z^g."""
 
     matrix: IntMatrix
-
-    @classmethod
-    def from_line_bundles(cls, monomials):
-        """The map sending the i-th dual basis vector to the i-th monomial."""
-        if not monomials:
-            raise PicError("empty line-bundle tuple")
-        g = monomials[0].n_generators
-        return cls(IntMatrix.from_columns([m.exponents for m in monomials],
-                                          rows=g))
 
     @classmethod
     def identity(cls, n):

@@ -1,7 +1,6 @@
 """FLTZ skeleton combinatorics.
 
-Components of the conical Lagrangian attached to a (stacky) fan, the
-l/c/r strata poset of an affine chart with its two-point collapse, exact
+Components of the conical Lagrangian attached to a (stacky) fan, exact
 chamber enumeration for the perturbed projective-space skeleton on the
 torus, the chamber quiver with monodromy-twisted labels, and a small
 deterministic SVG emitter for the 1- and 2-dimensional pictures.
@@ -19,7 +18,7 @@ from fractions import Fraction
 from itertools import product
 from math import comb
 
-from .fans import Cone, Fan, StackyFan, is_smooth_cone
+from .fans import Cone, Fan, StackyFan
 from .picsym import PicMonomial, format_monomial
 from .zlin import IntMatrix, LatticeQuotient, kernel_basis, smith_normal_form
 
@@ -112,60 +111,6 @@ def fltz_components(sf) -> list:
                 base_subspace=tuple(tuple(v) for v in perp),
             ))
     return out
-
-
-# ---------------------------------------------------------------------------
-# affine strata poset {l, c, r}^rays and its two-point collapse
-
-
-@dataclass(frozen=True)
-class AffineStrataPoset:
-    """Product over the rays of the three-stratum poset c < l, c < r."""
-
-    rays: tuple
-    elements: tuple  # tuples over {'l','c','r'}
-
-    def leq(self, a, b):
-        return all(x == y or x == "c" for x, y in zip(a, b))
-
-    def __len__(self):
-        return len(self.elements)
-
-
-@dataclass(frozen=True)
-class CollapsedQuiver:
-    """The product arrow poset (0 -> 1)^rays with the collapse map onto it."""
-
-    rays: tuple
-    elements: tuple
-    collapse: dict  # stratum -> element
-
-    def leq(self, a, b):
-        return all(x <= y for x, y in zip(a, b))
-
-    def __len__(self):
-        return len(self.elements)
-
-
-def strata_poset_affine(c: Cone):
-    """Strata poset of the affine chart of a smooth cone, with its collapse.
-
-    The center stratum and its left neighbor have isomorphic stalks, so
-    sheaves with skeletal singular support factor through the arrow
-    poset; the collapse sends c and l to the source and r to the target,
-    one factor per ray of the cone.
-    """
-    if not is_smooth_cone(c):
-        raise UnsupportedConeError("strata poset requires a smooth cone")
-    rays = tuple(c.rays)
-    k = len(rays)
-    elements = tuple(product("lcr", repeat=k))
-    poset = AffineStrataPoset(rays=rays, elements=elements)
-    targets = tuple(product((0, 1), repeat=k))
-    collapse = {e: tuple(0 if x in ("c", "l") else 1 for x in e)
-                for e in elements}
-    quiver = CollapsedQuiver(rays=rays, elements=targets, collapse=collapse)
-    return poset, quiver
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +241,6 @@ class ChamberQuiver:
     vertices: tuple
     edges: tuple
     generators: tuple  # the loop monomials used for labels
-
-    def vertex_labels(self):
-        return [v.label for v in self.vertices]
 
     def center_index(self):
         for i, v in enumerate(self.vertices):

@@ -460,15 +460,16 @@ class LatticeQuotient:
 
     Bases are given by columns (rational entries allowed).  Provides the
     quotient group, a complete duplicate-free transversal of coset
-    representatives, and the character of any superlattice vector.
+    representatives, and the character of any superlattice vector.  Two
+    empty bases give the trivial quotient of rank 0.
     """
 
     def __init__(self, superlattice_basis, sublattice_basis):
         sup = [[Fraction(x) for x in col] for col in _as_columns(superlattice_basis)]
         sub = [[Fraction(x) for x in col] for col in _as_columns(sublattice_basis)]
-        if not sup or len(sup) != len(sub) or len(sup) != len(sup[0]):
-            raise ZlinError("quotient needs two square bases of the same rank")
         n = len(sup)
+        if len(sub) != n or any(len(col) != n for col in sup + sub):
+            raise ZlinError("quotient needs two square bases of the same rank")
         sup_rows = [[sup[j][i] for j in range(n)] for i in range(n)]
         sup_inv = rational_inverse(sup_rows)
         # sublattice in superlattice coordinates; must be integral

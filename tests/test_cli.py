@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from fltzlab import checks
+from fltzlab import checks, skeleton, zlin
 from fltzlab.cli import VERIFY_SUITES, main
 from fltzlab.fans import fan_from_json, fan_to_json, standard_fan
 
@@ -119,6 +119,22 @@ class TestSkeletonCmd:
         data = json.loads(capsys.readouterr().out)
         assert len(data["components"]) == 3
 
+    def test_rank_zero(self, capsys):
+        # the one component of the point: zero cone, zero character
+        point = json.dumps({"rank": 0, "max_cones": []})
+        assert main(["skeleton", point]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "rank": 0,
+            "components": [{"fiber_cone": [], "character": [], "base_dim": 0}]}
+
+    def test_zlin_error_exits_2(self, monkeypatch, p2_file, capsys):
+        def planted(obj):
+            raise zlin.ZlinError("planted lattice failure")
+
+        monkeypatch.setattr(skeleton, "fltz_components", planted)
+        assert main(["skeleton", p2_file]) == 2
+        assert capsys.readouterr().err == "error: planted lattice failure\n"
+
 
 class TestHomCmd:
     def test_coherent_p2(self, capsys):
@@ -140,6 +156,14 @@ class TestHomCmd:
                 for line in out.splitlines()[2:]}
         assert rows["2"] == "1" and rows["6"] == "1"
         assert rows["0"] == "0" and rows["4"] == "0"
+
+    @pytest.mark.parametrize("src,dst", [(-1, 3), (4, 3), (0, -4), (1, 4)])
+    def test_character_index_out_of_range(self, mu4_file, src, dst, capsys):
+        assert main(["hom", "--side", "coh", "--stack", mu4_file,
+                     "--from", str(src), "--to", str(dst)]) == 2
+        captured = capsys.readouterr()
+        assert "character index out of range" in captured.err
+        assert captured.out == ""
 
     def test_sides_agree(self, capsys):
         for i, j in [(1, 2), (1, 3), (2, 3)]:
@@ -204,6 +228,13 @@ class TestQuiverCmd:
         out = capsys.readouterr().out
         assert out.count("->") == 9
         assert "L^-1" not in out
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_n_below_one_rejected(self, n, capsys):
+        assert main(["quiver", "--n", n]) == 2
+        captured = capsys.readouterr()
+        assert "--n must be at least 1" in captured.err
+        assert captured.out == ""
 
     def test_dot_file_atomic_write(self, tmp_path):
         out = tmp_path / "q.dot"

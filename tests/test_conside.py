@@ -16,10 +16,12 @@ from fltzlab.conside import (
     quiver_to_dot,
     reduce_dimension_vector,
     rep_hom,
+    strata_poset_affine,
     twisted_rep_template,
 )
+from fltzlab.fans import Cone
 from fltzlab.picsym import PicMonomial, format_monomial, sod_label
-from fltzlab.skeleton import enumerate_chambers
+from fltzlab.skeleton import UnsupportedConeError, enumerate_chambers
 from fltzlab.zlin import IntMatrix
 
 
@@ -56,6 +58,79 @@ class TestFinitePoset:
         assert len(sq) == 4
         assert sq.leq((0, 0), (1, 1))
         assert not sq.leq((1, 0), (0, 1))
+
+    def test_power(self):
+        vee = FinitePoset.from_covers("lcr", [("c", "l"), ("c", "r")])
+        assert vee.power(0).elements == ((),)
+        assert vee.power(1).elements == tuple((x,) for x in "lcr")
+        sq = FinitePoset.chain(2).product(FinitePoset.chain(2))
+        p2 = FinitePoset.chain(2).power(2)
+        assert p2.elements == sq.elements
+        assert all(p2.leq(a, b) == sq.leq(a, b)
+                   for a in sq.elements for b in sq.elements)
+
+
+def pull_back(rep, strata, collapse):
+    """The representation of the strata poset that factors through collapse."""
+    dims = {e: rep.dims[collapse[e]] for e in strata.elements}
+    maps = {}
+    for (x, y) in strata.covers():
+        a, b = collapse[x], collapse[y]
+        if a == b:
+            maps[(x, y)] = [[int(i == j) for j in range(dims[x])]
+                            for i in range(dims[x])]
+        else:
+            maps[(x, y)] = rep.matrices[(a, b)]
+    return poset_rep(strata, dims, maps)
+
+
+class TestStrataPoset:
+    def test_one_ray(self):
+        strata, arrows, collapse = strata_poset_affine(
+            Cone([(1,)], ambient_rank=1))
+        assert len(strata) == 3
+        assert len(arrows) == 2
+        assert collapse[("c",)] == (0,)
+        assert collapse[("l",)] == (0,)
+        assert collapse[("r",)] == (1,)
+
+    def test_zero_cone(self):
+        strata, arrows, _ = strata_poset_affine(Cone((), ambient_rank=2))
+        assert len(strata) == 1
+        assert len(arrows) == 1
+
+    def test_orthant(self):
+        strata, arrows, _ = strata_poset_affine(Cone([(1, 0), (0, 1)]))
+        assert len(strata) == 9
+        assert len(arrows) == 4
+        # order is the product of (c < l, c < r)
+        assert strata.leq(("c", "c"), ("l", "r"))
+        assert not strata.leq(("l", "c"), ("r", "c"))
+
+    def test_collapse_is_surjective(self):
+        _, arrows, collapse = strata_poset_affine(Cone([(1, 0), (0, 1)]))
+        assert set(collapse.values()) == set(arrows.elements)
+
+    def test_non_smooth_rejected(self):
+        with pytest.raises(UnsupportedConeError):
+            strata_poset_affine(Cone([(0, 1), (2, -1)]))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_collapse_preserves_ext(self, k):
+        # collapse has the left adjoint 0 -> c, 1 -> r, and collapse after
+        # it is the identity, so pulling back along collapse is fully
+        # faithful on the derived category: Ext over the strata equals
+        # Ext over the arrows
+        orthant = Cone([tuple(int(i == j) for j in range(k))
+                        for i in range(k)])
+        strata, arrows, collapse = strata_poset_affine(orthant)
+        reps = [CatRep(arrows, {v: 1}, {}) for v in arrows.objects]
+        if k <= 2:
+            reps += [corepresentable(arrows, v) for v in arrows.objects]
+        pulled = [pull_back(M, strata, collapse) for M in reps]
+        for M, PM in zip(reps, pulled):
+            for N, PN in zip(reps, pulled):
+                assert rep_hom(PM, PN) == rep_hom(M, N)
 
 
 class TestCorepresentable:

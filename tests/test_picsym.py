@@ -9,8 +9,6 @@ from fltzlab.picsym import (
     format_monomial,
     monodromy,
     parse_monomial,
-    pic_inv,
-    pic_mul,
     sod_label,
     sym_expand,
 )
@@ -21,22 +19,22 @@ from fltzlab.zlin import IntMatrix
 class TestMonomialGroup:
     def test_inverse_cancels(self):
         L = PicMonomial.generator(0, 2)
-        assert pic_mul(L, pic_inv(L)).is_unit()
+        assert (L * L.inverse()).is_unit()
 
     def test_commutes(self):
         L = PicMonomial.generator(0, 2)
         M = PicMonomial.generator(1, 2)
-        assert pic_mul(L, M) == pic_mul(M, L)
+        assert L * M == M * L
 
     def test_mixed(self):
         L = PicMonomial.generator(0, 2)
         M = PicMonomial.generator(1, 2)
-        a = pic_mul(pic_mul(L, L), pic_inv(M))  # L^2 M^-1
-        assert pic_mul(a, M) == PicMonomial((2, 0))
+        a = L * L * M.inverse()  # L^2 M^-1
+        assert a * M == PicMonomial((2, 0))
 
     def test_size_mismatch(self):
         with pytest.raises(PicError):
-            pic_mul(PicMonomial((1,)), PicMonomial((1, 0)))
+            PicMonomial((1,)) * PicMonomial((1, 0))
 
 
 class TestFormatting:

@@ -17,7 +17,6 @@ from fltzlab.skeleton import (
     enumerate_chambers,
     fltz_components,
     sample_point,
-    strata_poset_affine,
 )
 from fltzlab.zlin import IntMatrix
 
@@ -63,37 +62,6 @@ class TestComponents:
     def test_characters_in_unit_box(self):
         for comp in fltz_components(cyclic_stack(5)):
             assert all(0 <= x < 1 for x in comp.character)
-
-
-class TestStrataPoset:
-    def test_one_ray(self):
-        poset, quiver = strata_poset_affine(Cone([(1,)], ambient_rank=1))
-        assert len(poset) == 3
-        assert len(quiver) == 2
-        assert quiver.collapse[("c",)] == (0,)
-        assert quiver.collapse[("l",)] == (0,)
-        assert quiver.collapse[("r",)] == (1,)
-
-    def test_zero_cone(self):
-        poset, quiver = strata_poset_affine(Cone((), ambient_rank=2))
-        assert len(poset) == 1
-        assert len(quiver) == 1
-
-    def test_orthant(self):
-        poset, quiver = strata_poset_affine(Cone([(1, 0), (0, 1)]))
-        assert len(poset) == 9
-        assert len(quiver) == 4
-        # order is the product of (c < l, c < r)
-        assert poset.leq(("c", "c"), ("l", "r"))
-        assert not poset.leq(("l", "c"), ("r", "c"))
-
-    def test_collapse_is_surjective(self):
-        _, quiver = strata_poset_affine(Cone([(1, 0), (0, 1)]))
-        assert set(quiver.collapse.values()) == set(quiver.elements)
-
-    def test_non_smooth_rejected(self):
-        with pytest.raises(UnsupportedConeError):
-            strata_poset_affine(Cone([(0, 1), (2, -1)]))
 
 
 class TestChambers:

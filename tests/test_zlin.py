@@ -166,6 +166,19 @@ class TestCharacterQuotient:
         with pytest.raises(ZlinError):
             character_quotient([[2]], [[1]])
 
+    def test_rank_zero_is_trivial(self):
+        q = LatticeQuotient([], [])
+        assert q.index == 1
+        assert q.representatives == [()]
+        assert q.character_of(()).is_zero()
+
+    def test_basis_shape_rejected(self):
+        for sup, sub in [([[1, 0], [0, 1]], [[1, 0], [1]]),
+                         ([[1, 0], [0, 1]], [[1, 0]]),
+                         ([[1], [0, 1]], [[1, 0], [0, 1]])]:
+            with pytest.raises(ZlinError, match="square bases"):
+                LatticeQuotient(sup, sub)
+
     def test_character_of(self):
         q = LatticeQuotient([[Fraction(1, 4)]], [[1]])
         chars = [q.character_of((Fraction(i, 4),)) for i in range(8)]
