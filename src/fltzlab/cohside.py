@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from math import gcd, lcm
 
 from .fans import Cone, StackyFan, dd_generators, validate_stacky
@@ -45,6 +45,10 @@ class TruncationError(CohError):
 
 class ImproperWeightError(CohError):
     pass
+
+
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +114,7 @@ class AffineMonoid:
         if self.denominator < 1:
             raise CohError("denominator must be positive")
         self._basis_inv = None
+        self._lattice_rows, self._lattice_modulus = (), 1
         if lattice_basis is not None:
             cols = [tuple(Fraction(x) for x in c) for c in lattice_basis]
             if len(cols) != self.rank:
@@ -118,6 +123,13 @@ class AffineMonoid:
             rows = [[cols[j][i] for j in range(self.rank)]
                     for i in range(self.rank)]
             self._basis_inv = rational_inverse(rows)
+            # y = d x is a lattice point iff every row of this integer
+            # copy of the inverse pairs with y to a multiple of the modulus
+            scale = lcm(*(x.denominator for row in self._basis_inv
+                          for x in row))
+            self._lattice_rows = tuple(tuple(int(x * scale) for x in row)
+                                       for row in self._basis_inv)
+            self._lattice_modulus = scale * self.denominator
         rays, lines = dd_generators(self.inequalities, self.rank)
         self._cone_rays = rays
         self._cone_lines = lines
@@ -153,20 +165,30 @@ class AffineMonoid:
         The degree of x is weight . (d x) with d the denominator; the
         weight must be strictly positive on the cone, otherwise graded
         pieces would be infinite and an :class:`ImproperWeightError` is
-        raised.
+        raised.  ``bound`` and the weight entries must be ``int``.
+
+        Candidates are the integer points y = d x of a box spanned by the
+        extreme rays.  Each is tested in integers: its degree first, then
+        the cone inequalities on y, then the lattice congruence; a
+        ``Fraction`` point is built only for an accepted element.
         """
+        if not _is_int(bound):
+            raise CohError(f"bound {bound!r} is not an integer")
         if weight is None:
             weight = self.default_weight()
-        weight = tuple(int(w) for w in weight)
+        weight = tuple(weight)
+        for w in weight:
+            if not _is_int(w):
+                raise CohError(f"weight entry {w!r} is not an integer")
         if not self.weight_is_proper(weight):
             raise ImproperWeightError(
                 "weight functional is not strictly positive on the monoid "
                 "cone; supply a proper weight")
         if bound < 0:
             raise CohError("bound must be nonnegative")
-        # coordinate bounds from the extreme rays: any point of degree
-        # <= bound is a nonnegative ray combination with total weight
-        # <= bound
+        # bounds on y from the extreme rays: y = d x lies in the cone, so
+        # with degree <= bound it is a nonnegative ray combination of
+        # total weight <= bound
         los = [0] * self.rank
         his = [0] * self.rank
         for r in self._cone_rays:
@@ -179,12 +201,19 @@ class AffineMonoid:
                     his[i] = ratio.__ceil__()
         out = {d: [] for d in range(bound + 1)}
         d = self.denominator
-        for ycoords in product(*(range(lo * d, hi * d + 1)
-                                 for lo, hi in zip(los, his))):
-            point = tuple(Fraction(y, d) for y in ycoords)
-            deg = sum(w * y for w, y in zip(weight, ycoords))
-            if 0 <= deg <= bound and self.contains(point):
-                out[deg].append(point)
+        inequalities = self.inequalities
+        lattice_rows, modulus = self._lattice_rows, self._lattice_modulus
+        for y in product(*(range(lo, hi + 1) for lo, hi in zip(los, his))):
+            deg = sum(w * c for w, c in zip(weight, y))
+            if not 0 <= deg <= bound:
+                continue
+            if any(sum(a * c for a, c in zip(ineq, y)) < 0
+                   for ineq in inequalities):
+                continue
+            if any(sum(a * c for a, c in zip(row, y)) % modulus
+                   for row in lattice_rows):
+                continue
+            out[deg].append(tuple(Fraction(c, d) for c in y))
         return out
 
     def __repr__(self):
@@ -397,12 +426,6 @@ def costandard_stalk(c: Cone, chi, bound: int, denominator=1,
 # Cech cohomology of line bundles on projective space
 
 
-def _pn_rays(n):
-    rays = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    rays.append(tuple(-1 for _ in range(n)))
-    return rays
-
-
 @lru_cache(maxsize=None)
 def _pattern_cohomology(n, missing):
     """Cohomology ranks of the Cech complex for one section pattern.
@@ -413,7 +436,6 @@ def _pattern_cohomology(n, missing):
     The complex has one generator per admissible S with the usual
     alternating-sign differential, and ranks are computed exactly.
     """
-    from itertools import combinations
     vertices = list(range(n + 1))
     admissible = {}
     for size in range(1, n + 2):
@@ -440,36 +462,84 @@ def _pattern_cohomology(n, missing):
     return tuple(out)
 
 
+def _sign_region(n, d, box_bound, missing):
+    """Characters m of the box [-box_bound, box_bound]^n with this missing set.
+
+    For i < n, ray i is missing iff m_i <= -1; the last ray is missing
+    iff sum(m) >= d + 1.  Each coordinate runs over its sign range,
+    clipped to the box and pruned by the partial sum so that every
+    prefix extends to a character of the region; characters come in
+    lexicographic order.
+    """
+    los = [-box_bound if i in missing else 0 for i in range(n)]
+    his = [-1 if i in missing else box_bound for i in range(n)]
+    # the least and the greatest sum of the coordinates k..n-1
+    rest_lo = [sum(los[k:]) for k in range(n + 1)]
+    rest_hi = [sum(his[k:]) for k in range(n + 1)]
+    last_missing = n in missing
+    m = [0] * n
+
+    def extend(k, s):
+        if k == n:
+            yield tuple(m)
+            return
+        lo, hi = los[k], his[k]
+        if last_missing:
+            lo = max(lo, d + 1 - s - rest_hi[k + 1])
+        else:
+            hi = min(hi, d - s - rest_lo[k + 1])
+        for x in range(lo, hi + 1):
+            m[k] = x
+            yield from extend(k + 1, s + x)
+
+    return extend(0, 0)
+
+
 def pn_line_bundle_cohomology(n: int, d: int, box_bound=None) -> tuple:
     """Exact dims of H^0..H^n of the degree-d line bundle on P^n.
 
-    Computed characterwise over the Cech cover by the n+1 maximal cones,
-    with integer rank computations on the +/-1 incidence matrices; the
-    character box must contain every contributing character or a
-    :class:`TruncationError` is raised.
+    Computed characterwise over the Cech cover by the n+1 maximal cones.
+    A character's missing set is the set of rays whose section inequality
+    it fails; the Cech complex of a missing set M has exact integer ranks
+    on its +/-1 incidence matrices.  For every M whose complex has
+    nonzero cohomology, the characters of the box with missing set M are
+    enumerated by nested integer ranges and counted.  The character box
+    must contain every contributing character or a
+    :class:`TruncationError` naming the lexicographically first
+    contributing character on the box boundary is raised.  ``n``, ``d``
+    and ``box_bound`` (default |d| + 1) must be ``int``.
     """
+    if box_bound is None and _is_int(d):
+        box_bound = abs(d) + 1
+    for name, value in (("n", n), ("d", d), ("box_bound", box_bound)):
+        if not _is_int(value):
+            raise CohError(f"{name} = {value!r} is not an integer")
     if n < 1:
         raise CohError("projective space needs n >= 1")
-    if box_bound is None:
-        box_bound = abs(d) + 1
     if box_bound < abs(d):
         raise TruncationError(
             f"box bound {box_bound} is smaller than |d| = {abs(d)}; "
             "contributing characters would be cut off")
-    rays = _pn_rays(n)
-    coeffs = [0] * n + [d]  # divisor multiplicity per ray, last ray carries d
     totals = [0] * (n + 1)
-    for m in product(range(-box_bound, box_bound + 1), repeat=n):
-        missing = frozenset(
-            i for i, (ray, a) in enumerate(zip(rays, coeffs))
-            if sum(r * x for r, x in zip(ray, m)) < -a)
-        contrib = _pattern_cohomology(n, missing)
-        if any(contrib) and max(abs(x) for x in m) == box_bound:
-            raise TruncationError(
-                f"character {m} on the box boundary contributes; enlarge "
-                "box_bound")
-        for i, x in enumerate(contrib):
-            totals[i] += x
+    first_on_boundary = None
+    for size in range(n + 2):
+        for missing in combinations(range(n + 1), size):
+            contrib = _pattern_cohomology(n, frozenset(missing))
+            if not any(contrib):
+                continue
+            count = 0
+            for m in _sign_region(n, d, box_bound, missing):
+                if max(abs(x) for x in m) == box_bound:
+                    if first_on_boundary is None or m < first_on_boundary:
+                        first_on_boundary = m
+                    break
+                count += 1
+            for i, x in enumerate(contrib):
+                totals[i] += count * x
+    if first_on_boundary is not None:
+        raise TruncationError(
+            f"character {first_on_boundary} on the box boundary "
+            "contributes; enlarge box_bound")
     return tuple(totals)
 
 

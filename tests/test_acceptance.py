@@ -58,10 +58,10 @@ def test_criterion_1_stacky_cyclic_check():
 
 
 def test_criterion_2_ccc_binomials():
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4, 5):
         _expect(checks.pn_cohomology(n), 23)
     _report(2, "projective-space cohomology matches the binomial values and "
-               "the Euler pairing matches the signed continuation")
+               "the Euler pairing matches the signed continuation (n = 1..5)")
 
 
 def test_criterion_3_two_sided_match():

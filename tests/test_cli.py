@@ -142,6 +142,11 @@ class TestHomCmd:
                      "--from", "0", "--to", "1"]) == 0
         assert "dim = 3" in capsys.readouterr().out
 
+    def test_coherent_p6(self, capsys):
+        assert main(["hom", "--side", "coh", "--pn", "6",
+                     "--from", "0", "--to", "3"]) == 0
+        assert "dim = 84" in capsys.readouterr().out
+
     def test_constructible_p2(self, capsys):
         assert main(["hom", "--side", "con", "--pn", "2",
                      "--from", "1", "--to", "2"]) == 0
@@ -180,7 +185,7 @@ class TestHomCmd:
 
 class TestVerifyCmd:
     @pytest.mark.parametrize("what,n", [
-        ("ccc", 1), ("ccc", 2), ("chambers", 3), ("kappa", 4),
+        ("ccc", 1), ("ccc", 2), ("ccc", 5), ("chambers", 3), ("kappa", 4),
         ("monodromy", 2), ("generation", 2),
     ])
     def test_suites_pass(self, what, n, capsys):

@@ -1,5 +1,7 @@
+import random
 from fractions import Fraction
-from math import comb
+from itertools import product
+from math import comb, lcm
 
 import pytest
 
@@ -9,6 +11,7 @@ from fltzlab.cohside import (
     ImproperWeightError,
     IncompatibleCharacterError,
     TruncationError,
+    _pattern_cohomology,
     costandard_stalk,
     cyclic_quiver_paths,
     euler_pairing_coherent,
@@ -18,6 +21,7 @@ from fltzlab.cohside import (
     pn_line_bundle_cohomology,
 )
 from fltzlab.fans import Cone, StackyFan, fan_from_max_cones
+from fltzlab.skeleton import SkeletonError, _character_superlattice
 from fltzlab.zlin import IntMatrix
 
 
@@ -29,6 +33,100 @@ def cyclic_stack(n):
 def unit_cone(k, n):
     return Cone([tuple(int(i == j) for j in range(n)) for i in range(k)],
                 ambient_rank=n)
+
+
+def reference_pn_line_bundle_cohomology(n, d, box_bound=None):
+    """The full-box Cech loop: every character of the box, one by one."""
+    if n < 1:
+        raise CohError("projective space needs n >= 1")
+    if box_bound is None:
+        box_bound = abs(d) + 1
+    if box_bound < abs(d):
+        raise TruncationError(
+            f"box bound {box_bound} is smaller than |d| = {abs(d)}; "
+            "contributing characters would be cut off")
+    rays = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    rays.append(tuple(-1 for _ in range(n)))
+    coeffs = [0] * n + [d]  # divisor multiplicity per ray, last ray carries d
+    totals = [0] * (n + 1)
+    for m in product(range(-box_bound, box_bound + 1), repeat=n):
+        missing = frozenset(
+            i for i, (ray, a) in enumerate(zip(rays, coeffs))
+            if sum(r * x for r, x in zip(ray, m)) < -a)
+        contrib = _pattern_cohomology(n, missing)
+        if any(contrib) and max(abs(x) for x in m) == box_bound:
+            raise TruncationError(
+                f"character {m} on the box boundary contributes; enlarge "
+                "box_bound")
+        for i, x in enumerate(contrib):
+            totals[i] += x
+    return tuple(totals)
+
+
+def reference_box(monoid, bound, weight):
+    """Ranges of y = d x that bound x (not y) by the rays and the bound.
+
+    A superset of the elements of degree <= bound, since the degree is
+    weight . y; ``elements_by_degree`` bounds y itself.
+    """
+    los = [0] * monoid.rank
+    his = [0] * monoid.rank
+    for r in monoid._cone_rays:
+        w = sum(a * b for a, b in zip(weight, r))
+        for i in range(monoid.rank):
+            ratio = Fraction(bound * r[i], w)
+            if ratio < los[i]:
+                los[i] = ratio.__floor__()
+            if ratio > his[i]:
+                his[i] = ratio.__ceil__()
+    d = monoid.denominator
+    return [range(lo * d, hi * d + 1) for lo, hi in zip(los, his)]
+
+
+def reference_elements_by_degree(monoid, bound, weight=None):
+    """The box loop with a Fraction point and ``contains`` for every y."""
+    weight = tuple(weight) if weight is not None else monoid.default_weight()
+    if not monoid.weight_is_proper(weight):
+        raise ImproperWeightError("improper weight")
+    out = {d: [] for d in range(bound + 1)}
+    for ycoords in product(*reference_box(monoid, bound, weight)):
+        point = tuple(Fraction(y, monoid.denominator) for y in ycoords)
+        deg = sum(w * y for w, y in zip(weight, ycoords))
+        if 0 <= deg <= bound and monoid.contains(point):
+            out[deg].append(point)
+    return out
+
+
+def random_monoid(rng):
+    """A monoid of rank 1-3 with int or Fraction rows, maybe on a lattice.
+
+    Every row is nonnegative on a random vector v, so v lies in the cone;
+    the cone is pointed when the rows span, and otherwise no weight is
+    proper.
+    """
+    rank = rng.randint(1, 3)
+    v = [rng.choice((-1, 1)) * rng.randint(1, 3) for _ in range(rank)]
+    rows = []
+    for _ in range(rng.randint(1, rank + 2)):
+        row = [rng.randint(-3, 3) for _ in range(rank)]
+        if sum(a * x for a, x in zip(row, v)) < 0:
+            row = [-a for a in row]
+        if rng.random() < 0.3:
+            row = [Fraction(x, rng.randint(1, 4)) for x in row]
+        rows.append(tuple(row))
+    denominator = rng.randint(1, 4)
+    basis = None
+    if rng.random() < 0.5:
+        beta = [[rng.randint(-2, 3) for _ in range(rank)] for _ in range(rank)]
+        try:
+            basis = _character_superlattice(IntMatrix(beta))
+        except SkeletonError:  # singular beta
+            basis = None
+        own = basis and lcm(*(x.denominator for c in basis for x in c))
+        if own and own <= 4 and rng.random() < 0.5:
+            denominator = own  # the lattice's own, as in gamma_category
+    return AffineMonoid(rank, rows, denominator=denominator,
+                        lattice_basis=basis)
 
 
 def orthant_monoid(k):
@@ -246,14 +344,14 @@ class TestPnCohomology:
         assert pn_line_bundle_cohomology(1, -2) == (0, 1)
 
     def test_binomials(self):
-        for n in (1, 2, 3):
+        for n in (1, 2, 3, 4, 5):
             for e in range(5):
                 coh = pn_line_bundle_cohomology(n, e)
                 assert coh[0] == comb(n + e, n)
                 assert all(x == 0 for x in coh[1:])
 
     def test_top_cohomology(self):
-        for n in (1, 2, 3):
+        for n in (1, 2, 3, 4, 5):
             for d in range(-n - 1, -n - 5, -1):
                 coh = pn_line_bundle_cohomology(n, d)
                 assert coh[n] == comb(-d - 1, n)
@@ -274,6 +372,26 @@ class TestPnCohomology:
         for d in range(-4, 5):
             coh = pn_line_bundle_cohomology(3, d)
             assert coh[1] == 0 and coh[2] == 0
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_full_box_loop(self, n):
+        for d in range(-4, 5) if n == 4 else range(-n - 5, 7):
+            for box in (abs(d), abs(d) + 1, abs(d) + 3):
+                try:
+                    expected = reference_pn_line_bundle_cohomology(n, d, box)
+                except TruncationError as exc:
+                    with pytest.raises(TruncationError) as got:
+                        pn_line_bundle_cohomology(n, d, box)
+                    assert str(got.value) == str(exc)
+                else:
+                    assert pn_line_bundle_cohomology(n, d, box) == expected
+
+    @pytest.mark.parametrize("args", [
+        (2, 1.5), (2, 1, 2.0), (True, 1), (2, False), (2, 1, True),
+        (Fraction(2), 1), ("2", 1), (None, 1), (2, None)])
+    def test_non_integer_input_rejected(self, args):
+        with pytest.raises(CohError, match="is not an integer"):
+            pn_line_bundle_cohomology(*args)
 
 
 class TestEulerPairing:
@@ -327,6 +445,49 @@ class TestAffineMonoid:
         mono = orthant_monoid(2)
         by_deg = mono.elements_by_degree(3)
         assert [len(by_deg[d]) for d in range(4)] == [1, 2, 3, 4]
+
+    def test_elements_match_contains_loop(self):
+        rng = random.Random(20261018)
+        compared = 0
+        while compared < 240:
+            mono = random_monoid(rng)
+            weight = mono.default_weight()
+            if not mono.weight_is_proper(weight):
+                weight = tuple(map(sum, zip(*mono.inequalities)))
+            if not mono.weight_is_proper(weight):
+                with pytest.raises(ImproperWeightError):
+                    mono.elements_by_degree(2, weight)
+                continue
+            bound = rng.randint(2, 12)
+            while bound and len(list(product(
+                    *reference_box(mono, bound, weight)))) > 800:
+                bound -= 1
+            assert (mono.elements_by_degree(bound, weight)
+                    == reference_elements_by_degree(mono, bound, weight))
+            compared += 1
+
+    @pytest.mark.parametrize("beta,bound,weight", [
+        *[([[n]], 24, None) for n in range(2, 13)],
+        ([[1, 1], [-1, 1]], 16, (2, 0)),
+        ([[2, 1], [0, 3]], 16, None),
+        ([[3, 0], [0, 2]], 16, None),
+        ([[2, 0, 0], [0, 2, 0], [0, 0, 1]], 8, None),
+    ])
+    def test_benchmark_charts_match_contains_loop(self, beta, bound, weight):
+        rank = len(beta)
+        sf = StackyFan(IntMatrix(beta), fan_from_max_cones(
+            [Cone([tuple(int(i == j) for j in range(rank))
+                   for i in range(rank)], ambient_rank=rank)]))
+        mono = gamma_category(sf).monoid
+        assert (mono.elements_by_degree(bound, weight)
+                == reference_elements_by_degree(mono, bound, weight))
+
+    @pytest.mark.parametrize("bound,weight", [
+        (2.5, None), (True, None), ("3", None), (Fraction(3), None),
+        (3, (1, 1.0)), (3, (True, 1)), (3, (Fraction(1), 1))])
+    def test_non_integer_bound_or_weight_rejected(self, bound, weight):
+        with pytest.raises(CohError, match="is not an integer"):
+            orthant_monoid(2).elements_by_degree(bound, weight)
 
     def test_weight_must_be_proper(self):
         mono = AffineMonoid(2, [(1, -1), (1, 1)])
