@@ -1,8 +1,11 @@
-"""Byte-for-byte snapshots of fan geometry outputs.
+"""Byte-for-byte snapshots of CLI outputs.
 
-The files under ``tests/golden/`` were written by the Fraction double
-description that preceded the integer one; every case here must keep
-producing exactly the same bytes.
+The fan-info, skeleton and dual-cone files under ``tests/golden/`` were
+written by the Fraction double description that preceded the integer
+one; the ``hom --side con`` and ``verify --what ccc`` files were written
+by the representations that stored a dense matrix on every basis
+morphism, before they were stored on arrows only.  Every case here must
+keep producing exactly the same bytes.
 """
 
 import io
@@ -26,6 +29,13 @@ FANS["mu4"] = json.dumps({"rank": 2, "max_cones": [[[1, 0], [0, 1]]],
 CLI_CASES = {f"{cmd}-{name}": [cmd, spec, "--json"]
              for name, spec in FANS.items()
              for cmd in ("fan-info", "skeleton")}
+CLI_CASES.update({f"hom-con-P{n}-{i}-{j}": ["hom", "--side", "con", "--pn",
+                                            str(n), "--from", str(i),
+                                            "--to", str(j)]
+                  for n in (1, 2)
+                  for i in range(1, n + 2) for j in range(1, n + 2)})
+CLI_CASES.update({f"verify-ccc-P{n}": ["verify", "--what", "ccc", "--n", str(n)]
+                  for n in (1, 2, 3)})
 
 
 def run_cli(argv):
