@@ -11,7 +11,8 @@ entirely in exact arithmetic:
 * :mod:`fltzlab.cohside` -- lattice-point hom counting, isotypic
   components, costandard stalks, Cech cohomology on projective space;
 * :mod:`fltzlab.conside` -- finite posets (among them the strata poset
-  of an affine chart and its collapse), poset/quiver representations,
+  of an affine chart and its collapse), poset/quiver representations
+  stored on arrows and checked on relations,
   nerve-complex derived homs, Euler forms, decomposition generators,
   cone reduction;
 * :mod:`fltzlab.picsym` -- formal line-bundle monomials, anchor data,

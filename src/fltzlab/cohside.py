@@ -91,11 +91,15 @@ class AffineMonoid:
     Membership is exact: a point belongs iff it satisfies every cone
     inequality and lies in the stored lattice (a basis refinement of
     (1/d) Z^r when the refined lattice is proper, as for cyclic-quotient
-    charts).
+    charts).  ``rank`` and ``denominator`` must be ``int``.
     """
 
     def __init__(self, rank, inequality_normals, denominator=1, lattice_basis=None):
-        self.rank = int(rank)
+        if not _is_int(rank) or rank < 0:
+            raise CohError(f"rank {rank!r} is not a nonnegative integer")
+        if not _is_int(denominator):
+            raise CohError(f"denominator {denominator!r} is not an integer")
+        self.rank = rank
         rows = []
         for a in inequality_normals:
             for x in a:
@@ -110,7 +114,7 @@ class AffineMonoid:
             if len(a) != self.rank:
                 raise CohError(f"inequality {a!r} has length {len(a)}, "
                                f"expected {self.rank}")
-        self.denominator = int(denominator)
+        self.denominator = denominator
         if self.denominator < 1:
             raise CohError("denominator must be positive")
         self._basis_inv = None
@@ -180,6 +184,9 @@ class AffineMonoid:
         for w in weight:
             if not _is_int(w):
                 raise CohError(f"weight entry {w!r} is not an integer")
+        if len(weight) != self.rank:
+            raise CohError(f"weight {weight!r} has length {len(weight)}, "
+                           f"expected {self.rank}")
         if not self.weight_is_proper(weight):
             raise ImproperWeightError(
                 "weight functional is not strictly positive on the monoid "
@@ -367,15 +374,19 @@ def costandard_stalk(c: Cone, chi, bound: int, denominator=1,
     cone modulo the cone's perp (degree = denominator-cleared coordinate
     sum in the quotient coordinates).  This coset-first route is the
     independent side of the comparison with :func:`isotypic_component`,
-    which enumerates the monoid first and filters by coset.
+    which enumerates the monoid first and filters by coset.  ``bound``
+    must be a nonnegative ``int`` and ``denominator`` a positive one.
     """
+    if not _is_int(bound) or bound < 0:
+        raise CohError(f"bound {bound!r} is not a nonnegative integer")
+    if not _is_int(denominator) or denominator < 1:
+        raise CohError(f"denominator {denominator!r} is not a positive integer")
     if not c.is_strictly_convex():
         raise CohError("costandard stalks need a strictly convex cone")
     chi = tuple(Fraction(x) for x in chi)
     n = c.ambient_rank
     if len(chi) != n:
         raise CohError("character has the wrong rank")
-    denominator = int(denominator)
     for x in chi:
         if (x * denominator).denominator != 1:
             raise IncompatibleCharacterError(

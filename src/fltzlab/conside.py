@@ -11,7 +11,12 @@ dimension vectors, and DOT export.
 
 A finite poset is the special case of a directed category whose hom
 spaces have dimension at most one; a single nerve-complex implementation
-serves both.
+serves both.  Both are presented by arrows and relations: the covers of
+a poset with every pair of cover paths identified, and the n + 1 wall
+symbols per step of the chamber category with the commuting squares.
+A representation stores matrices on the arrows only, checks the
+relations, and composes the matrix of any other basis morphism along an
+arrow path.
 """
 
 from __future__ import annotations
@@ -32,12 +37,17 @@ class ConError(ValueError):
     pass
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 class GenerationFailure(ConError):
     pass
 
 
 # ---------------------------------------------------------------------------
-# directed categories: objects + finite hom bases + composition
+# directed categories: objects, finite hom bases and composition, presented
+# by arrows (``arrows``, ``factor``) and relations (``relations``)
 
 
 class FinitePoset:
@@ -57,6 +67,7 @@ class FinitePoset:
                     raise ConError(f"transitivity fails through {y!r}")
         self._leq = frozenset(pairs)
         self.objects = self._linear_extension()
+        self._covers = None
 
     @classmethod
     def chain(cls, n):
@@ -118,14 +129,13 @@ class FinitePoset:
         return tuple(out)
 
     def covers(self):
-        out = []
-        for x in self.elements:
-            for y in self.elements:
+        if self._covers is None:
+            self._covers = tuple(
+                (x, y) for x in self.elements for y in self.elements
                 if x != y and self.leq(x, y) and not any(
-                        z != x and z != y and self.leq(x, z) and self.leq(z, y)
-                        for z in self.elements):
-                    out.append((x, y))
-        return out
+                    z != x and z != y and self.leq(x, z) and self.leq(z, y)
+                    for z in self.elements))
+        return self._covers
 
     def height(self):
         best = 0
@@ -150,7 +160,43 @@ class FinitePoset:
 
     def compose(self, f, g):
         # f: x -> y then g: y -> z
-        return ((Fraction(1), (f[0], g[1])),)
+        return ((1, (f[0], g[1])),)
+
+    def arrows(self):
+        """The covers, as ``(source, target, morphism)`` triples."""
+        return tuple((x, y, (x, y)) for (x, y) in self.covers())
+
+    def factor(self, f):
+        """``(a, g)`` with f = a then g: the first cover a out of f's source
+        that lies below f's target; f must not be a cover."""
+        x, y = f
+        for (a, b) in self.covers():
+            if a == x and b != y and self.leq(b, y):
+                return (a, b), (b, y)
+        raise ConError(f"{f!r} is not a composite of covers")
+
+    def relations(self):
+        """Triples ``(a, g, f)``: cover a then g must compose to f.
+
+        For each x < y that is not a cover, one triple per first cover
+        (x, b) with b <= y other than the one :meth:`factor` picks.  A
+        representation satisfying them gives every cover path from x to
+        y the same map (by induction on the length of the path), which
+        diamonds alone would not: two disjoint chains from x to y share
+        no square.
+        """
+        covers = self.covers()
+        cover_set = set(covers)
+        for x in self.elements:
+            for y in self.elements:
+                f = (x, y)
+                if x == y or not self.leq(x, y) or f in cover_set:
+                    continue
+                first = self.factor(f)
+                for (a, b) in covers:
+                    if (a == x and self.leq(b, y)
+                            and ((a, b), (b, y)) != first):
+                        yield (a, b), (b, y), f
 
     def __len__(self):
         return len(self.elements)
@@ -193,6 +239,8 @@ class ChamberCategory:
             raise ConError("chamber category needs n >= 1")
         self.n = n
         self.objects = tuple(range(n + 1))  # step classes
+        self._arrows = tuple((s, s - 1, self.arrow(s, i))
+                             for s in range(1, n + 1) for i in range(n + 1))
         self._bases = {}
         for s in self.objects:
             for t in self.objects:
@@ -210,12 +258,38 @@ class ChamberCategory:
         (t2, u, m2) = g
         if t != t2:
             raise ConError("morphisms are not composable")
-        return ((Fraction(1), (s, u, tuple(a + b for a, b in zip(m1, m2)))),)
+        return ((1, (s, u, tuple(a + b for a, b in zip(m1, m2)))),)
 
     def arrow(self, s, symbol):
         """The degree-one basis morphism s -> s-1 for one wall symbol."""
         exps = tuple(int(i == symbol) for i in range(self.n + 1))
         return (s, s - 1, exps)
+
+    def arrows(self):
+        """The n + 1 wall symbols out of each step s >= 1, as
+        ``(source, target, morphism)`` triples."""
+        return self._arrows
+
+    def factor(self, f):
+        """``(a, g)`` with f = a then g: a is the wall symbol of lowest
+        index in f's monomial; f must have degree at least two."""
+        s, t, m = f
+        i = next(i for i, e in enumerate(m) if e)
+        return self.arrow(s, i), (s - 1, t, m[:i] + (m[i] - 1,) + m[i + 1:])
+
+    def relations(self):
+        """The commuting squares, as triples ``(a, g, f)``: arrow a then
+        g must compose to f.
+
+        One triple per step s >= 2 and symbols i < j: the symbol j then
+        the symbol i, against x_i x_j, whose :meth:`factor` takes i
+        first.  Any two words for one monomial differ by such swaps.
+        """
+        for s in range(2, self.n + 1):
+            for i in range(self.n + 1):
+                for j in range(i + 1, self.n + 1):
+                    m = tuple(int(k in (i, j)) for k in range(self.n + 1))
+                    yield self.arrow(s, j), self.arrow(s - 1, i), (s, s - 2, m)
 
     def __repr__(self):
         return f"ChamberCategory(n={self.n})"
@@ -234,135 +308,129 @@ def _monomials(width, degree):
 # representations
 
 
-def _mat(rows):
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+def _matrix(rows, key):
+    """An exact matrix as row tuples; entries must be ``int`` or ``Fraction``."""
+    try:
+        m = tuple(tuple(row) for row in rows)
+    except TypeError:
+        raise ConError(f"matrix on {key!r} is not a list of rows") from None
+    for row in m:
+        for x in row:
+            if not (_is_int(x) or isinstance(x, Fraction)):
+                raise ConError(f"entry {x!r} of the matrix on {key!r} is not "
+                               "an int or a Fraction")
+    return m
 
 
-def _mat_mul(a, b):
-    if not a or not b:
-        inner = len(b[0]) if b else 0
-        return tuple(tuple() for _ in a) if inner == 0 else tuple()
-    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(len(b)))
-                       for j in range(len(b[0]))) for i in range(len(a)))
+def _mat_mul(a, b, cols):
+    """The product ``a b`` of row-tuple matrices, skipping zero entries.
 
-
-def _zeros(r, c):
-    return tuple(tuple(Fraction(0) for _ in range(c)) for _ in range(r))
+    ``cols`` is the column count of ``b``, which ``b`` cannot show when
+    it has no rows.
+    """
+    sparse = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        acc = [0] * cols
+        for x, brow in zip(row, sparse):
+            if x:
+                for j, y in brow:
+                    acc[j] += x * y
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 class CatRep:
     """A functor from a directed category to rational vector spaces.
 
-    ``dims`` maps objects to dimensions and ``matrices`` maps every basis
-    morphism to an exact matrix (target-dim rows by source-dim columns).
-    Functoriality (hence commutativity of all squares) is validated on
-    construction.
+    ``dims`` maps objects to nonnegative ``int`` dimensions (a missing
+    object has dimension 0).  ``matrices`` maps arrows of the category
+    (see its ``arrows()``) to exact matrices, target-dim rows by
+    source-dim columns, with ``int`` or ``Fraction`` entries, kept as
+    given; a missing arrow is the zero map, and an empty matrix stands
+    for the map to or from 0.  The category's relations are checked on
+    construction, so :meth:`matrix` gives any basis morphism the same
+    matrix along every arrow path.
     """
 
     def __init__(self, category, dims, matrices, validate=True):
         self.category = category
-        self.dims = {x: int(dims.get(x, 0)) for x in category.objects}
+        for x, d in dims.items():
+            if x not in category.objects:
+                raise ConError(f"dimension given for {x!r}, which is not an "
+                               f"object of {category!r}")
+            if not _is_int(d) or d < 0:
+                raise ConError(f"dimension {d!r} at {x!r} is not a "
+                               "nonnegative int")
+        self.dims = {x: dims.get(x, 0) for x in category.objects}
+        self._sources = {a: x for x, _, a in category.arrows()}
+        for key in matrices:
+            if key not in self._sources:
+                raise ConError(f"{key!r} is not an arrow of {category!r}")
         self.matrices = {}
-        for key, mat in matrices.items():
-            self.matrices[key] = _mat(mat)
-        for x in category.objects:
-            for y in category.objects:
-                for f in category.hom_basis(x, y):
-                    m = self.matrices.setdefault(
-                        f, _zeros(self.dims[y], self.dims[x]))
-                    if (len(m), len(m[0]) if m else 0) != (self.dims[y],
-                                                           self.dims[x]):
-                        # an empty matrix stands for the map to or from 0
-                        if 0 in (self.dims[y], self.dims[x]) and not any(m):
-                            self.matrices[f] = _zeros(self.dims[y], self.dims[x])
-                        else:
-                            raise ConError(f"matrix shape mismatch on {f!r}")
+        for x, y, a in category.arrows():
+            rows, cols = self.dims[y], self.dims[x]
+            m = _matrix(matrices.get(a, ()), a)
+            if len(m) != rows or any(len(row) != cols for row in m):
+                # an empty matrix stands for the map to or from 0
+                if (rows and cols) or any(m):
+                    raise ConError(f"matrix shape mismatch on {a!r}")
+                m = tuple((0,) * cols for _ in range(rows))
+            self.matrices[a] = m
+        self._composites = {}
         if validate:
             self._validate()
 
+    def _then(self, a, g):
+        """The matrix of arrow ``a`` followed by basis morphism ``g``."""
+        return _mat_mul(self.matrix(g), self.matrices[a],
+                        self.dims[self._sources[a]])
+
+    def matrix(self, f):
+        """The matrix of a basis morphism, composed along an arrow path.
+
+        Composites are cached on the representation.
+        """
+        m = self.matrices.get(f)
+        if m is None:
+            m = self._composites.get(f)
+            if m is None:
+                m = self._composites[f] = self._then(*self.category.factor(f))
+        return m
+
     def _validate(self):
-        cat = self.category
-        for x in cat.objects:
-            for y in cat.objects:
-                for f in cat.hom_basis(x, y):
-                    for z in cat.objects:
-                        for g in cat.hom_basis(y, z):
-                            lhs = _mat_mul(self.matrices[g], self.matrices[f])
-                            rhs = _zeros(self.dims[z], self.dims[x])
-                            for coeff, h in cat.compose(f, g):
-                                rhs = tuple(
-                                    tuple(a + coeff * b for a, b in zip(ra, rb))
-                                    for ra, rb in zip(rhs, self.matrices[h]))
-                            if lhs != rhs:
-                                raise ConError(
-                                    f"functoriality fails composing {f!r} "
-                                    f"then {g!r}")
+        for a, g, f in self.category.relations():
+            if self._then(a, g) != self.matrix(f):
+                raise ConError(f"functoriality fails composing {a!r} then "
+                               f"{g!r}")
 
     def dim_vector(self):
         return tuple(self.dims[x] for x in self.category.objects)
 
 
-def poset_rep(poset: FinitePoset, dims, cover_maps):
-    """Build a poset representation from dims and per-cover matrices.
-
-    Maps between arbitrary comparable pairs are composed along cover
-    chains; commutativity of all squares is validated.
-    """
-    matrices = {}
-    covers = poset.covers()
-    table = {c: _mat(cover_maps.get(c, _zeros(dims.get(c[1], 0),
-                                              dims.get(c[0], 0))))
-             for c in covers}
-
-    def map_for(x, y):
-        if x == y:
-            n = dims.get(x, 0)
-            return tuple(tuple(Fraction(int(i == j)) for j in range(n))
-                         for i in range(n))
-        for (a, b) in covers:
-            if a == x and poset.leq(b, y):
-                return _mat_mul(map_for(b, y), table[(a, b)])
-        raise ConError(f"no cover path from {x!r} to {y!r}")
-
-    for x in poset.elements:
-        for y in poset.elements:
-            if x != y and poset.leq(x, y):
-                matrices[(x, y)] = map_for(x, y)
-    return CatRep(poset, dims, matrices)
-
-
 def corepresentable(category, v) -> CatRep:
     """The corepresentable functor k hom(v, -): projective at v.
 
+    Its value at x has the basis hom(v, x) (the identity at v); an arrow
+    acts by postcomposition, a 0/1 ``int`` matrix read off ``compose``.
     On a poset this is the rank-one representation of the up-set of v
     with identity maps.
     """
     if v not in category.objects:
         raise ConError(f"{v!r} is not an object")
-    basis = {}
-    for x in category.objects:
-        if x == v:
-            basis[x] = ("id",)
-        else:
-            basis[x] = tuple(category.hom_basis(v, x))
-    dims = {x: len(basis[x]) for x in category.objects}
+    basis = {x: ("id",) if x == v else category.hom_basis(v, x)
+             for x in category.objects}
+    position = {x: {h: i for i, h in enumerate(hs)}
+                for x, hs in basis.items()}
     matrices = {}
-    for x in category.objects:
-        for y in category.objects:
-            for g in category.hom_basis(x, y):
-                rows = []
-                for h in basis[y]:
-                    rows.append([Fraction(0)] * dims[x])
-                mat = [list(r) for r in rows]
-                for col, f in enumerate(basis[x]):
-                    if f == "id":
-                        terms = ((Fraction(1), g),)
-                    else:
-                        terms = category.compose(f, g)
-                    for coeff, h in terms:
-                        mat[basis[y].index(h)][col] += coeff
-                matrices[g] = mat
-    return CatRep(category, dims, matrices)
+    for x, y, a in category.arrows():
+        mat = [[0] * len(basis[x]) for _ in basis[y]]
+        for col, f in enumerate(basis[x]):
+            terms = ((1, a),) if f == "id" else category.compose(f, a)
+            for coeff, h in terms:
+                mat[position[y][h]][col] += coeff
+        matrices[a] = mat
+    return CatRep(category, {x: len(hs) for x, hs in basis.items()}, matrices)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +504,7 @@ def hom_complex(M: CatRep, N: CatRep):
             # term 0: precompose with the first morphism
             sub = (objs_c[1:], fs[1:])
             if sub in src_layout:
-                m0 = M.matrices[fs[0]]
+                m0 = M.matrix(fs[0])
                 sentry = src_layout[sub]
                 for i in range(r_dim):
                     for j in range(c_dim):
@@ -463,7 +531,7 @@ def hom_complex(M: CatRep, N: CatRep):
             sub = (objs_c[:-1], fs[:-1])
             if sub in src_layout:
                 sign = Fraction((-1) ** len(fs))
-                mN = N.matrices[fs[-1]]
+                mN = N.matrix(fs[-1])
                 sentry = src_layout[sub]
                 for i in range(r_dim):
                     for j in range(c_dim):
@@ -558,6 +626,11 @@ class BeilinsonGenerator:
     class_dims: tuple
 
 
+def _class_dims(n, k):
+    """Rank of Sym^(k-1-s) of the rank n+1 bundle at each step s, 0 from k on."""
+    return tuple(comb(n + k - 1 - s, n) if s < k else 0 for s in range(n + 1))
+
+
 def beilinson_generators(n: int):
     """The n+1 decomposition generators over the chamber set.
 
@@ -568,22 +641,17 @@ def beilinson_generators(n: int):
     chambers = enumerate_chambers(n)
     out = []
     for k in range(1, n + 2):
+        class_dims = _class_dims(n, k)
         dims = {}
         decs = {}
         for c in chambers:
-            s = c.step
-            if s >= k:
-                dims[c] = 0
-                decs[c] = PicMonomial.unit(n)
-                continue
-            dims[c] = comb(n + k - 1 - s, n)
+            dims[c] = class_dims[c.step]
             mono = PicMonomial.unit(n)
-            for i, f in enumerate(c.flags):
-                if f == "S":
-                    mono = mono * PicMonomial.generator(i, n)
+            if c.step < k:
+                for i, f in enumerate(c.flags):
+                    if f == "S":
+                        mono = mono * PicMonomial.generator(i, n)
             decs[c] = mono
-        class_dims = tuple(comb(n + k - 1 - s, n) if s < k else 0
-                           for s in range(n + 1))
         out.append(BeilinsonGenerator(n=n, k=k, chamber_dims=dims,
                                       decorations=decs,
                                       class_dims=class_dims))
@@ -639,8 +707,9 @@ def reduce_dimension_vector(n: int, d):
     unimodular triangular system (asserted), so the trace ends at zero
     after exactly n+1 steps and its coefficients reassemble the input.
     """
-    gens = beilinson_generators(n)
-    matrix = [list(g.class_dims) for g in gens]
+    if not _is_int(n) or n < 1:
+        raise ConError(f"reduction needs an int n >= 1, not {n!r}")
+    matrix = [_class_dims(n, k) for k in range(1, n + 2)]
     for k in range(n + 1):
         if matrix[k][k] != 1 or any(matrix[k][s] != 0 for s in range(k + 1, n + 1)):
             raise GenerationFailure(

@@ -308,6 +308,17 @@ class TestCostandard:
                 stalk = costandard_stalk(cone, (0,) * n, 10)
                 assert stalk.dims == iso.dims
 
+    @pytest.mark.parametrize("bound,denominator,message", [
+        (2.5, 1, "bound 2.5"), (-1, 1, "bound -1"), (True, 1, "bound True"),
+        (4, Fraction(5, 2), r"denominator Fraction\(5, 2\)"),
+        (4, 0, "denominator 0")])
+    def test_non_integer_bound_or_denominator_rejected(self, bound,
+                                                       denominator, message):
+        # a bound of 2.5 used to end in a raw TypeError
+        with pytest.raises(CohError, match=message):
+            costandard_stalk(Cone([(1,)], ambient_rank=1), (0,), bound,
+                             denominator=denominator)
+
     def test_incompatible_character(self):
         ray = Cone([(1,)], ambient_rank=1)
         with pytest.raises(IncompatibleCharacterError):
@@ -488,6 +499,22 @@ class TestAffineMonoid:
     def test_non_integer_bound_or_weight_rejected(self, bound, weight):
         with pytest.raises(CohError, match="is not an integer"):
             orthant_monoid(2).elements_by_degree(bound, weight)
+
+    @pytest.mark.parametrize("rank,denominator,message", [
+        (1.7, 1, "rank 1.7"), (True, 1, "rank True"), (-1, 1, "rank -1"),
+        (1, Fraction(5, 2), r"denominator Fraction\(5, 2\)"),
+        (1, 2.0, "denominator 2.0"),
+        (1, True, "denominator True")])
+    def test_non_integer_rank_or_denominator_rejected(self, rank, denominator,
+                                                      message):
+        # int() used to turn these into rank 1 and denominator 2
+        with pytest.raises(CohError, match=message):
+            AffineMonoid(rank, [(1,)], denominator=denominator)
+
+    def test_weight_of_wrong_length_rejected(self):
+        # zip used to drop the 5 and count degrees as for (1, 1)
+        with pytest.raises(CohError, match="has length 3, expected 2"):
+            orthant_monoid(2).elements_by_degree(2, weight=(1, 1, 5))
 
     def test_weight_must_be_proper(self):
         mono = AffineMonoid(2, [(1, -1), (1, 1)])

@@ -1,4 +1,6 @@
 import random
+import time
+from fractions import Fraction
 
 import pytest
 
@@ -12,7 +14,6 @@ from fltzlab.conside import (
     cartan_matrix,
     corepresentable,
     euler_form,
-    poset_rep,
     quiver_to_dot,
     reduce_dimension_vector,
     rep_hom,
@@ -81,7 +82,7 @@ def pull_back(rep, strata, collapse):
                             for i in range(dims[x])]
         else:
             maps[(x, y)] = rep.matrices[(a, b)]
-    return poset_rep(strata, dims, maps)
+    return CatRep(strata, dims, maps)
 
 
 class TestStrataPoset:
@@ -249,7 +250,7 @@ class TestRepHom:
         maps = {c: [[1]] for c in sq.covers()}
         maps[((0, 0), (0, 1))] = [[2]]  # breaks the square
         with pytest.raises(ConError):
-            poset_rep(sq, dims, maps)
+            CatRep(sq, dims, maps)
 
     def test_categories_with_equal_objects_rejected(self):
         # chain(3) and the P2 chamber category both have objects (0, 1, 2)
@@ -269,6 +270,257 @@ class TestRepHom:
         s4 = CatRep(cat, {4: 1}, {})
         s0 = CatRep(cat, {0: 1}, {})
         assert rep_hom(s4, s0) == [0, 0, 0, 0, 5]
+
+
+def dense_mat_mul(a, b, cols):
+    """The dense Fraction product of the all-pairs check.
+
+    ``cols`` is b's width.  The old product returned a matrix without
+    columns when b had no rows, which failed reps with a zero-dimensional
+    object between two nonzero ones.
+    """
+    if not b:
+        return tuple((Fraction(0),) * cols for _ in a)
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(len(b)))
+                       for j in range(len(b[0]))) for i in range(len(a)))
+
+
+def reference_accepts(category, dims, arrow_maps):
+    """Whether the all-pairs check accepts a rep given on arrows.
+
+    Returns ``(accepted, matrices)``.  Shapes are checked as before; the
+    matrix of each longer basis morphism is composed along the first
+    path found from the last arrow backwards, not the path ``factor``
+    picks; then every composable pair of basis morphisms is compared
+    with its composite, as the constructor did before it checked
+    relations only.
+    """
+    objs = category.objects
+    dims = {x: dims.get(x, 0) for x in objs}
+    ends = {f: (x, y) for x in objs for y in objs
+            for f in category.hom_basis(x, y)}
+
+    def zeros(r, c):
+        return tuple((Fraction(0),) * c for _ in range(r))
+
+    mats = {}
+    for x, y, a in category.arrows():
+        m = tuple(tuple(Fraction(v) for v in row)
+                  for row in arrow_maps.get(a, ()))
+        if (len(m), len(m[0]) if m else 0) != (dims[y], dims[x]):
+            if 0 not in (dims[y], dims[x]) or any(m):
+                return False, mats
+            m = zeros(dims[y], dims[x])
+        mats[a] = m
+    grew = True
+    while grew:
+        grew = False
+        for x, y, a in reversed(category.arrows()):
+            for g, (source, _) in ends.items():
+                if source == y and g in mats:
+                    ((_, f),) = category.compose(a, g)
+                    if f not in mats:
+                        mats[f] = dense_mat_mul(mats[g], mats[a], dims[x])
+                        grew = True
+    for x in objs:
+        for y in objs:
+            for f in category.hom_basis(x, y):
+                for z in objs:
+                    for g in category.hom_basis(y, z):
+                        lhs = dense_mat_mul(mats[g], mats[f], dims[x])
+                        rhs = zeros(dims[z], dims[x])
+                        for coeff, h in category.compose(f, g):
+                            rhs = tuple(
+                                tuple(a + coeff * b for a, b in zip(ra, rb))
+                                for ra, rb in zip(rhs, mats[h]))
+                        if lhs != rhs:
+                            return False, mats
+    return True, mats
+
+
+def two_chains():
+    """Two disjoint chains of length 3 from x to y: no square, one relation."""
+    return FinitePoset.from_covers(
+        "xabcdy", [("x", "a"), ("a", "b"), ("b", "y"),
+                   ("x", "c"), ("c", "d"), ("d", "y")])
+
+
+ORACLE_CATEGORIES = {
+    "chain3": FinitePoset.chain(3),
+    "chain4": FinitePoset.chain(4),
+    "vee": FinitePoset.from_covers("clr", [("c", "l"), ("c", "r")]),
+    "square": FinitePoset.chain(2).power(2),
+    "square-by-3": FinitePoset.chain(2).product(FinitePoset.chain(3)),
+    "cube": FinitePoset.chain(2).power(3),
+    "two-chains": two_chains(),
+    "P1": ChamberCategory(1),
+    "P2": ChamberCategory(2),
+    "P3": ChamberCategory(3),
+}
+
+
+def random_invertible(size, rng, fractions):
+    """A random invertible matrix and its inverse, as lists of rows.
+
+    Integer row operations keep both integral; with ``fractions`` a
+    diagonal of random Fraction scalars comes first.
+    """
+    p = [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
+    q = [row[:] for row in p]
+    if fractions:
+        for i in range(size):
+            c = Fraction(rng.choice((1, -1, 2, 3)), rng.choice((1, 2, 5)))
+            p[i][i], q[i][i] = c, 1 / c
+    for _ in range(2 * size if size > 1 else 0):
+        i, j = rng.sample(range(size), 2)
+        c = rng.choice((1, -1, 2))
+        # p <- E p and q <- q E^-1 with E adding c times row j to row i
+        p[i] = [a + c * b for a, b in zip(p[i], p[j])]
+        for row in q:
+            row[j] -= c * row[i]
+    if not fractions:
+        p = [[int(x) for x in row] for row in p]
+        q = [[int(x) for x in row] for row in q]
+    return p, q
+
+
+def plain_mul(a, b, cols):
+    return [[sum(a[i][k] * b[k][j] for k in range(len(b)))
+             for j in range(cols)] for i in range(len(a))]
+
+
+def random_rep_data(category, rng):
+    """Seeded (kind, dims, arrow matrices) for the relation-check oracle.
+
+    ``functor``: a corepresentable or a sum of two, of total dimension
+    at most 16, conjugated by random invertible matrices, with ``int``
+    or ``Fraction`` entries;
+    ``planted``: the same with one entry of one arrow changed;
+    ``random``: random dims in 0..2 and random entries in -1..1;
+    ``misshaped``: a functor with one arrow matrix losing a row.
+    """
+    kind = rng.choice(("functor", "planted", "planted", "random",
+                       "misshaped"))
+    objs = category.objects
+    arrows = category.arrows()
+    if kind == "random":
+        dims = {x: rng.randint(0, 2) for x in objs}
+        return kind, dims, {a: [[rng.randint(-1, 1) for _ in range(dims[x])]
+                                for _ in range(dims[y])]
+                            for x, y, a in arrows}
+    parts = []
+    for _ in range(rng.randint(1, 2)):
+        part = corepresentable(category, rng.choice(objs))
+        if sum(sum(p.dim_vector()) for p in parts + [part]) <= 16:
+            parts.append(part)
+    dims = {x: sum(p.dims[x] for p in parts) for x in objs}
+    fractions = rng.random() < 0.5
+    change = {x: random_invertible(dims[x], rng, fractions) for x in objs}
+    maps = {}
+    for x, y, a in arrows:
+        block = [[0] * dims[x] for _ in range(dims[y])]
+        r0 = c0 = 0
+        for p in parts:
+            for i, row in enumerate(p.matrices[a]):
+                for j, v in enumerate(row):
+                    block[r0 + i][c0 + j] = v
+            r0, c0 = r0 + p.dims[y], c0 + p.dims[x]
+        # y-side change times block times the inverse x-side change
+        maps[a] = plain_mul(plain_mul(change[y][0], block, dims[x]),
+                            change[x][1], dims[x])
+    sized = [a for x, y, a in arrows if dims[x] and dims[y]]
+    if kind == "planted" and sized:
+        row = rng.choice(maps[rng.choice(sized)])
+        row[rng.randrange(len(row))] += rng.choice((1, -1, Fraction(1, 2)))
+    if kind == "misshaped" and sized:
+        maps[rng.choice(sized)].pop()
+    return kind, dims, maps
+
+
+class TestArrowsAndRelations:
+    def test_arrows(self):
+        assert FinitePoset.chain(3).arrows() == ((0, 1, (0, 1)),
+                                                 (1, 2, (1, 2)))
+        cat = ChamberCategory(2)
+        assert len(cat.arrows()) == 2 * 3
+        assert cat.arrows()[0] == (1, 0, cat.arrow(1, 0))
+        # one relation per commuting square: C(3, 2) between steps 2 and 0
+        assert len(list(cat.relations())) == 3
+        assert len(list(ChamberCategory(4).relations())) == 3 * 10
+
+    def test_two_disjoint_chains_are_related(self):
+        # no diamond lies between x and y, yet both paths must agree
+        p = two_chains()
+        assert list(p.relations()) == [(("x", "c"), ("c", "y"), ("x", "y"))]
+        dims = {v: 1 for v in p.elements}
+        maps = {c: [[1]] for c in p.covers()}
+        CatRep(p, dims, maps)
+        maps[("c", "d")] = [[2]]
+        with pytest.raises(ConError, match="functoriality fails"):
+            CatRep(p, dims, maps)
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_CATEGORIES))
+    def test_relation_check_agrees_with_all_pairs_check(self, name):
+        category = ORACLE_CATEGORIES[name]
+        rng = random.Random(f"relations-{name}")
+        seen = {"accepted": 0, "rejected": 0}
+        if list(category.relations()):
+            seen["planted rejected"] = 0
+        for _ in range(40):
+            kind, dims, maps = random_rep_data(category, rng)
+            accepted, mats = reference_accepts(category, dims, maps)
+            try:
+                rep = CatRep(category, dims, maps)
+            except ConError:
+                assert not accepted
+                seen["rejected"] += 1
+                if kind == "planted" and "planted rejected" in seen:
+                    seen["planted rejected"] += 1
+                continue
+            assert accepted
+            seen["accepted"] += 1
+            # every path gives the matrix of the all-pairs check
+            for f, m in mats.items():
+                assert rep.matrix(f) == m
+        assert all(seen.values()), seen
+
+    def test_entries_keep_their_type(self):
+        p = FinitePoset.chain(3)
+        rep = CatRep(p, {0: 1, 1: 1, 2: 1},
+                     {(0, 1): [[2]], (1, 2): [[Fraction(1, 2)]]})
+        assert type(rep.matrices[(0, 1)][0][0]) is int
+        assert rep.matrix((0, 2)) == ((1,),)
+        assert type(rep.matrix((0, 2))[0][0]) is Fraction
+        cat = ChamberCategory(2)
+        rep = corepresentable(cat, 2)
+        assert all(type(x) is int for m in rep.matrices.values()
+                   for row in m for x in row)
+
+    @pytest.mark.parametrize("dims,maps,message", [
+        ({0: 1, 1: 1}, {(0, 1): [[0.1]]}, "entry 0.1 of the matrix on"),
+        ({0: 1, 1: 1}, {(0, 1): [[True]]}, "entry True"),
+        ({0: 1, 1: 1}, {(0, 1): [["1"]]}, "entry '1'"),
+        ({0: 1, 1: 1}, {(0, 1): [1]}, "is not a list of rows"),
+        ({0: 1.7, 1: 1}, {}, "dimension 1.7 at 0"),
+        ({0: True, 1: 1}, {}, "dimension True at 0"),
+        ({0: -1, 1: 1}, {}, "dimension -1 at 0"),
+        ({0: 1, 5: 1}, {}, "dimension given for 5"),
+        ({0: 1, 1: 1}, {(5, 7): [[1]]}, r"\(5, 7\) is not an arrow"),
+    ])
+    def test_bad_input_rejected(self, dims, maps, message):
+        with pytest.raises(ConError, match=message):
+            CatRep(FinitePoset.chain(2), dims, maps)
+
+    def test_longer_morphism_is_not_an_arrow(self):
+        with pytest.raises(ConError, match=r"\(0, 2\) is not an arrow"):
+            CatRep(FinitePoset.chain(3), {0: 1, 2: 1}, {(0, 2): [[1]]})
+
+    def test_n4_generators_build_in_under_a_second(self):
+        start = time.perf_counter()
+        cat = ChamberCategory(4)
+        gens = [beilinson_rep(4, k, cat) for k in range(1, 6)]
+        assert time.perf_counter() - start < 1.0
+        assert gens[4].dim_vector() == (70, 35, 15, 5, 1)
 
 
 class TestCartanEuler:
@@ -409,6 +661,11 @@ class TestReduction:
     def test_bad_length_rejected(self):
         with pytest.raises(ConError):
             reduce_dimension_vector(2, (1, 2))
+
+    @pytest.mark.parametrize("n", [0, -1, 1.5, True])
+    def test_bad_n_rejected(self, n):
+        with pytest.raises(ConError, match="reduction needs an int n >= 1"):
+            reduce_dimension_vector(n, (1, 0))
 
 
 class TestTwistedTemplate:
