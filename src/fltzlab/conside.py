@@ -309,7 +309,7 @@ def _monomials(width, degree):
 
 
 def _matrix(rows, key):
-    """An exact matrix as row tuples; entries must be ``int`` or ``Fraction``."""
+    """An exact matrix as row tuples of ``int`` or ``Fraction`` entries."""
     try:
         m = tuple(tuple(row) for row in rows)
     except TypeError:
@@ -627,7 +627,7 @@ class BeilinsonGenerator:
 
 
 def _class_dims(n, k):
-    """Rank of Sym^(k-1-s) of the rank n+1 bundle at each step s, 0 from k on."""
+    """Rank of Sym^(k-1-s) of the rank n+1 bundle per step s; 0 from k."""
     return tuple(comb(n + k - 1 - s, n) if s < k else 0 for s in range(n + 1))
 
 

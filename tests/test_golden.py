@@ -34,7 +34,8 @@ CLI_CASES.update({f"hom-con-P{n}-{i}-{j}": ["hom", "--side", "con", "--pn",
                                             "--to", str(j)]
                   for n in (1, 2)
                   for i in range(1, n + 2) for j in range(1, n + 2)})
-CLI_CASES.update({f"verify-ccc-P{n}": ["verify", "--what", "ccc", "--n", str(n)]
+CLI_CASES.update({f"verify-ccc-P{n}": ["verify", "--what", "ccc",
+                                       "--n", str(n)]
                   for n in (1, 2, 3)})
 
 
