@@ -68,7 +68,12 @@ class GradedDims:
     weight: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(x) for x in self.dims))
+        if not _is_int(self.bound):
+            raise CohError(f"bound {self.bound!r} is not an integer")
+        object.__setattr__(self, "dims", tuple(self.dims))
+        for x in self.dims:
+            if not _is_int(x):
+                raise CohError(f"graded dimension {x!r} is not an integer")
         if len(self.dims) != self.bound + 1:
             raise CohError("dims length must be bound + 1")
         if any(x < 0 for x in self.dims):

@@ -680,8 +680,11 @@ class ReductionStep:
 
 def _class_vector(n, d):
     d = list(d)
+    for x in d:
+        if not _is_int(x):
+            raise ConError(f"dimension vector entry {x!r} is not an int")
     if len(d) == n + 1:
-        return [int(x) for x in d]
+        return d
     chambers = enumerate_chambers(n)
     if len(d) != len(chambers):
         raise ConError(
@@ -691,8 +694,8 @@ def _class_vector(n, d):
     for c, val in zip(chambers, d):
         s = c.step
         if classes[s] is None:
-            classes[s] = int(val)
-        elif classes[s] != int(val):
+            classes[s] = val
+        elif classes[s] != val:
             raise ConError(
                 "chamber dimension vector is not constant on a step class; "
                 "it is not the display of any torus-level object")

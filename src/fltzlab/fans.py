@@ -1,11 +1,12 @@
 """Rational polyhedral cones, fans, stacky fans, and Cech nerves.
 
-All cone computations are exact: V- and H-representations are carried
-between each other by a double description pass on primitive integer
-vectors, which decides adjacency of rays from their zero sets rather
-than by rank computations, and canonical forms use primitive integer
-generators sorted lexicographically.  Desk-scale only; no attempt at
-large-dimension performance.
+All cone computations are exact.  A cone keeps its canonical rays and
+lines and an H-representation.  The canonical form (primitive integer
+generators sorted lexicographically) is the output of a double
+description pass on primitive integer vectors, which decides adjacency
+of rays from their zero sets rather than by rank computations.  Faces
+are read off the incidence of rays and inequalities.  Desk-scale only;
+no attempt at large-dimension performance.
 """
 
 from __future__ import annotations
@@ -192,7 +193,11 @@ class Cone:
     Canonical form: extreme rays as primitive integer vectors sorted
     lexicographically, plus a +/- pair per lineality basis vector for
     non-pointed cones (fan construction rejects those; they arise as
-    duals of non-full-dimensional cones).
+    duals of non-full-dimensional cones).  Only ``Cone(generators)``
+    goes through the double dual; every other operation runs at most one
+    ``dd_generators`` pass, on an H-representation it already holds.
+    ``_dual_gens`` (x is in the cone iff a.x >= 0 for all of them) may be
+    any valid H-representation, redundant or not: nothing compares it.
     """
 
     __slots__ = ("ambient_rank", "rays", "lines", "_dual_gens")
@@ -213,37 +218,25 @@ class Cone:
                     raise FanError(f"generator entry {x!r} is not an integer "
                                    "or a Fraction")
         gens = [primitivize(g) for g in gens if any(x != 0 for x in g)]
-        # canonicalize through the double dual
-        if gens:
-            ineqs, dual_lines = dd_generators(gens, ambient_rank)
-            hrep = list(ineqs)
-            for l in dual_lines:
-                hrep.append(l)
-                hrep.append(tuple(-x for x in l))
-            rays, lines = dd_generators(hrep, ambient_rank)
-        else:
-            # the zero cone: H-representation is the +/- coordinate pairs
-            hrep = []
-            for i in range(ambient_rank):
-                e = tuple(int(i == j) for j in range(ambient_rank))
-                hrep.append(e)
-                hrep.append(tuple(-x for x in e))
-            rays, lines = [], []
-        object.__setattr__(self, "ambient_rank", ambient_rank)
-        object.__setattr__(self, "rays", tuple(rays))
-        object.__setattr__(self, "lines", tuple(lines))
-        object.__setattr__(self, "_dual_gens", tuple(hrep))
+        hrep = _signed(*dd_generators(gens, ambient_rank))
+        rays, lines = dd_generators(hrep, ambient_rank)
+        Cone._from_reps(ambient_rank, rays, lines, hrep, self)
+
+    @classmethod
+    def _from_reps(cls, rank, rays, lines, hrep, cone=None):
+        """Set the four slots of ``cone`` (a new Cone by default)."""
+        cone = object.__new__(cls) if cone is None else cone
+        for name, value in zip(cls.__slots__, (rank, tuple(rays),
+                                               tuple(lines), tuple(hrep))):
+            object.__setattr__(cone, name, value)
+        return cone
 
     def __setattr__(self, name, value):
         raise AttributeError("Cone is immutable")
 
     @property
     def generators(self):
-        gens = list(self.rays)
-        for l in self.lines:
-            gens.append(l)
-            gens.append(tuple(-x for x in l))
-        return tuple(sorted(gens))
+        return tuple(sorted(_signed(self.rays, self.lines)))
 
     @property
     def key(self):
@@ -290,55 +283,58 @@ class Cone:
         return True
 
     def negated(self):
-        return Cone([tuple(-x for x in g) for g in self.generators],
-                    ambient_rank=self.ambient_rank)
+        hrep = [tuple(-x for x in a) for a in self._dual_gens]
+        return Cone._from_reps(self.ambient_rank,
+                               *dd_generators(hrep, self.ambient_rank), hrep)
+
+
+def _signed(rays, lines):
+    """The rays, then each line followed by its negation."""
+    return list(rays) + [v for l in lines for v in (l, tuple(-x for x in l))]
 
 
 def dual_cone(c: Cone) -> Cone:
-    """The dual cone {v : v(x) >= 0 for all x in c} in the dual lattice."""
-    rays, lines = dd_generators(c.generators, c.ambient_rank)
-    gens = list(rays)
-    for l in lines:
-        gens.append(l)
-        gens.append(tuple(-x for x in l))
-    return Cone(gens, ambient_rank=c.ambient_rank)
+    """The dual cone {v : v(x) >= 0 for all x in c} in the dual lattice.
+
+    The generators of c are an H-representation of its dual.
+    """
+    gens = c.generators
+    return Cone._from_reps(c.ambient_rank,
+                           *dd_generators(gens, c.ambient_rank), gens)
 
 
 def faces(c: Cone):
     """All faces of a strictly convex cone, including {0} and c itself.
 
-    Returned sorted by (dimension, canonical key); the partial order is
-    inclusion of ray sets.
+    Their ray sets are the full set and its intersections with the sets
+    of rays that each inequality of c's H-representation is tight on.  A
+    face keeps c's H-representation plus its negated tight inequalities,
+    so no face needs a double description.  Returned sorted by
+    (dimension, canonical key); the partial order is inclusion of ray sets.
     """
     if not c.is_strictly_convex():
         raise FanError("faces are only computed for strictly convex cones")
-    rays = list(c.rays)
-    duals = list(c._dual_gens)
-    out = {}
-    for size in range(len(rays) + 1):
-        for subset in combinations(range(len(rays)), size):
-            chosen = [rays[i] for i in subset]
-            w = [0] * c.ambient_rank
-            for d in duals:
-                if all(_dot(d, g) == 0 for g in chosen):
-                    w = [a + b for a, b in zip(w, d)]
-            zero_set = tuple(i for i, g in enumerate(rays) if _dot(w, g) == 0)
-            if zero_set == subset:
-                face = Cone(chosen, ambient_rank=c.ambient_rank)
-                out[face.key] = face
-    return sorted(out.values(), key=lambda f: (f.dim(), f.key))
+    rays, hrep = c.rays, c._dual_gens
+    tight = [frozenset(i for i, r in enumerate(rays) if _dot(a, r) == 0)
+             for a in hrep]
+    found = {frozenset(range(len(rays)))}
+    for t in tight:
+        found |= {f & t for f in found}
+    out = []
+    for f in found:
+        negs = [tuple(-x for x in a) for a, t in zip(hrep, tight) if f <= t]
+        out.append(Cone._from_reps(c.ambient_rank,
+                                   [rays[i] for i in sorted(f)], (),
+                                   hrep + tuple(negs)))
+    return sorted(out, key=lambda f: (f.dim(), f.key))
 
 
 def intersect_cones(a: Cone, b: Cone) -> Cone:
     if a.ambient_rank != b.ambient_rank:
         raise FanError("cones live in different ranks")
-    rays, lines = dd_generators(list(a._dual_gens) + list(b._dual_gens),
-                                a.ambient_rank)
-    gens = list(rays)
-    for l in lines:
-        gens.append(l)
-        gens.append(tuple(-x for x in l))
-    return Cone(gens, ambient_rank=a.ambient_rank)
+    hrep = a._dual_gens + b._dual_gens
+    return Cone._from_reps(a.ambient_rank,
+                           *dd_generators(hrep, a.ambient_rank), hrep)
 
 
 def is_smooth_cone(c: Cone) -> bool:
@@ -490,18 +486,15 @@ def is_refinement(fine: Fan, coarse: Fan) -> bool:
                  and c.dim() == dim_d]
         if not cells:
             return False
-        boundary = {f.key for f in faces(d) if f.dim() == dim_d - 1}
+        boundary = [f for f in faces(d) if f.dim() == dim_d - 1]
         facet_cells = {}
         for c in cells:
             for f in faces(c):
                 if f.dim() == dim_d - 1:
-                    facet_cells.setdefault(f.key, []).append(c)
-        for fkey, owners in facet_cells.items():
-            facet = Cone(list(fkey[1]), ambient_rank=fine.rank)
-            on_boundary = any(
-                all(Cone(list(bk[1]), ambient_rank=fine.rank).contains(g)
-                    for g in facet.generators)
-                for bk in boundary)
+                    facet_cells.setdefault(f, []).append(c)
+        for facet, owners in facet_cells.items():
+            on_boundary = any(all(b.contains(g) for g in facet.generators)
+                              for b in boundary)
             if on_boundary:
                 if len(owners) != 1:
                     return False

@@ -8,6 +8,7 @@ import pytest
 from fltzlab.cohside import (
     AffineMonoid,
     CohError,
+    GradedDims,
     ImproperWeightError,
     IncompatibleCharacterError,
     TruncationError,
@@ -171,6 +172,20 @@ class TestGammaCategory:
                        fan_from_max_cones([Cone([(1, 0)], ambient_rank=2)]))
         with pytest.raises(UnsupportedConeError):
             gamma_category(sf)
+
+
+class TestGradedDims:
+    def test_int_dims_kept(self):
+        g = GradedDims(dims=[1, 2], bound=1, weight=(1,))
+        assert g.dims == (1, 2) and g.total() == 3
+
+    @pytest.mark.parametrize("dims, bound", [
+        ((1.5, 2.7), 1), ((1, True), 1), ((Fraction(1), 2), 1),
+        ((1, "2"), 1), ((1, 2), 1.0), ((1, 2), True)])
+    def test_non_int_rejected(self, dims, bound):
+        # (1.5, 2.7) once held (1, 2)
+        with pytest.raises(CohError, match="is not an integer"):
+            GradedDims(dims=dims, bound=bound, weight=(1,))
 
 
 class TestHomGraded:

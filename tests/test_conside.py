@@ -662,6 +662,15 @@ class TestReduction:
         with pytest.raises(ConError):
             reduce_dimension_vector(2, (1, 2))
 
+    @pytest.mark.parametrize("d", [(1.5, 0, 0), (1, True, 0), (1, 0, "0"),
+                                   (Fraction(1), 0, 0),
+                                   (1.0,) * 7])
+    def test_non_int_entries_rejected(self, d):
+        # (1.5, 0, 0) once reduced (1, 0, 0); seven entries take the
+        # per-chamber display path at n = 2
+        with pytest.raises(ConError, match="is not an int"):
+            reduce_dimension_vector(2, d)
+
     @pytest.mark.parametrize("n", [0, -1, 1.5, True])
     def test_bad_n_rejected(self, n):
         with pytest.raises(ConError, match="reduction needs an int n >= 1"):

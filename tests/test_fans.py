@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -435,14 +435,120 @@ class TestFacesGridOracle:
                 continue
             face_keys = {f.key for f in faces(cone)}
             rays = cone.rays
-            for w in product(range(-4, 5), repeat=rank):
+            zero_sets = set()
+            for w in product(range(-8, 9), repeat=rank):
                 vals = [sum(a * b for a, b in zip(w, g)) for g in rays]
                 if any(v < 0 for v in vals):
                     continue  # not a supporting functional
-                chosen = [g for g, v in zip(rays, vals) if v == 0]
-                face = Cone(chosen, ambient_rank=rank)
-                assert face.key in face_keys, (gens, w)
+                zero_sets.add(tuple(g for g, v in zip(rays, vals) if v == 0))
+            supported = {Cone(list(z), ambient_rank=rank).key
+                         for z in zero_sets}
+            # every supported zero set is a returned face, and conversely
+            # every returned face is cut out by a supporting functional
+            assert supported == face_keys, gens
             done += 1
+
+
+def _signed_generators(rays, lines):
+    return list(rays) + [v for l in lines for v in (l, tuple(-x for x in l))]
+
+
+def reference_faces(c):
+    """Faces by enumerating every ray subset, each built as Cone(chosen).
+
+    The algorithm the incidence-set closure replaced: a subset is a face
+    iff the sum of the inequalities tight on all of it vanishes on
+    exactly that subset.
+    """
+    rays = list(c.rays)
+    out = {}
+    for size in range(len(rays) + 1):
+        for subset in combinations(range(len(rays)), size):
+            chosen = [rays[i] for i in subset]
+            w = [0] * c.ambient_rank
+            for d in c._dual_gens:
+                if all(_frac_dot(d, g) == 0 for g in chosen):
+                    w = [a + b for a, b in zip(w, d)]
+            zero_set = tuple(i for i, g in enumerate(rays)
+                             if _frac_dot(w, g) == 0)
+            if zero_set == subset:
+                face = Cone(chosen, ambient_rank=c.ambient_rank)
+                out[face.key] = face
+    return sorted(out.values(), key=lambda f: (f.dim(), f.key))
+
+
+def reference_dual(c):
+    """The dual rebuilt from its generators through the double dual."""
+    rays, lines = dd_generators(c.generators, c.ambient_rank)
+    return Cone(_signed_generators(rays, lines), ambient_rank=c.ambient_rank)
+
+
+def reference_intersection(a, b):
+    rays, lines = dd_generators(list(a._dual_gens) + list(b._dual_gens),
+                                a.ambient_rank)
+    return Cone(_signed_generators(rays, lines), ambient_rank=a.ambient_rank)
+
+
+def reference_negated(c):
+    return Cone([tuple(-x for x in g) for g in c.generators],
+                ambient_rank=c.ambient_rank)
+
+
+def seeded_cones(rng, count):
+    """Cones in ranks 1..4: full-dimensional or not, pointed or not."""
+    out = []
+    for _ in range(count):
+        rank = rng.randint(1, 4)
+        if rng.random() < 0.5:
+            # strictly convex: every generator in the half-space x_0 > 0
+            gens = [(rng.randint(1, 3),) + tuple(rng.randint(-3, 3)
+                                                for _ in range(rank - 1))
+                    for _ in range(rng.randint(1, 6))]
+        else:
+            gens = [tuple(rng.randint(-3, 3) for _ in range(rank))
+                    for _ in range(rng.randint(0, 6))]
+        out.append(Cone(gens, ambient_rank=rank))
+    return out
+
+
+def assert_same_cone(fast, slow, grid):
+    assert fast.key == slow.key
+    for p in grid[fast.ambient_rank]:
+        assert fast.contains(p) == slow.contains(p), (fast, p)
+        assert (fast.contains(p, strict=True)
+                == slow.contains(p, strict=True)), (fast, p)
+
+
+class TestConeOpsOracle:
+    """Dual, intersection, negation and faces against the old routes."""
+
+    GRID = {r: list(product(range(-2, 3), repeat=r)) for r in range(1, 4)}
+    GRID[4] = list(product(range(-1, 2), repeat=4))
+
+    def test_dual_intersection_negation_match_double_dual(self):
+        rng = random.Random(47)
+        cones = seeded_cones(rng, 160)
+        shapes = {"pointed": 0, "lines": 0, "full": 0, "lower": 0}
+        for c in cones:
+            shapes["lines" if c.lines else "pointed"] += 1
+            shapes["full" if c.is_full_dimensional() else "lower"] += 1
+            assert_same_cone(dual_cone(c), reference_dual(c), self.GRID)
+            assert_same_cone(c.negated(), reference_negated(c), self.GRID)
+        assert min(shapes.values()) >= 20, shapes
+        for a, b in zip(cones, cones[1:] + cones[:1]):
+            if a.ambient_rank == b.ambient_rank:
+                assert_same_cone(intersect_cones(a, b),
+                                 reference_intersection(a, b), self.GRID)
+
+    def test_faces_match_subset_enumeration(self):
+        rng = random.Random(53)
+        cones = [c for c in seeded_cones(rng, 60) if c.is_strictly_convex()]
+        assert len(cones) > 40
+        for c in cones:
+            fast, slow = faces(c), reference_faces(c)
+            assert [f.key for f in fast] == [f.key for f in slow], c
+            for f, g in zip(fast, slow):
+                assert_same_cone(f, g, self.GRID)
 
 
 class TestFans:
