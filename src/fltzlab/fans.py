@@ -279,7 +279,7 @@ class Cone:
                 return False
             if strict and v == 0 and any(_dot(a, r) != 0 for r in self.rays):
                 return False
-        # outside the span: some +/- inequality pair fails above
+        # any valid H-representation cuts out the cone, its span included
         return True
 
     def negated(self):

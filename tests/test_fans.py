@@ -9,6 +9,7 @@ from fltzlab.fans import (
     FanError,
     StackyFan,
     _reduce_mod_lines,
+    _signed,
     cech_nerve,
     dd_generators,
     dual_cone,
@@ -449,10 +450,6 @@ class TestFacesGridOracle:
             done += 1
 
 
-def _signed_generators(rays, lines):
-    return list(rays) + [v for l in lines for v in (l, tuple(-x for x in l))]
-
-
 def reference_faces(c):
     """Faces by enumerating every ray subset, each built as Cone(chosen).
 
@@ -480,13 +477,13 @@ def reference_faces(c):
 def reference_dual(c):
     """The dual rebuilt from its generators through the double dual."""
     rays, lines = dd_generators(c.generators, c.ambient_rank)
-    return Cone(_signed_generators(rays, lines), ambient_rank=c.ambient_rank)
+    return Cone(_signed(rays, lines), ambient_rank=c.ambient_rank)
 
 
 def reference_intersection(a, b):
     rays, lines = dd_generators(list(a._dual_gens) + list(b._dual_gens),
                                 a.ambient_rank)
-    return Cone(_signed_generators(rays, lines), ambient_rank=a.ambient_rank)
+    return Cone(_signed(rays, lines), ambient_rank=a.ambient_rank)
 
 
 def reference_negated(c):
