@@ -380,7 +380,9 @@ def costandard_stalk(c: Cone, chi, bound: int, denominator=1,
     sum in the quotient coordinates).  This coset-first route is the
     independent side of the comparison with :func:`isotypic_component`,
     which enumerates the monoid first and filters by coset.  ``bound``
-    must be a nonnegative ``int`` and ``denominator`` a positive one.
+    must be a nonnegative ``int``, ``denominator`` a positive one, and
+    ``weight`` (default all ones) q ``int`` entries, q the rank of the
+    quotient modulo the cone's perp (the dimension of the cone).
     """
     if not _is_int(bound) or bound < 0:
         raise CohError(f"bound {bound!r} is not a nonnegative integer")
@@ -400,6 +402,12 @@ def costandard_stalk(c: Cone, chi, bound: int, denominator=1,
     q, project, ineqs_q = _adapted_quotient(c)
     chi_q = project(chi)
     weight = tuple(weight) if weight is not None else (1,) * q
+    for w in weight:
+        if not _is_int(w):
+            raise CohError(f"weight entry {w!r} is not an integer")
+    if len(weight) != q:
+        raise CohError(f"weight {weight!r} has length {len(weight)}, "
+                       f"expected the quotient rank {q}")
     dims = [0] * (bound + 1)
     if q == 0:
         dims[0] = 1  # a single coset class, sitting in degree zero

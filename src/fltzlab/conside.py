@@ -50,11 +50,23 @@ class GenerationFailure(ConError):
 # by arrows (``arrows``, ``factor``) and relations (``relations``)
 
 
+def _check_pairs(elements, pairs, what):
+    """Raise ConError on the first pair naming a non-element."""
+    known = set(elements)
+    for pair in pairs:
+        for x in pair:
+            if x not in known:
+                raise ConError(f"{what} {pair!r} names {x!r}, which is not "
+                               "an element")
+
+
 class FinitePoset:
     """A finite poset; also acts as a directed category with 0/1 hom spaces."""
 
     def __init__(self, elements, leq_pairs):
         self.elements = tuple(elements)
+        leq_pairs = tuple(leq_pairs)
+        _check_pairs(self.elements, leq_pairs, "pair")
         pairs = set(leq_pairs)
         for x in self.elements:
             pairs.add((x, x))
@@ -80,6 +92,8 @@ class FinitePoset:
     @classmethod
     def from_covers(cls, elements, covers):
         elements = list(elements)
+        covers = tuple(covers)
+        _check_pairs(elements, covers, "cover")
         leq = {(x, x) for x in elements}
         adj = {x: [] for x in elements}
         for (x, y) in covers:
@@ -109,6 +123,8 @@ class FinitePoset:
 
     def power(self, k):
         """The product order on k-tuples; k = 0 gives the one-point poset."""
+        if not _is_int(k) or k < 0:
+            raise ConError(f"power needs an int k >= 0, not {k!r}")
         elems = list(product(self.elements, repeat=k))
         pairs = [(a, b) for a in elems for b in elems
                  if all(self.leq(x, y) for x, y in zip(a, b))]
@@ -235,8 +251,8 @@ class ChamberCategory:
     """
 
     def __init__(self, n):
-        if n < 1:
-            raise ConError("chamber category needs n >= 1")
+        if not _is_int(n) or n < 1:
+            raise ConError(f"chamber category needs an int n >= 1, not {n!r}")
         self.n = n
         self.objects = tuple(range(n + 1))  # step classes
         self._arrows = tuple((s, s - 1, self.arrow(s, i))
@@ -437,121 +453,85 @@ def corepresentable(category, v) -> CatRep:
 # derived homs via the nerve (bar) cochain complex
 
 
-def _chains(category, max_len=None):
-    """Nondegenerate composable chains of basis morphisms, by length."""
-    objs = category.objects
-    arcs = {}
-    for x in objs:
-        arcs[x] = []
-        for y in objs:
-            for f in category.hom_basis(x, y):
-                arcs[x].append((f, y))
-    by_len = {0: [((x,), ()) for x in objs]}
-    length = 0
+def _chains(category):
+    """Nondegenerate composable chains of basis morphisms, by length.
+
+    A chain of length p is ``(objects, morphisms)`` with p + 1 objects.
+    """
+    arcs = {x: [(f, y) for y in category.objects
+                for f in category.hom_basis(x, y)]
+            for x in category.objects}
+    by_len = [[((x,), ()) for x in category.objects]]
     while True:
-        nxt = []
-        for (objs_c, fs) in by_len[length]:
-            tail = objs_c[-1]
-            for (f, y) in arcs[tail]:
-                nxt.append((objs_c + (y,), fs + (f,)))
-        if not nxt:
-            break
-        length += 1
-        by_len[length] = nxt
-        if max_len is not None and length >= max_len:
-            break
-    return by_len
+        longer = [(objs + (y,), fs + (f,)) for objs, fs in by_len[-1]
+                  for f, y in arcs[objs[-1]]]
+        if not longer:
+            return by_len
+        by_len.append(longer)
+
+
+def _entries(m, dim):
+    """``(row, column, entry)`` of each nonzero entry of ``m``; for ``m``
+    None, of the identity of size ``dim``."""
+    if m is None:
+        return [(i, i, 1) for i in range(dim)]
+    return [(i, j, x) for i, row in enumerate(m) for j, x in enumerate(row)
+            if x]
 
 
 def hom_complex(M: CatRep, N: CatRep):
     """The nerve cochain complex computing RHom(M, N).
 
+    Term p has one block per chain x_0 -> ... -> x_p of p basis
+    morphisms: a map phi from M(x_0) to N(x_p), laid out row by row,
+    blocks in chain order.  One face rule builds the differential.  On
+    a chain f_0, ..., f_p of p + 1 morphisms, face k drops f_0 (k = 0),
+    composes f_(k-1) f_k (0 < k <= p) or drops f_p (k = p + 1), and adds
+    sign * L * phi(face) * R, where L is N(f_p) on the last face, R is
+    M(f_0) on the first, each is the identity otherwise, and sign is
+    (-1)^k times the ``compose`` coefficient.
+
     Returns (dims, differentials): the dimension of each term and the
-    dense differential matrices d_p mapping term p to term p+1.
+    dense differential matrices d_p, lists of rows mapping term p to
+    term p + 1.  Entries are summed from ``int`` 0, so they are ``int``
+    when both reps are and ``Fraction`` where a ``Fraction`` entry
+    takes part.
     """
     if M.category is not N.category:
         raise ConError("representations live on different categories")
     cat = M.category
     chains = _chains(cat)
-    max_p = max(chains)
-
-    # block layout per degree
-    layouts = {}
-    for p, chs in chains.items():
-        offset = 0
-        layout = {}
-        for ch in chs:
-            objs_c, _ = ch
-            r = N.dims[objs_c[-1]]
-            c = M.dims[objs_c[0]]
-            layout[ch] = (offset, r, c)
-            offset += r * c
-        layouts[p] = (layout, offset)
-
-    def idx(layout_entry, i, j):
-        offset, r, c = layout_entry
-        return offset + i * c + j
-
-    diffs = {}
-    for p in range(max_p):
-        src_layout, src_dim = layouts[p]
-        tgt_layout, tgt_dim = layouts[p + 1]
-        rows = [dict() for _ in range(tgt_dim)]
-        for ch, entry in tgt_layout.items():
-            objs_c, fs = ch
-            r_dim = N.dims[objs_c[-1]]
-            c_dim = M.dims[objs_c[0]]
-            # term 0: precompose with the first morphism
-            sub = (objs_c[1:], fs[1:])
-            if sub in src_layout:
-                m0 = M.matrix(fs[0])
-                sentry = src_layout[sub]
-                for i in range(r_dim):
-                    for j in range(c_dim):
-                        for u in range(M.dims[objs_c[1]]):
-                            coeff = m0[u][j]
-                            if coeff:
-                                rows[idx(entry, i, j)][idx(sentry, i, u)] = \
-                                    rows[idx(entry, i, j)].get(
-                                        idx(sentry, i, u), Fraction(0)) + coeff
-            # middle terms: compose consecutive morphisms
-            for t in range(len(fs) - 1):
-                sign = Fraction((-1) ** (t + 1))
-                for coeff_h, h in cat.compose(fs[t], fs[t + 1]):
-                    sub_objs = objs_c[:t + 1] + objs_c[t + 2:]
-                    sub_fs = fs[:t] + (h,) + fs[t + 2:]
-                    sub = (sub_objs, sub_fs)
-                    sentry = src_layout[sub]
-                    for i in range(r_dim):
-                        for j in range(c_dim):
-                            key = idx(sentry, i, j)
-                            rows[idx(entry, i, j)][key] = rows[idx(entry, i, j)].get(
-                                key, Fraction(0)) + sign * coeff_h
-            # last term: postcompose with the final morphism
-            sub = (objs_c[:-1], fs[:-1])
-            if sub in src_layout:
-                sign = Fraction((-1) ** len(fs))
-                mN = N.matrix(fs[-1])
-                sentry = src_layout[sub]
-                for i in range(r_dim):
-                    for j in range(c_dim):
-                        for v in range(N.dims[objs_c[-2]]):
-                            coeff = mN[i][v]
-                            if coeff:
-                                key = idx(sentry, v, j)
-                                rows[idx(entry, i, j)][key] = \
-                                    rows[idx(entry, i, j)].get(
-                                        key, Fraction(0)) + sign * coeff
-        diffs[p] = (rows, src_dim, tgt_dim)
-
-    term_dims = [layouts[p][1] for p in range(max_p + 1)]
+    offsets, term_dims = [], []  # per term: chain -> block start; size
+    for chs in chains:
+        at, size = {}, 0
+        for objs, fs in chs:
+            at[objs, fs] = size
+            size += N.dims[objs[-1]] * M.dims[objs[0]]
+        offsets.append(at)
+        term_dims.append(size)
     dense_diffs = []
-    for p in range(max_p):
-        rows, src_dim, tgt_dim = diffs[p]
-        dense = [[Fraction(0)] * src_dim for _ in range(tgt_dim)]
-        for i, row in enumerate(rows):
-            for j, val in row.items():
-                dense[i][j] = val
+    for p in range(len(chains) - 1):
+        dense = [[0] * term_dims[p] for _ in range(term_dims[p + 1])]
+        for (objs, fs), row0 in offsets[p + 1].items():
+            rows, cols = N.dims[objs[-1]], M.dims[objs[0]]
+            if not rows or not cols:
+                continue
+            faces = [(1, (objs[1:], fs[1:]), None, M.matrix(fs[0]))]
+            faces += [((-1) ** k * coeff, (objs[:k] + objs[k + 1:],
+                                           fs[:k - 1] + (h,) + fs[k + 1:]),
+                       None, None)
+                      for k in range(1, len(fs))
+                      for coeff, h in cat.compose(fs[k - 1], fs[k])]
+            faces.append(((-1) ** len(fs), (objs[:-1], fs[:-1]),
+                          N.matrix(fs[-1]), None))
+            for sign, face, left, right in faces:
+                col0 = offsets[p][face]
+                width = M.dims[face[0][0]]
+                right = _entries(right, cols)
+                for i, v, a in _entries(left, rows):
+                    for u, j, b in right:
+                        dense[row0 + i * cols + j][col0 + v * width + u] += \
+                            sign * a * b
         dense_diffs.append(dense)
     return term_dims, dense_diffs
 
@@ -566,14 +546,9 @@ def rep_hom(M: CatRep, N: CatRep):
     dimensions, ending at the last potentially-nonzero degree.
     """
     term_dims, dense_diffs = hom_complex(M, N)
-    ranks = {}
-    for p, dense in enumerate(dense_diffs):
-        nonzero = dense and dense[0]
-        ranks[p] = rational_rank(dense) if nonzero and term_dims[p] else 0
-
-    out = []
-    for p, dim_p in enumerate(term_dims):
-        out.append(dim_p - ranks.get(p, 0) - ranks.get(p - 1, 0))
+    # ranks[p] is the rank of the differential into term p
+    ranks = [0] + [rational_rank(dense) for dense in dense_diffs] + [0]
+    out = [dim - ranks[p] - ranks[p + 1] for p, dim in enumerate(term_dims)]
     while len(out) > 1 and out[-1] == 0:
         out.pop()
     return out

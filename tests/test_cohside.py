@@ -334,6 +334,29 @@ class TestCostandard:
             costandard_stalk(Cone([(1,)], ambient_rank=1), (0,), bound,
                              denominator=denominator)
 
+    @pytest.mark.parametrize("weight,message", [
+        ((1, 1, 5), r"weight \(1, 1, 5\) has length 3, expected the "
+                    "quotient rank 2"),
+        ((1,), "has length 1"),
+        ((1.5, 1), "weight entry 1.5 is not an integer"),
+        ((True, 1), "weight entry True"),
+        ((Fraction(1), 1), r"weight entry Fraction\(1, 1\)"),
+    ], ids=["too-long", "too-short", "float", "bool", "fraction"])
+    def test_bad_weight_rejected(self, weight, message):
+        # (1, 1, 5) used to give the dims of (1, 1), (1.5, 1) a raw
+        # AttributeError, and (True, 1) was accepted
+        orthant = Cone([(1, 0), (0, 1)], ambient_rank=2)
+        with pytest.raises(CohError, match=message):
+            costandard_stalk(orthant, (0, 0), 4, weight=weight)
+
+    def test_weight_is_checked_against_the_quotient_rank(self):
+        # a ray in the plane has a rank-one quotient
+        ray = Cone([(1, 0)], ambient_rank=2)
+        assert costandard_stalk(ray, (0, 0), 3, weight=(2,)).dims == \
+            (1, 0, 1, 0)
+        with pytest.raises(CohError, match="quotient rank 1"):
+            costandard_stalk(ray, (0, 0), 3, weight=(1, 1))
+
     def test_incompatible_character(self):
         ray = Cone([(1,)], ambient_rank=1)
         with pytest.raises(IncompatibleCharacterError):
