@@ -1,4 +1,4 @@
-"""Byte-for-byte snapshots of CLI outputs.
+"""Byte-for-byte snapshots of CLI outputs and of the demo scripts.
 
 The fan-info, skeleton and dual-cone files under ``tests/golden/`` were
 written by the Fraction double description that preceded the integer
@@ -6,13 +6,20 @@ one; the ``hom --side con`` and ``verify --what ccc`` files were written
 by the representations that stored a dense matrix on every basis
 morphism, before they were stored on arrows only; ``cone_ops.json`` was
 written by the cones that rebuilt every dual, intersection and negation
-through the double dual and enumerated faces over all ray subsets.
-Every case here must keep producing exactly the same bytes.
+through the double dual and enumerated faces over all ray subsets; the
+``hom --side coh --stack``, ``verify --what kappa`` and ``demo-*`` files
+(exit code and stdout of each demo) were written by the graded homs
+that projected every monoid element through
+``LatticeQuotient.character_of``, before a graded hom became one
+isotypic component.  Every case here must keep producing exactly the same bytes.
 """
 
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations
 from pathlib import Path
@@ -29,7 +36,9 @@ from fltzlab.fans import (
     standard_fan,
 )
 
-GOLDEN = Path(__file__).parent / "golden"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 FANS = {f"P{n}": fan_to_json(standard_fan("Pn", n=n)) for n in range(1, 5)}
 FANS["mu3"] = json.dumps({"rank": 1, "max_cones": [[[1]]], "beta": [[3]]})
@@ -47,6 +56,15 @@ CLI_CASES.update({f"hom-con-P{n}-{i}-{j}": ["hom", "--side", "con", "--pn",
 CLI_CASES.update({f"verify-ccc-P{n}": ["verify", "--what", "ccc",
                                        "--n", str(n)]
                   for n in (1, 2, 3)})
+CLI_CASES.update({f"hom-coh-{name}-{i}-{j}": ["hom", "--side", "coh",
+                                              "--stack", FANS[name],
+                                              "--from", str(i),
+                                              "--to", str(j)]
+                  for name, order in (("mu3", 3), ("mu4", 4))
+                  for i in range(order) for j in range(order)})
+CLI_CASES.update({f"verify-kappa-n{n}": ["verify", "--what", "kappa",
+                                         "--n", str(n)]
+                  for n in (1, 2, 3, 4)})
 
 
 def run_cli(argv):
@@ -55,6 +73,14 @@ def run_cli(argv):
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
     return f"exit {code}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
+
+
+def run_demo(path):
+    """Exit code and stdout of one demo script run as its own process."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(path)], cwd=ROOT, env=env,
+                          capture_output=True, text=True, check=False)
+    return f"exit {proc.returncode}\n--- stdout\n{proc.stdout}"
 
 
 def random_cones(seed=20261018, count=80):
@@ -126,6 +152,12 @@ def cone_ops_records():
 def test_cli_output_matches_golden(name):
     expected = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
     assert run_cli(CLI_CASES[name]) == expected
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
+def test_demo_output_matches_golden(path):
+    expected = (GOLDEN / f"demo-{path.stem}.txt").read_text(encoding="utf-8")
+    assert run_demo(path) == expected
 
 
 def test_dual_cones_match_golden():
