@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from fltzlab.zlin import (
     IntMatrix,
-    character_quotient,
+    LatticeQuotient,
     cokernel,
     smith_normal_form,
 )
@@ -36,9 +36,10 @@ for entries in ([[5]], [[2, 0], [0, 0]], [[1, 1], [-1, 1]]):
 # cyclic example; a product of refinements assembles to one cyclic group
 # because the indices are coprime.
 print()
-group, reps = character_quotient([[Fraction(1, 4)]], [[1]])
-print("(1/4)Z over Z:", group, "reps:", [r[0] for r in reps])
+q = LatticeQuotient([[Fraction(1, 4)]], [[1]])
+print("(1/4)Z over Z:", q.group, "reps:", [r[0] for r in q.representatives])
 
-group, reps = character_quotient(
+q = LatticeQuotient(
     [[Fraction(1, 2), 0], [0, Fraction(1, 3)]], [[1, 0], [0, 1]])
-print("(1/2)Z x (1/3)Z over Z^2:", group, f"({len(reps)} representatives)")
+print("(1/2)Z x (1/3)Z over Z^2:", q.group,
+      f"({len(q.representatives)} representatives)")

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import gcd, lcm
+from math import lcm
 
 from .fans import Cone, StackyFan, dd_generators, validate_stacky
-from .skeleton import UnsupportedConeError, _character_superlattice
+from .skeleton import UnsupportedConeError, character_lattice_quotient
 from .zlin import (
     Character,
     FiniteAbelianGroup,
@@ -242,7 +242,8 @@ class GammaCategory:
     """Characters of the stacky group as objects; homs are lattice points.
 
     ``projection`` sends a monoid element to the character it acts by;
-    hom(chi, chi') is the projection preimage of chi' - chi.
+    hom(chi, chi') is the isotypic component of the monoid at
+    ``quotient.representative(chi' - chi)``.
     """
 
     group: FiniteAbelianGroup
@@ -302,18 +303,12 @@ def gamma_category(sf: StackyFan) -> GammaCategory:
         raise UnsupportedConeError(
             "gamma category is only computed for a full-dimensional cone")
     sigma = sf.image_cone(sigma_hat)
-    n = sf.fan.rank
-    sup = _character_superlattice(sf.beta)
-    sub = [tuple(int(i == j) for i in range(n)) for j in range(n)]
-    quotient = LatticeQuotient(sup, sub)
-    denom = 1
-    for col in sup:
-        for x in col:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
+    quotient = character_lattice_quotient(sf.beta)
+    sup = quotient.superlattice_basis
     monoid = AffineMonoid(
-        rank=n,
+        rank=sf.fan.rank,
         inequality_normals=sigma.rays,
-        denominator=denom,
+        denominator=lcm(*(x.denominator for col in sup for x in col)),
         lattice_basis=sup,
     )
     return GammaCategory(group=quotient.group, monoid=monoid, quotient=quotient)
@@ -323,17 +318,13 @@ def hom_graded(G: GammaCategory, chi: Character, chi_prime: Character,
                bound: int, weight=None) -> GradedDims:
     """Graded dimensions of hom(chi, chi') up to the degree bound.
 
-    The dimension in degree d counts monoid elements that project onto
-    chi' - chi and have weight d.
+    The (chi' - chi)-isotypic component: the dimension in degree d counts
+    the monoid elements of weight d in the coset of the representative of
+    chi' - chi.
     """
-    target = chi_prime - chi
-    weight = tuple(weight) if weight is not None else G.monoid.default_weight()
-    elements = G.monoid.elements_by_degree(bound, weight)
-    dims = []
-    for d in range(bound + 1):
-        dims.append(sum(1 for p in elements[d]
-                        if G.projection(p) == target))
-    return GradedDims(dims=tuple(dims), bound=bound, weight=weight)
+    return isotypic_component(G.monoid,
+                              G.quotient.representative(chi_prime - chi),
+                              bound, weight)
 
 
 def cyclic_quiver_paths(n: int, i: int, j: int, length_bound: int) -> GradedDims:

@@ -51,9 +51,16 @@ class GenerationFailure(ConError):
 
 
 def _check_pairs(elements, pairs, what):
-    """Raise ConError on the first pair naming a non-element."""
-    known = set(elements)
+    """Raise ConError on a repeated element, or on the first pair that is
+    not a 2-tuple or names a non-element."""
+    known = set()
+    for x in elements:
+        if x in known:
+            raise ConError(f"element {x!r} is repeated")
+        known.add(x)
     for pair in pairs:
+        if not isinstance(pair, tuple) or len(pair) != 2:
+            raise ConError(f"{what} {pair!r} is not a 2-tuple")
         for x in pair:
             if x not in known:
                 raise ConError(f"{what} {pair!r} names {x!r}, which is not "
@@ -613,6 +620,8 @@ def beilinson_generators(n: int):
     bundle at each chamber of step below k, zero elsewhere, with the
     monomial prefix given by the wall letters of the chamber.
     """
+    if not _is_int(n) or n < 1:
+        raise ConError(f"generators need an int n >= 1, not {n!r}")
     chambers = enumerate_chambers(n)
     out = []
     for k in range(1, n + 2):
@@ -635,6 +644,9 @@ def beilinson_generators(n: int):
 
 def beilinson_rep(n: int, k: int, category: ChamberCategory | None = None) -> CatRep:
     """The k-th generator as a representation: the projective at step k-1."""
+    if not _is_int(n) or n < 1 or not _is_int(k):
+        raise ConError(f"generator needs an int n >= 1 and an int k, not "
+                       f"n = {n!r}, k = {k!r}")
     if category is None:
         category = ChamberCategory(n)
     if not 1 <= k <= n + 1:
@@ -721,6 +733,10 @@ def twisted_rep_template(n: int, pic) -> ChamberQuiver:
     pic = list(pic)
     if len(pic) != n:
         raise ConError("need one Pic generator per dimension")
+    for m in pic:
+        if not isinstance(m, PicMonomial) or m.n_generators != n:
+            raise ConError(f"Pic entry {m!r} is not a PicMonomial with "
+                           f"{n} generators")
     if n == 2:
         loops = [pic[0].inverse() * pic[1], pic[1]]
     else:

@@ -48,28 +48,21 @@ class SkeletonComponent:
         return len(self.base_subspace)
 
 
-def _character_superlattice(beta: IntMatrix):
-    """Basis (columns, Fractions) of {m : beta^T m integral} in M ⊗ Q."""
-    bt = beta.transpose()
-    snf = smith_normal_form(bt)
+def character_lattice_quotient(beta: IntMatrix) -> LatticeQuotient:
+    """The finite quotient housing the skeleton characters of full cones.
+
+    Its superlattice is {m : beta^T m integral} in M ⊗ Q, with basis
+    columns of ``Fraction``s, and its sublattice is M = Z^n.
+    """
+    snf = smith_normal_form(beta.transpose())
     diag = snf.D.diagonal()
     n = beta.rows
     if any(d == 0 for d in diag) or len(diag) < n:
         raise SkeletonError("beta is not injective after dualizing; "
                             "cokernel of beta must be finite")
-    cols = []
-    for i in range(n):
-        col = snf.V.column(i)
-        cols.append(tuple(Fraction(x, diag[i]) for x in col))
-    return cols
-
-
-def character_lattice_quotient(beta: IntMatrix) -> LatticeQuotient:
-    """The finite quotient housing the skeleton characters of full cones."""
-    sup = _character_superlattice(beta)
-    n = beta.rows
-    sub = [tuple(int(i == j) for i in range(n)) for j in range(n)]
-    return LatticeQuotient(sup, sub)
+    sup = [tuple(Fraction(x, diag[i]) for x in snf.V.column(i))
+           for i in range(n)]
+    return LatticeQuotient(sup, IntMatrix.identity(n))
 
 
 def _reduce_to_unit_box(vec):

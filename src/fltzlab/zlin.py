@@ -458,10 +458,11 @@ def cokernel(A: IntMatrix) -> FiniteAbelianGroup:
 class LatticeQuotient:
     """A superlattice modulo a finite-index sublattice.
 
-    Bases are given by columns (rational entries allowed).  Provides the
-    quotient group, a complete duplicate-free transversal of coset
-    representatives, and the character of any superlattice vector.  Two
-    empty bases give the trivial quotient of rank 0.
+    Bases are given by columns (rational entries allowed); the superlattice
+    columns are kept in ``superlattice_basis``.  Provides the quotient
+    group, a complete duplicate-free transversal of coset representatives,
+    the character of any superlattice vector and its inverse,
+    ``representative``.  Two empty bases give the trivial quotient of rank 0.
     """
 
     def __init__(self, superlattice_basis, sublattice_basis):
@@ -480,29 +481,26 @@ class LatticeQuotient:
                 if c.denominator != 1:
                     raise ZlinError("sublattice is not contained in the superlattice")
             t_cols.append([int(c) for c in coords])
-        T = IntMatrix.from_columns(t_cols, rows=n)
-        if T.det() == 0:
-            raise ZlinError("sublattice has infinite index (torsion-free quotient direction)")
-        snf = smith_normal_form(T)
+        snf = smith_normal_form(IntMatrix.from_columns(t_cols, rows=n))
         diag = snf.D.diagonal()
+        if 0 in diag:
+            raise ZlinError("sublattice has infinite index (torsion-free quotient direction)")
+        self.superlattice_basis = [tuple(col) for col in sup]
         self.group = FiniteAbelianGroup(tuple(d for d in diag if d > 1))
         # adapted superlattice basis: columns of S' = S U^{-1}; the i-th one
-        # generates a cyclic summand of order diag[i] in the quotient
-        u_inv = rational_inverse([list(r) for r in snf.U.entries])
-        self._adapted = [
-            tuple(sum(Fraction(sup_rows[i][k]) * u_inv[k][j] for k in range(n))
-                  for i in range(n))
-            for j in range(n)
-        ]
+        # generates a cyclic summand of order diag[i] in the quotient, and
+        # the inverse of S' is U S^{-1}
+        u = snf.U.entries
+        u_inv = rational_inverse(u)
+        self._adapted = [tuple(sum(sup_rows[i][k] * u_inv[k][j] for k in range(n))
+                               for i in range(n)) for j in range(n)]
+        self._adapted_inv = [[sum(u[i][k] * sup_inv[k][j] for k in range(n))
+                              for j in range(n)] for i in range(n)]
         self._diag = diag
-        self._adapted_inv = rational_inverse(
-            [[self._adapted[j][i] for j in range(n)] for i in range(n)])
         self._rank = n
         self.index = prod(diag)
-        self.representatives = [
-            tuple(sum(r[j] * self._adapted[j][i] for j in range(n)) for i in range(n))
-            for r in product(*(range(d) for d in diag))
-        ]
+        self.representatives = [self.representative(chi)
+                                for chi in self.group.characters()]
 
     def character_of(self, vec) -> Character:
         """Character of a superlattice vector in the quotient group."""
@@ -516,19 +514,20 @@ class LatticeQuotient:
                       for i in range(self._rank) if self._diag[i] > 1)
         return Character(comps, self.group)
 
+    def representative(self, chi) -> tuple:
+        """The transversal element of ``chi``, inverse to ``character_of``.
+
+        A character of another group is a :class:`ZlinError`.
+        """
+        if not isinstance(chi, Character) or chi.group != self.group:
+            raise ZlinError(f"{chi!r} is not a character of {self.group}")
+        comps = iter(chi.components)
+        coords = [next(comps) if d > 1 else 0 for d in self._diag]
+        return tuple(sum(c * a[i] for c, a in zip(coords, self._adapted))
+                     for i in range(self._rank))
+
 
 def _as_columns(basis):
     if isinstance(basis, IntMatrix):
         return basis.columns()
     return [tuple(col) for col in basis]
-
-
-def character_quotient(superlattice_basis, sublattice_basis):
-    """Quotient of one lattice by a finite-index sublattice.
-
-    Returns ``(group, representatives)`` where the representatives are a
-    complete duplicate-free transversal (rational vectors); their count
-    equals the index.  Bases are given as lists of basis columns.
-    """
-    q = LatticeQuotient(superlattice_basis, sublattice_basis)
-    return q.group, q.representatives

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import comb, lcm
 
@@ -22,8 +23,8 @@ from fltzlab.cohside import (
     pn_line_bundle_cohomology,
 )
 from fltzlab.fans import Cone, StackyFan, fan_from_max_cones
-from fltzlab.skeleton import SkeletonError, _character_superlattice
-from fltzlab.zlin import IntMatrix
+from fltzlab.skeleton import SkeletonError, character_lattice_quotient
+from fltzlab.zlin import FiniteAbelianGroup, IntMatrix, ZlinError
 
 
 def cyclic_stack(n):
@@ -120,7 +121,8 @@ def random_monoid(rng):
     if rng.random() < 0.5:
         beta = [[rng.randint(-2, 3) for _ in range(rank)] for _ in range(rank)]
         try:
-            basis = _character_superlattice(IntMatrix(beta))
+            basis = character_lattice_quotient(
+                IntMatrix(beta)).superlattice_basis
         except SkeletonError:  # singular beta
             basis = None
         own = basis and lcm(*(x.denominator for c in basis for x in c))
@@ -128,6 +130,69 @@ def random_monoid(rng):
             denominator = own  # the lattice's own, as in gamma_category
     return AffineMonoid(rank, rows, denominator=denominator,
                         lattice_basis=basis)
+
+
+def reference_hom_graded(G, chi, chi_prime, bound, weight=None):
+    """The per-point route: project every monoid element to its character."""
+    target = chi_prime - chi
+    weight = tuple(weight) if weight is not None else G.monoid.default_weight()
+    elements = G.monoid.elements_by_degree(bound, weight)
+    dims = []
+    for d in range(bound + 1):
+        dims.append(sum(1 for p in elements[d]
+                        if G.quotient.character_of(p) == target))
+    return GradedDims(dims=tuple(dims), bound=bound, weight=weight)
+
+
+def orthant_stack(beta):
+    """The stacky chart of the orthant of Z^r under beta."""
+    rank = len(beta)
+    return StackyFan(IntMatrix(beta), fan_from_max_cones(
+        [unit_cone(rank, rank)]))
+
+
+# the four stacky charts of the lattice_hom benchmark
+BENCH_CHARTS = [[[1, 1], [-1, 1]], [[2, 1], [0, 3]], [[3, 0], [0, 2]],
+                [[2, 0, 0], [0, 2, 0], [0, 0, 1]]]
+
+
+def random_betas(seed=20261018, count=40):
+    """Seeded nonsingular beta of rank 1-3 with small entries and index."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        rank = rng.randint(1, 3)
+        beta = [[rng.randint(-2, 3) for _ in range(rank)]
+                for _ in range(rank)]
+        if 1 <= abs(IntMatrix(beta).det()) <= 6:
+            out.append(beta)
+    return out
+
+
+def non_default_weight(G, sf):
+    """A proper weight other than all ones: the sum of the image rays.
+
+    It lies in the interior of the image cone, so it is strictly
+    positive on the monoid cone minus 0.
+    """
+    rays = sf.fan.maximal_cones()[0].rays
+    weight = tuple(sum(col) for col in zip(*rays))
+    if weight == G.monoid.default_weight():
+        weight = tuple(2 * x for x in weight)
+    assert G.monoid.weight_is_proper(weight)
+    return weight
+
+
+@lru_cache(maxsize=None)
+def oracle_charts():
+    """(G, sf, bound) for the cyclic charts n = 2..12, the benchmark charts
+    and the seeded random ones; the bound per rank keeps the oracle under 1 s.
+    """
+    bounds = {1: 8, 2: 5, 3: 3}
+    stacks = ([cyclic_stack(n) for n in range(2, 13)]
+              + [orthant_stack(beta) for beta in BENCH_CHARTS + random_betas()])
+    return tuple((gamma_category(sf), sf, bounds[sf.fan.rank])
+                 for sf in stacks)
 
 
 def orthant_monoid(k):
@@ -227,6 +292,61 @@ class TestHomGraded:
         chi = G.group.zero_character()
         with pytest.raises(ImproperWeightError):
             hom_graded(G, chi, chi, 3)
+
+
+class TestHomGradedOracle:
+    """hom_graded, one isotypic component, against the per-point route."""
+
+    def test_every_character_pair(self):
+        default_compared = 0
+        for G, sf, bound in oracle_charts():
+            chars = G.group.characters()
+            weights = [non_default_weight(G, sf)]
+            if G.monoid.weight_is_proper(G.monoid.default_weight()):
+                weights.append(None)
+                default_compared += 1
+            zero = G.group.zero_character()
+            for weight in weights:
+                # the reference depends on chi' - chi alone: its first step
+                expected = {t: reference_hom_graded(G, zero, t, bound, weight)
+                            for t in chars}
+                for chi in chars:
+                    for chi_prime in chars:
+                        assert (hom_graded(G, chi, chi_prime, bound, weight)
+                                == expected[chi_prime - chi])
+        assert default_compared >= 35
+
+    def test_improper_default_weight_raises_both_ways(self):
+        improper = 0
+        for G, _, bound in oracle_charts():
+            if G.monoid.weight_is_proper(G.monoid.default_weight()):
+                continue
+            improper += 1
+            chi = G.group.zero_character()
+            for route in (hom_graded, reference_hom_graded):
+                with pytest.raises(ImproperWeightError):
+                    route(G, chi, chi, bound)
+        assert improper >= 1
+
+    def test_representative_round_trip(self):
+        for G, _, _ in oracle_charts():
+            q = G.quotient
+            for r in q.representatives:
+                assert q.representative(q.character_of(r)) == r
+            for chi in q.group.characters():
+                assert q.character_of(q.representative(chi)) == chi
+            assert [q.representative(chi) for chi in q.group.characters()
+                    ] == q.representatives
+
+    def test_character_of_another_group_rejected(self):
+        G = gamma_category(cyclic_stack(3))
+        other = FiniteAbelianGroup((7,)).character((1,))
+        with pytest.raises(ZlinError):
+            G.quotient.representative(other)
+        with pytest.raises(ZlinError):
+            G.quotient.representative((1,))
+        with pytest.raises(ZlinError):
+            hom_graded(G, other, other, 3)
 
 
 class TestCyclicPaths:

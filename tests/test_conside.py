@@ -57,10 +57,22 @@ class TestFinitePoset:
          r"cover \('q', 'b'\) names 'q'"),
         (lambda: FinitePoset.chain(2).power(-1), "not -1"),
         (lambda: FinitePoset.chain(2).power(1.5), "not 1.5"),
+        (lambda: FinitePoset("aa", []), "element 'a' is repeated"),
+        (lambda: FinitePoset.from_covers("aba", [("a", "b")]),
+         "element 'a' is repeated"),
+        (lambda: FinitePoset("abc", [("a", "b", "c")]),
+         r"pair \('a', 'b', 'c'\) is not a 2-tuple"),
+        (lambda: FinitePoset.from_covers("ab", [("a",)]),
+         r"cover \('a',\) is not a 2-tuple"),
+        (lambda: FinitePoset.from_covers("ab", [["a", "b"]]),
+         r"cover \['a', 'b'\] is not a 2-tuple"),
     ], ids=["pair-off-poset", "cover-target-off-poset",
-            "cover-source-off-poset", "negative-power", "fractional-power"])
+            "cover-source-off-poset", "negative-power", "fractional-power",
+            "repeated-element", "repeated-element-covers",
+            "pair-of-three", "cover-of-one", "cover-as-list"])
     def test_bad_input_rejected(self, build, message):
-        # before, a raw KeyError, ValueError or TypeError, or no error
+        # before, a raw KeyError, ValueError or TypeError, or no error; a
+        # repeated element was counted twice (rep_hom(r, r) == [2])
         with pytest.raises(ConError, match=message):
             build()
 
@@ -766,6 +778,23 @@ class TestCartanEuler:
 
 
 class TestBeilinsonGenerators:
+    @pytest.mark.parametrize("build,message", [
+        (lambda: beilinson_rep(2, 1.5), "not n = 2, k = 1.5"),
+        (lambda: beilinson_rep(2, True), "not n = 2, k = True"),
+        (lambda: beilinson_rep(1.5, 1, ChamberCategory(1)),
+         "not n = 1.5, k = 1"),
+        (lambda: beilinson_generators(1.5), "int n >= 1, not 1.5"),
+        (lambda: beilinson_generators(True), "int n >= 1, not True"),
+        (lambda: beilinson_generators(0), "int n >= 1, not 0"),
+    ], ids=["fractional-k", "bool-k", "fractional-n-with-category",
+            "generators-fractional-n", "generators-bool-n",
+            "generators-zero-n"])
+    def test_bad_input_rejected(self, build, message):
+        # before: "0.5 is not an object", a raw TypeError, True taken as 1,
+        # a SkeletonError from the chamber enumeration
+        with pytest.raises(ConError, match=message):
+            build()
+
     def test_p2_dims(self):
         gens = beilinson_generators(2)
         chambers = enumerate_chambers(2)
@@ -981,6 +1010,19 @@ class TestTwistedTemplate:
                                      PicMonomial.unit(2)])
         assert all(v.label.is_unit() for v in q.vertices)
         assert all(e.label.is_unit() for e in q.edges)
+
+    @pytest.mark.parametrize("n,pic,entry", [
+        (2, [1, 2], "1"),
+        (1, ["L"], "'L'"),
+        (3, [PicMonomial.unit(3)] * 2 + [None], "None"),
+        (2, [PicMonomial.unit(3)] * 2, r"PicMonomial\(\(0, 0, 0\)\)"),
+    ], ids=["ints", "string", "none", "three-generators"])
+    def test_bad_pic_rejected(self, n, pic, entry):
+        # before, a raw AttributeError or TypeError, or a quiver labelled
+        # by monomials over the wrong number of generators
+        with pytest.raises(ConError, match=f"Pic entry {entry} is not a "
+                           f"PicMonomial with {n} generators"):
+            twisted_rep_template(n, pic)
 
 
 class TestDot:

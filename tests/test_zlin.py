@@ -8,7 +8,6 @@ from fltzlab.zlin import (
     IntMatrix,
     LatticeQuotient,
     ZlinError,
-    character_quotient,
     cokernel,
     kernel_basis,
     rational_inverse,
@@ -119,27 +118,28 @@ class TestKernel:
 class TestCharacterQuotient:
     def test_one_over_n(self):
         for n in (2, 3, 5):
-            g, reps = character_quotient([[Fraction(1, n)]], [[1]])
-            assert g.invariant_factors == (n,)
-            assert sorted(reps) == [(Fraction(i, n),) for i in range(n)]
+            q = LatticeQuotient([[Fraction(1, n)]], [[1]])
+            assert q.group.invariant_factors == (n,)
+            assert sorted(q.representatives) == [(Fraction(i, n),)
+                                                 for i in range(n)]
 
     def test_trivial(self):
-        g, reps = character_quotient([[1]], [[1]])
-        assert g.is_trivial
-        assert reps == [(Fraction(0),)]
+        q = LatticeQuotient([[1]], [[1]])
+        assert q.group.is_trivial
+        assert q.representatives == [(Fraction(0),)]
 
     def test_half_times_third(self):
         sup = [[Fraction(1, 2), 0], [0, Fraction(1, 3)]]
-        g, reps = character_quotient(sup, [[1, 0], [0, 1]])
-        assert g.invariant_factors == (6,)
-        assert len(reps) == 6
+        q = LatticeQuotient(sup, [[1, 0], [0, 1]])
+        assert q.group.invariant_factors == (6,)
+        assert len(q.representatives) == 6
         # brute-force coset oracle: every superlattice point in the unit
         # square is congruent to exactly one representative mod Z^2
         points = [(Fraction(a, 2), Fraction(b, 3))
                   for a in range(2) for b in range(3)]
         for p in points:
             matches = [
-                r for r in reps
+                r for r in q.representatives
                 if all((x - y).denominator == 1 for x, y in zip(p, r))]
             assert len(matches) == 1
 
@@ -154,17 +154,33 @@ class TestCharacterQuotient:
                     break
             sup = [[Fraction(int(i == j)) for i in range(n)]
                    for j in range(n)]
-            g, reps = character_quotient(sup, sub.columns())
+            reps = LatticeQuotient(sup, sub.columns()).representatives
             assert len(reps) == abs(sub.det())
             assert len(set(reps)) == len(reps)
 
+    def test_representative_inverts_character_of(self):
+        rng = random.Random(4)
+        for _ in range(25):
+            n = rng.randint(1, 3)
+            sup = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                    for _ in range(n)] for _ in range(n)]
+            if IntMatrix([[x.numerator * 24 // x.denominator for x in col]
+                          for col in sup]).det() == 0:
+                continue
+            q = LatticeQuotient(sup, [[2 * x for x in col] for col in sup])
+            assert q.index == 2 ** n
+            for r in q.representatives:
+                assert q.representative(q.character_of(r)) == r
+            for chi in q.group.characters():
+                assert q.character_of(q.representative(chi)) == chi
+
     def test_infinite_index_rejected(self):
         with pytest.raises(ZlinError):
-            character_quotient([[1, 0], [0, 1]], [[1, 0], [0, 0]])
+            LatticeQuotient([[1, 0], [0, 1]], [[1, 0], [0, 0]])
 
     def test_not_contained_rejected(self):
         with pytest.raises(ZlinError):
-            character_quotient([[2]], [[1]])
+            LatticeQuotient([[2]], [[1]])
 
     def test_rank_zero_is_trivial(self):
         q = LatticeQuotient([], [])
