@@ -162,13 +162,18 @@ class TestCharacterQuotient:
         rng = random.Random(4)
         for _ in range(25):
             n = rng.randint(1, 3)
-            sup = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4))
-                    for _ in range(n)] for _ in range(n)]
-            if IntMatrix([[x.numerator * 24 // x.denominator for x in col]
-                          for col in sup]).det() == 0:
-                continue
-            q = LatticeQuotient(sup, [[2 * x for x in col] for col in sup])
-            assert q.index == 2 ** n
+            sup = [[Fraction(int(i == j), rng.randint(1, 3)) for i in range(n)]
+                   for j in range(n)]
+            while True:
+                m = IntMatrix([[rng.randint(-3, 3) for _ in range(n)]
+                               for _ in range(n)])
+                if m.det() != 0:
+                    break
+            # the sublattice spanned by sup @ m
+            sub = [[sum(sup[k][i] * m.entries[k][j] for k in range(n))
+                    for i in range(n)] for j in range(n)]
+            q = LatticeQuotient(sup, sub)
+            assert q.index == abs(m.det())
             for r in q.representatives:
                 assert q.representative(q.character_of(r)) == r
             for chi in q.group.characters():
