@@ -11,7 +11,11 @@ through the double dual and enumerated faces over all ray subsets; the
 (exit code and stdout of each demo) were written by the graded homs
 that projected every monoid element through
 ``LatticeQuotient.character_of``, before a graded hom became one
-isotypic component.  Every case here must keep producing exactly the same bytes.
+isotypic component; ``generator_display.json`` (the chamber ranks and
+monomial decorations of every decomposition generator, n = 1..4) was
+written while ``picsym.sod_label`` still kept a second, rotated k = 2
+display rule next to ``BeilinsonGenerator.decorations``.  Every case
+here must keep producing exactly the same bytes.
 """
 
 import io
@@ -27,6 +31,7 @@ from pathlib import Path
 import pytest
 
 from fltzlab.cli import main
+from fltzlab.conside import beilinson_generators
 from fltzlab.fans import (
     Cone,
     dual_cone,
@@ -148,6 +153,20 @@ def cone_ops_records():
     return _json_lines(records)
 
 
+def generator_display_records():
+    """Chamber rank and decoration exponents of every generator, n = 1..4."""
+    records = []
+    for n in range(1, 5):
+        for gen in beilinson_generators(n):
+            for c, dim in gen.chamber_dims.items():
+                records.append({"n": n, "k": gen.k,
+                                "chamber": [c.flag_string(), c.slant],
+                                "dim": dim,
+                                "decoration": list(
+                                    gen.decorations[c].exponents)})
+    return _json_lines(records)
+
+
 @pytest.mark.parametrize("name", sorted(CLI_CASES))
 def test_cli_output_matches_golden(name):
     expected = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
@@ -168,3 +187,8 @@ def test_dual_cones_match_golden():
 def test_cone_ops_match_golden():
     expected = (GOLDEN / "cone_ops.json").read_text(encoding="utf-8")
     assert cone_ops_records() == expected
+
+
+def test_generator_display_matches_golden():
+    expected = (GOLDEN / "generator_display.json").read_text(encoding="utf-8")
+    assert generator_display_records() == expected
