@@ -16,7 +16,7 @@ entirely in exact arithmetic:
   nerve-complex derived homs, Euler forms, decomposition generators,
   cone reduction;
 * :mod:`fltzlab.picsym` -- formal line-bundle monomials, anchor data,
-  monodromy, symmetric powers, component labels;
+  monodromy;
 * :mod:`fltzlab.checks` -- the check registry shared by ``fltzlab verify``
   and the acceptance tests (not imported here);
 * :mod:`fltzlab.cli` -- the command-line surface.

@@ -106,6 +106,53 @@ def chambers(n):
         yield Check("n=2 total chamber count is 7", len(found) == 7)
 
 
+def _pull_back(rep, strata, collapse):
+    """The representation of the strata poset that factors through collapse."""
+    dims = {e: rep.dims[collapse[e]] for e in strata.elements}
+    maps = {}
+    for (x, y) in strata.covers():
+        a, b = collapse[x], collapse[y]
+        if a == b:
+            maps[(x, y)] = [[int(i == j) for j in range(dims[x])]
+                            for i in range(dims[x])]
+        else:
+            maps[(x, y)] = rep.matrices[(a, b)]
+    return conside.CatRep(strata, dims, maps)
+
+
+def strata(n):
+    """Ext over the strata of the rank-n orthant chart against its collapse.
+
+    The collapse onto the arrow poset has the left adjoint 0 -> c,
+    1 -> r, and the collapse after it is the identity, so pulling back
+    along the collapse is fully faithful on the derived category.  Ext
+    is compared on the simples for n <= 3 and also on the
+    corepresentables for n <= 2; larger n yields no records.
+    """
+    if n > 3:
+        return
+    orthant = fans.Cone([tuple(int(i == j) for j in range(n))
+                         for i in range(n)])
+    poset, arrows, collapse = conside.strata_poset_affine(orthant)
+    yield Check(f"n={n} collapse maps the {len(poset)} strata onto the "
+                f"{len(arrows)} arrow-poset objects",
+                set(collapse.values()) == set(arrows.elements))
+    reps = {f"S{''.join(map(str, v))}": conside.CatRep(arrows, {v: 1}, {})
+            for v in arrows.objects}
+    if n <= 2:
+        reps.update({f"P{''.join(map(str, v))}":
+                     conside.corepresentable(arrows, v)
+                     for v in arrows.objects})
+    pulled = {name: _pull_back(M, poset, collapse)
+              for name, M in reps.items()}
+    for a, b in product(reps, repeat=2):
+        ext = conside.rep_hom(reps[a], reps[b])
+        ext_strata = conside.rep_hom(pulled[a], pulled[b])
+        yield Check(f"n={n} Ext({a}, {b}) over the strata equals Ext over "
+                    "the arrow poset", ext_strata == ext,
+                    f"{ext_strata} vs {ext}")
+
+
 def kappa_cyclic(n):
     """Costandard stalks against isotypic components on the order-n chart."""
     stack = fans.StackyFan(

@@ -206,7 +206,8 @@ VERIFY_SUITES = {
                               checks.two_sided(args.n)),
     "kappa": lambda args: chain(checks.kappa_cyclic(args.n),
                                 checks.kappa_coordinate()),
-    "chambers": lambda args: checks.chambers(args.n),
+    "chambers": lambda args: chain(checks.chambers(args.n),
+                                   checks.strata(args.n)),
     "monodromy": lambda args: checks.monodromy(args.n),
     "generation": lambda args: checks.generation(args.n,
                                                  random.Random(args.seed)),

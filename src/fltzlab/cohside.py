@@ -82,9 +82,6 @@ class GradedDims:
     def __getitem__(self, d):
         return self.dims[d]
 
-    def total(self):
-        return sum(self.dims)
-
 
 # ---------------------------------------------------------------------------
 # affine monoids

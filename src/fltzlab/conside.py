@@ -376,7 +376,7 @@ class CatRep:
     matrix along every arrow path.
     """
 
-    def __init__(self, category, dims, matrices, validate=True):
+    def __init__(self, category, dims, matrices):
         self.category = category
         for x, d in dims.items():
             if x not in category.objects:
@@ -401,8 +401,7 @@ class CatRep:
                 m = tuple((0,) * cols for _ in range(rows))
             self.matrices[a] = m
         self._composites = {}
-        if validate:
-            self._validate()
+        self._validate()
 
     def _then(self, a, g):
         """The matrix of arrow ``a`` followed by basis morphism ``g``."""
@@ -649,6 +648,9 @@ def beilinson_rep(n: int, k: int, category: ChamberCategory | None = None) -> Ca
                        f"n = {n!r}, k = {k!r}")
     if category is None:
         category = ChamberCategory(n)
+    elif not isinstance(category, ChamberCategory) or category.n != n:
+        raise ConError(f"generator for n = {n} needs the chamber category "
+                       f"of n = {n}, not {category!r}")
     if not 1 <= k <= n + 1:
         raise ConError("generator index out of range")
     return corepresentable(category, k - 1)

@@ -1,18 +1,15 @@
 """Symbolic Picard-group layer.
 
 Pic of the base is modeled as a free abelian group on formal line-bundle
-symbols L1..Ln; monomials are exponent vectors.  On top of that sit the
-anchor data (a homomorphism from the dual fiber lattice into Pic), the
-induced torus monodromy matrix, symmetric-power expansions, and the
-per-chamber labels of the ordered decomposition components for the
-projective-fiber case.
+symbols L1..Ln; monomials are integer exponent vectors, rendered as
+"L1^a L2^b ...".  On top of that sit the anchor data (a homomorphism
+from the dual fiber lattice into Pic) and the induced torus monodromy
+matrix, whose transport labels the chamber quiver.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
-from math import comb
 
 from .zlin import IntMatrix
 
@@ -28,8 +25,11 @@ class PicMonomial:
     exponents: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "exponents",
-                           tuple(int(e) for e in self.exponents))
+        exponents = tuple(self.exponents)
+        for e in exponents:
+            if type(e) is not int:
+                raise PicError(f"exponent {e!r} is not an int")
+        object.__setattr__(self, "exponents", exponents)
 
     @classmethod
     def unit(cls, n):
@@ -57,7 +57,9 @@ class PicMonomial:
         return PicMonomial(tuple(-e for e in self.exponents))
 
     def __pow__(self, k):
-        return PicMonomial(tuple(e * int(k) for e in self.exponents))
+        if type(k) is not int:
+            raise PicError(f"power {k!r} is not an int")
+        return PicMonomial(tuple(e * k for e in self.exponents))
 
     def __str__(self):
         return format_monomial(self)
@@ -78,50 +80,6 @@ def format_monomial(m: PicMonomial, names=None) -> str:
     return " ".join(parts) if parts else "1"
 
 
-_TERM = re.compile(r"^L(\d+)(?:\^(-?\d+))?$")
-
-
-def parse_monomial(text: str, n: int) -> PicMonomial:
-    """Inverse of :func:`format_monomial` for the canonical L1..Ln names."""
-    text = text.strip()
-    if text == "1":
-        return PicMonomial.unit(n)
-    exps = [0] * n
-    for term in text.split():
-        m = _TERM.match(term)
-        if not m:
-            raise PicError(f"bad monomial term {term!r}")
-        idx = int(m.group(1)) - 1
-        if not 0 <= idx < n:
-            raise PicError(f"generator index out of range in {term!r}")
-        exps[idx] += int(m.group(2)) if m.group(2) else 1
-    return PicMonomial(tuple(exps))
-
-
-def sym_expand(k: int, n: int):
-    """Monomial content of the k-th symmetric power of O + L1 + ... + Ln.
-
-    The O-summand absorbs the slack, so the result is every monomial
-    L1^a1...Ln^an with ai >= 0 and sum ai <= k; there are C(n+k, n) of
-    them, in lexicographic order.
-    """
-    if k < 0:
-        raise PicError("negative symmetric power")
-    out = []
-
-    def rec(prefix, remaining):
-        if len(prefix) == n:
-            out.append(PicMonomial(tuple(prefix)))
-            return
-        for a in range(remaining + 1):
-            rec(prefix + [a], remaining - a)
-
-    rec([], k)
-    out.sort(key=lambda m: m.exponents)
-    assert len(out) == comb(n + k, n)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # anchor data and monodromy
 
@@ -131,14 +89,6 @@ class Ikari:
     """A homomorphism from the dual fiber lattice Z^n into Pic = Z^g."""
 
     matrix: IntMatrix
-
-    @classmethod
-    def identity(cls, n):
-        return cls(IntMatrix.identity(n))
-
-    @classmethod
-    def zero(cls, n, g=None):
-        return cls(IntMatrix.zeros(g if g is not None else n, n))
 
 
 @dataclass(frozen=True)
@@ -151,9 +101,6 @@ class MonodromyData:
 
     matrix: IntMatrix
 
-    def loop_monomial(self, j) -> PicMonomial:
-        return PicMonomial(self.matrix.column(j))
-
     def transport(self, translation) -> PicMonomial:
         """Monomial for a torus deck translation (integer vector)."""
         return PicMonomial(self.matrix @ tuple(translation))
@@ -165,53 +112,3 @@ def monodromy(beta: IntMatrix, ikari: Ikari) -> MonodromyData:
         raise PicError("anchor map and beta have incompatible shapes")
     prod = ikari.matrix @ bt
     return MonodromyData(IntMatrix([[-x for x in row] for row in prod.entries]))
-
-
-# ---------------------------------------------------------------------------
-# ordered-decomposition component labels on the chamber set
-
-
-@dataclass(frozen=True)
-class SodLabel:
-    """A symbolic bundle a_k * (monomial) * Sym^power(O + L1 + ... + Ln)."""
-
-    monomial: PicMonomial
-    sym_power: int
-    n: int
-
-    @property
-    def rank(self):
-        return comb(self.n + self.sym_power, self.n)
-
-
-def sod_label(n: int, k: int, chamber) -> SodLabel | None:
-    """Label of the k-th decomposition component at a chamber; None when zero.
-
-    A chamber at step i >= k carries the zero object.  Otherwise the
-    label is an explicit monomial prefix times Sym^(k-i-1) of the rank
-    n+1 bundle.  The monomial prefix for k = 2 follows the dedicated
-    second-component listing, which is rotated by one position relative
-    to the generic rule used for every other k.
-    """
-    if not 1 <= k <= n + 1:
-        raise PicError("component index k out of range")
-    flags, slant = chamber.flags, chamber.slant
-    step = chamber.step
-    if step >= k:
-        return None
-    s_positions = [i for i, f in enumerate(flags) if f == "S"]
-    if k == 2:
-        # second component: (S,L,...,L,0) -> unit, ..., (L,...,L,1) -> Ln
-        if slant == 1 and not s_positions:
-            mono = PicMonomial.generator(n - 1, n)
-        elif len(s_positions) == 1 and slant == 0:
-            m = s_positions[0]
-            mono = (PicMonomial.unit(n) if m == 0
-                    else PicMonomial.generator(m - 1, n))
-        else:
-            mono = PicMonomial.unit(n)
-    else:
-        mono = PicMonomial.unit(n)
-        for m in s_positions:
-            mono = mono * PicMonomial.generator(m, n)
-    return SodLabel(monomial=mono, sym_power=k - step - 1, n=n)

@@ -12,7 +12,6 @@ floating point.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -235,43 +234,6 @@ class ChamberQuiver:
     edges: tuple
     generators: tuple  # the loop monomials used for labels
 
-    def center_index(self):
-        for i, v in enumerate(self.vertices):
-            if v.step == 0:
-                return i
-        raise SkeletonError("quiver has no center vertex")
-
-    def to_json(self):
-        data = {
-            "n": self.n,
-            "chambers": [
-                {
-                    "flags": v.chamber.flag_string(),
-                    "slant": v.chamber.slant,
-                    "step": v.step,
-                    "label": format_monomial(v.label),
-                }
-                for v in self.vertices
-            ],
-            "edges": [[e.source, e.target] for e in self.edges],
-            "edge_labels": [format_monomial(e.label) for e in self.edges],
-        }
-        return json.dumps(data, sort_keys=True)
-
-
-def chamber_quiver_json_data(text):
-    """Parse the chamber-dump JSON back into chambers, labels, and edges."""
-    data = json.loads(text)
-    n = int(data["n"])
-    chambers = []
-    labels = []
-    for entry in data["chambers"]:
-        chambers.append(Chamber(flags=tuple(entry["flags"]),
-                                slant=int(entry["slant"])))
-        labels.append(entry["label"])
-    edges = [tuple(e) for e in data["edges"]]
-    return n, chambers, labels, edges
-
 
 def _canonical_avec(n, step):
     # the lift (L,..,L,S,..,S with `step` trailing S) at slant zero
@@ -285,7 +247,7 @@ def _transport(loops, vec):
     return out
 
 
-def chamber_quiver(n: int, pic=None, loop_monomials=None, eps=None) -> ChamberQuiver:
+def chamber_quiver(n: int, pic=None, loop_monomials=None) -> ChamberQuiver:
     """The chamber quiver on the fundamental domain with twisted labels.
 
     Vertices are the cube chambers (for n = 1 the boundary chamber is
@@ -300,9 +262,7 @@ def chamber_quiver(n: int, pic=None, loop_monomials=None, eps=None) -> ChamberQu
     if len(pic) != n:
         raise SkeletonError("need one Pic generator per dimension")
     loops = list(loop_monomials) if loop_monomials is not None else pic
-    if eps is None:
-        eps = default_epsilon(n)
-    eps = Fraction(eps)
+    eps = default_epsilon(n)
 
     chambers = enumerate_chambers(n, eps)
     lifts = [(c, (0,) * n) for c in chambers]
@@ -558,7 +518,7 @@ def _emit_chambers_2d(quiver: ChamberQuiver):
     return "\n".join(parts)
 
 
-def emit_svg(obj, n=None) -> str:
+def emit_svg(obj) -> str:
     """Deterministic SVG for skeleta and chamber pictures, n <= 2 only."""
     if isinstance(obj, (Fan, StackyFan)):
         obj = fltz_components(obj)

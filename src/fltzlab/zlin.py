@@ -20,6 +20,13 @@ class ZlinError(ValueError):
     pass
 
 
+def _check_ints(values, what):
+    """Raise ZlinError unless every value is an ``int`` (``bool`` is not)."""
+    for x in values:
+        if type(x) is not int:
+            raise ZlinError(f"{what} {x!r} is not an int")
+
+
 # ---------------------------------------------------------------------------
 # integer matrices
 
@@ -30,11 +37,12 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries):
-        rows = tuple(tuple(int(x) for x in row) for row in entries)
+        rows = tuple(map(tuple, entries))
         ncols = len(rows[0]) if rows else 0
         for row in rows:
             if len(row) != ncols:
                 raise ZlinError("ragged rows in integer matrix")
+            _check_ints(row, "matrix entry")
         object.__setattr__(self, "entries", rows)
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", ncols)
@@ -365,7 +373,8 @@ class FiniteAbelianGroup:
     free_rank: int = 0
 
     def __post_init__(self):
-        factors = tuple(int(f) for f in self.invariant_factors)
+        factors = tuple(self.invariant_factors)
+        _check_ints(factors + (self.free_rank,), "group datum")
         object.__setattr__(self, "invariant_factors", factors)
         for f in factors:
             if f < 2:
@@ -414,7 +423,8 @@ class Character:
         if not self.group.is_finite:
             raise ZlinError("characters require a finite group")
         factors = self.group.invariant_factors
-        comps = tuple(int(c) for c in self.components)
+        comps = tuple(self.components)
+        _check_ints(comps, "character component")
         if len(comps) != len(factors):
             raise ZlinError("component count does not match invariant factors")
         comps = tuple(c % f for c, f in zip(comps, factors))
@@ -466,8 +476,8 @@ class LatticeQuotient:
     """
 
     def __init__(self, superlattice_basis, sublattice_basis):
-        sup = [[Fraction(x) for x in col] for col in _as_columns(superlattice_basis)]
-        sub = [[Fraction(x) for x in col] for col in _as_columns(sublattice_basis)]
+        sup = _rational_columns(superlattice_basis)
+        sub = _rational_columns(sublattice_basis)
         n = len(sup)
         if len(sub) != n or any(len(col) != n for col in sup + sub):
             raise ZlinError("quotient needs two square bases of the same rank")
@@ -527,7 +537,16 @@ class LatticeQuotient:
                      for i in range(self._rank))
 
 
-def _as_columns(basis):
+def _rational_columns(basis):
+    """Columns of a basis as ``Fraction`` lists; a float or bool entry is a
+    :class:`ZlinError`."""
     if isinstance(basis, IntMatrix):
-        return basis.columns()
-    return [tuple(col) for col in basis]
+        cols = basis.columns()
+    else:
+        cols = [tuple(col) for col in basis]
+    for col in cols:
+        for x in col:
+            if type(x) is not int and not isinstance(x, Fraction):
+                raise ZlinError(f"basis entry {x!r} is not an int or a "
+                                "Fraction")
+    return [[Fraction(x) for x in col] for col in cols]

@@ -1,0 +1,82 @@
+"""Every library name has a caller that a user reaches.
+
+Each top-level function and class of ``src/fltzlab`` and each method
+(dunders aside) must be named somewhere in ``src/fltzlab``, ``demos/``
+or ``bench/`` outside its own definition; a name that only tests reach
+either gets such a caller or goes.  The scan is by identifier, so a
+name shared with another attribute counts as used.  ``KEPT`` lists the
+names that stay on purpose, each with its reason.
+"""
+
+import ast
+from pathlib import Path
+
+import fltzlab
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE_DIR = Path(fltzlab.__path__[0])
+CALLER_DIRS = [PACKAGE_DIR, ROOT / "demos", ROOT / "bench"]
+
+KEPT = {
+    "zlin.IntMatrix.is_unimodular":
+        "the SNF transform property of acceptance criterion 8",
+    "zlin.FiniteAbelianGroup.is_trivial":
+        "the trivial-group predicate of the group API",
+    "zlin.FiniteAbelianGroup.order":
+        "the group order, which the tests compare with |det|",
+    "picsym.PicMonomial.is_unit":
+        "the unit predicate of the Pic group API",
+    "conside.FinitePoset.height":
+        "the poset invariant the tests compare with chain lengths",
+    "conside.FinitePoset.antichain":
+        "builds the discrete posets of acceptance criterion 8",
+}
+
+
+def _definitions(tree, module):
+    """(qualified name, bare name, node) of each top-level def and method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield f"{module}.{node.name}", node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("__")):
+                    yield f"{module}.{node.name}.{item.name}", item.name, item
+
+
+def _references(node):
+    """Identifiers that ``node`` names, as Name ids and attribute names."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def uncalled_names(package_dir=PACKAGE_DIR, caller_dirs=CALLER_DIRS):
+    """Qualified library names with no reference outside their definition."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for d in caller_dirs for path in sorted(d.glob("*.py"))}
+    counts = {}
+    for tree in trees.values():
+        for name in _references(tree):
+            counts[name] = counts.get(name, 0) + 1
+    out = []
+    for path in sorted(package_dir.glob("*.py")):
+        for qualified, name, node in _definitions(trees[path], path.stem):
+            inside = sum(1 for n in _references(node) if n == name)
+            if counts.get(name, 0) - inside == 0:
+                out.append(qualified)
+    return out
+
+
+def test_every_library_name_has_a_caller():
+    unexplained = [q for q in uncalled_names() if q not in KEPT]
+    assert unexplained == [], (
+        "only tests reach these; give each a caller or delete it")
+
+
+def test_kept_names_are_still_uncalled():
+    # a kept name that gains a caller, or goes, leaves the list
+    assert sorted(set(KEPT) - set(uncalled_names())) == []

@@ -242,7 +242,7 @@ class TestGammaCategory:
 class TestGradedDims:
     def test_int_dims_kept(self):
         g = GradedDims(dims=[1, 2], bound=1, weight=(1,))
-        assert g.dims == (1, 2) and g.total() == 3
+        assert g.dims == (1, 2) and g[1] == 2
 
     @pytest.mark.parametrize("dims, bound", [
         ((1.5, 2.7), 1), ((1, True), 1), ((Fraction(1), 2), 1),

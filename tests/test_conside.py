@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from fltzlab import checks, conside
 from fltzlab.conside import (
     CatRep,
     ChamberCategory,
@@ -21,7 +22,7 @@ from fltzlab.conside import (
     twisted_rep_template,
 )
 from fltzlab.fans import Cone
-from fltzlab.picsym import PicMonomial, format_monomial, sod_label
+from fltzlab.picsym import PicMonomial, format_monomial
 from fltzlab.skeleton import UnsupportedConeError, enumerate_chambers
 from fltzlab.zlin import IntMatrix
 
@@ -110,20 +111,6 @@ class TestChamberCategory:
             ChamberCategory(n)
 
 
-def pull_back(rep, strata, collapse):
-    """The representation of the strata poset that factors through collapse."""
-    dims = {e: rep.dims[collapse[e]] for e in strata.elements}
-    maps = {}
-    for (x, y) in strata.covers():
-        a, b = collapse[x], collapse[y]
-        if a == b:
-            maps[(x, y)] = [[int(i == j) for j in range(dims[x])]
-                            for i in range(dims[x])]
-        else:
-            maps[(x, y)] = rep.matrices[(a, b)]
-    return CatRep(strata, dims, maps)
-
-
 class TestStrataPoset:
     def test_one_ray(self):
         strata, arrows, collapse = strata_poset_affine(
@@ -157,20 +144,22 @@ class TestStrataPoset:
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_collapse_preserves_ext(self, k):
-        # collapse has the left adjoint 0 -> c, 1 -> r, and collapse after
-        # it is the identity, so pulling back along collapse is fully
-        # faithful on the derived category: Ext over the strata equals
-        # Ext over the arrows
-        orthant = Cone([tuple(int(i == j) for j in range(k))
-                        for i in range(k)])
-        strata, arrows, collapse = strata_poset_affine(orthant)
-        reps = [CatRep(arrows, {v: 1}, {}) for v in arrows.objects]
-        if k <= 2:
-            reps += [corepresentable(arrows, v) for v in arrows.objects]
-        pulled = [pull_back(M, strata, collapse) for M in reps]
-        for M, PM in zip(reps, pulled):
-            for N, PN in zip(reps, pulled):
-                assert rep_hom(PM, PN) == rep_hom(M, N)
+        # the claim is the check family ``checks.strata``
+        records = list(checks.strata(k))
+        assert records
+        assert [r.name for r in records if not r.ok] == []
+
+    def test_collapse_sending_l_to_one_fails(self, monkeypatch):
+        # c -> 0, l -> 1, r -> 1 is monotone and onto, but not the
+        # collapse along which pulling back is fully faithful
+        def wrong(c):
+            strata, arrows, _ = strata_poset_affine(c)
+            return strata, arrows, {e: tuple(int(x != "c") for x in e)
+                                    for e in strata.elements}
+
+        monkeypatch.setattr(conside, "strata_poset_affine", wrong)
+        for k in (1, 2, 3):
+            assert not all(r.ok for r in checks.strata(k))
 
 
 class TestCorepresentable:
@@ -795,6 +784,17 @@ class TestBeilinsonGenerators:
         with pytest.raises(ConError, match=message):
             build()
 
+    @pytest.mark.parametrize("n, k, category", [
+        (1, 1, ChamberCategory(3)), (3, 4, ChamberCategory(1)),
+        (1, 1, FinitePoset.chain(2))],
+        ids=["larger-category", "smaller-category", "poset"])
+    def test_category_of_another_n_rejected(self, n, k, category):
+        # before: a rep of the n = 3 category, the misleading
+        # "3 is not an object", and a projective of the poset
+        with pytest.raises(ConError, match=f"for n = {n} needs the chamber "
+                                           f"category of n = {n}"):
+            beilinson_rep(n, k, category)
+
     def test_p2_dims(self):
         gens = beilinson_generators(2)
         chambers = enumerate_chambers(2)
@@ -816,57 +816,15 @@ class TestBeilinsonGenerators:
             for k, gen in enumerate(beilinson_generators(n), start=1):
                 assert gen.class_dims == beilinson_rep(n, k, cat).dim_vector()
 
-    def test_center_ranks_match_sym_expansion(self):
-        from fltzlab.picsym import sym_expand
+    def test_chamber_ranks_match_chamber_category(self):
+        # the display ranks, read through ChamberCategory, not _class_dims
         for n in (1, 2, 3):
-            chambers = enumerate_chambers(n)
-            center = next(c for c in chambers if c.step == 0)
-            for k, gen in enumerate(beilinson_generators(n), start=1):
-                assert gen.chamber_dims[center] == len(sym_expand(k - 1, n))
-
-    def test_ranks_match_sod_labels(self):
-        # the two modules must agree chamberwise
-        for n in (1, 2, 3):
+            cat = ChamberCategory(n)
             chambers = enumerate_chambers(n)
             for k, gen in enumerate(beilinson_generators(n), start=1):
+                rep = beilinson_rep(n, k, cat)
                 for c in chambers:
-                    label = sod_label(n, k, c)
-                    expected = 0 if label is None else label.rank
-                    assert gen.chamber_dims[c] == expected
-
-    # (flags, slant): (sod_label exponents, decoration exponents) where
-    # the two display rules disagree; both are k = 2 (ROADMAP item 6)
-    DISPLAY_RULE_DISAGREEMENTS = {
-        1: {("S", 0): ((0,), (1,))},
-        2: {("LL", 1): ((0, 1), (0, 0)),
-            ("LS", 0): ((1, 0), (0, 1)),
-            ("SL", 0): ((0, 0), (1, 0))},
-        3: {("LLL", 1): ((0, 0, 1), (0, 0, 0)),
-            ("LLS", 0): ((0, 1, 0), (0, 0, 1)),
-            ("LSL", 0): ((1, 0, 0), (0, 1, 0)),
-            ("SLL", 0): ((0, 0, 0), (1, 0, 0))},
-        4: {("LLLL", 1): ((0, 0, 0, 1), (0, 0, 0, 0)),
-            ("LLLS", 0): ((0, 0, 1, 0), (0, 0, 0, 1)),
-            ("LLSL", 0): ((0, 1, 0, 0), (0, 0, 1, 0)),
-            ("LSLL", 0): ((1, 0, 0, 0), (0, 1, 0, 0)),
-            ("SLLL", 0): ((0, 0, 0, 0), (1, 0, 0, 0))},
-    }
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_decorations_against_sod_labels(self, n):
-        # pins today's two display rules; keeping one of them shows here
-        differ = {}
-        for k, gen in enumerate(beilinson_generators(n), start=1):
-            for c in enumerate_chambers(n):
-                label = sod_label(n, k, c)
-                decoration = gen.decorations[c]
-                if label is None:
-                    assert decoration.is_unit()
-                elif label.monomial != decoration:
-                    assert k == 2
-                    differ[c.flag_string(), c.slant] = (
-                        label.monomial.exponents, decoration.exponents)
-        assert differ == self.DISPLAY_RULE_DISAGREEMENTS[n]
+                    assert gen.chamber_dims[c] == rep.dims[c.step]
 
     def test_gram_unimodular_triangular(self):
         for n in (1, 2, 3):

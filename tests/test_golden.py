@@ -13,8 +13,9 @@ that projected every monoid element through
 ``LatticeQuotient.character_of``, before a graded hom became one
 isotypic component; ``generator_display.json`` (the chamber ranks and
 monomial decorations of every decomposition generator, n = 1..4) was
-written while ``picsym.sod_label`` still kept a second, rotated k = 2
-display rule next to ``BeilinsonGenerator.decorations``.  Every case
+written while ``picsym`` still kept a second display rule (per-chamber
+component labels, rotated for k = 2) next to
+``BeilinsonGenerator.decorations``.  Every case
 here must keep producing exactly the same bytes.
 """
 

@@ -68,6 +68,20 @@ class TestSmithNormalForm:
         assert smith_normal_form(A) == smith_normal_form(A)
 
 
+class TestIntMatrix:
+    @pytest.mark.parametrize("entries", [
+        [[1.5, 2.7]], [[1, 2.0]], [[Fraction(3, 2)]], [[Fraction(2)]],
+        [[True, 0]], [["1"]]])
+    def test_non_int_entry_rejected(self, entries):
+        # [[1.5, 2.7]] used to hold [[1, 2]]
+        with pytest.raises(ZlinError, match="is not an int"):
+            IntMatrix(entries)
+
+    def test_int_entries_kept(self):
+        m = IntMatrix(([1, -2], (3, 10 ** 30)))
+        assert m.entries == ((1, -2), (3, 10 ** 30))
+
+
 class TestCokernel:
     def test_cyclic(self):
         g = cokernel(IntMatrix([[5]]))
@@ -200,6 +214,15 @@ class TestCharacterQuotient:
             with pytest.raises(ZlinError, match="square bases"):
                 LatticeQuotient(sup, sub)
 
+    @pytest.mark.parametrize("sup, sub", [
+        ([[0.5, 0], [0, 0.5]], [[1, 0], [0, 1]]),
+        ([[1, 0], [0, 1]], [[2.0, 0], [0, 2]]),
+        ([[True]], [[2]])])
+    def test_float_or_bool_basis_rejected(self, sup, sub):
+        # the float bases used to build (Z/2)^2 and Z/2, with no error
+        with pytest.raises(ZlinError, match="is not an int or a Fraction"):
+            LatticeQuotient(sup, sub)
+
     def test_character_of(self):
         q = LatticeQuotient([[Fraction(1, 4)]], [[1]])
         chars = [q.character_of((Fraction(i, 4),)) for i in range(8)]
@@ -226,6 +249,20 @@ class TestCharacters:
             FiniteAbelianGroup((3, 2))
         with pytest.raises(ZlinError):
             FiniteAbelianGroup((1,))
+
+    @pytest.mark.parametrize("factors, free_rank", [
+        ((2.9,), 0), ((Fraction(4),), 0), ((True, 2), 0), ((2,), 1.5)])
+    def test_non_int_group_rejected(self, factors, free_rank):
+        # (2.9,) used to give Z/2
+        with pytest.raises(ZlinError, match="is not an int"):
+            FiniteAbelianGroup(factors, free_rank)
+
+    @pytest.mark.parametrize("components", [
+        (1.7,), (Fraction(3, 2),), (Fraction(1),), (True,)])
+    def test_non_int_character_rejected(self, components):
+        # (1.7,) used to be the character 1
+        with pytest.raises(ZlinError, match="is not an int"):
+            FiniteAbelianGroup((3,)).character(components)
 
     def test_mixed_groups_rejected(self):
         a = FiniteAbelianGroup((2,)).character((1,))
