@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -816,8 +817,19 @@ class TestBeilinsonGenerators:
             for k, gen in enumerate(beilinson_generators(n), start=1):
                 assert gen.class_dims == beilinson_rep(n, k, cat).dim_vector()
 
-    def test_chamber_ranks_match_chamber_category(self):
-        # the display ranks, read through ChamberCategory, not _class_dims
+    def test_center_ranks_match_sym_expansion(self):
+        # rank of Sym^(k-1) of the rank n+1 bundle, counted as monomials
+        for n in (1, 2, 3):
+            chambers = enumerate_chambers(n)
+            center = next(c for c in chambers if c.step == 0)
+            for k, gen in enumerate(beilinson_generators(n), start=1):
+                monomials = list(combinations_with_replacement(range(n + 1),
+                                                               k - 1))
+                assert gen.chamber_dims[center] == len(monomials)
+
+    def test_ranks_match_sod_labels(self):
+        # the decomposition component ranks per chamber, read through
+        # ChamberCategory, not _class_dims
         for n in (1, 2, 3):
             cat = ChamberCategory(n)
             chambers = enumerate_chambers(n)
@@ -825,6 +837,35 @@ class TestBeilinsonGenerators:
                 rep = beilinson_rep(n, k, cat)
                 for c in chambers:
                     assert gen.chamber_dims[c] == rep.dims[c.step]
+
+    # (flags, slant): decoration exponents of the k = 2 generator where
+    # the rotated second-component listing, now removed, gave another
+    # monomial; these pin the one display rule that is kept
+    SECOND_COMPONENT_DECORATIONS = {
+        1: {("S", 0): (1,)},
+        2: {("LL", 1): (0, 0), ("LS", 0): (0, 1), ("SL", 0): (1, 0)},
+        3: {("LLL", 1): (0, 0, 0), ("LLS", 0): (0, 0, 1),
+            ("LSL", 0): (0, 1, 0), ("SLL", 0): (1, 0, 0)},
+        4: {("LLLL", 1): (0, 0, 0, 0), ("LLLS", 0): (0, 0, 0, 1),
+            ("LLSL", 0): (0, 0, 1, 0), ("LSLL", 0): (0, 1, 0, 0),
+            ("SLLL", 0): (1, 0, 0, 0)},
+    }
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_decorations_against_sod_labels(self, n):
+        # the wall-letter rule: below step k the prefix is the product of
+        # the generators at the S positions, and the unit from step k on
+        second = {}
+        for k, gen in enumerate(beilinson_generators(n), start=1):
+            for c in enumerate_chambers(n):
+                decoration = gen.decorations[c]
+                expected = tuple(
+                    1 if f == "S" and c.step < k else 0 for f in c.flags)
+                assert decoration.exponents == expected
+                key = (c.flag_string(), c.slant)
+                if k == 2 and key in self.SECOND_COMPONENT_DECORATIONS[n]:
+                    second[key] = decoration.exponents
+        assert second == self.SECOND_COMPONENT_DECORATIONS[n]
 
     def test_gram_unimodular_triangular(self):
         for n in (1, 2, 3):

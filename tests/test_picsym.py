@@ -1,7 +1,9 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
+from fltzlab.conside import beilinson_generators
 from fltzlab.picsym import (
     Ikari,
     PicError,
@@ -9,6 +11,7 @@ from fltzlab.picsym import (
     format_monomial,
     monodromy,
 )
+from fltzlab.skeleton import Chamber, enumerate_chambers
 from fltzlab.zlin import IntMatrix
 
 
@@ -86,3 +89,53 @@ class TestMonodromy:
     def test_shape_mismatch(self):
         with pytest.raises(PicError):
             monodromy(IntMatrix([[1, 0]]), Ikari(IntMatrix([[1]])))
+
+
+def sod_label(n, k, chamber):
+    """(monomial prefix, rank) of the k-th component at a chamber.
+
+    Read off ``beilinson_generators(n)``; None where the component is
+    the zero object.
+    """
+    gen = beilinson_generators(n)[k - 1]
+    rank = gen.chamber_dims[chamber]
+    return None if rank == 0 else (gen.decorations[chamber], rank)
+
+
+class TestSodLabel:
+    def test_first_component(self):
+        for n in (1, 2, 3):
+            monomial, rank = sod_label(n, 1, Chamber(("L",) * n, 0))
+            assert monomial.is_unit() and rank == 1
+            for c in enumerate_chambers(n):
+                if c.step > 0:
+                    assert sod_label(n, 1, c) is None
+
+    def test_third_component_slant(self):
+        # Sym^1 of the rank 3 bundle
+        monomial, rank = sod_label(2, 3, Chamber(("L", "L"), 1))
+        assert monomial.is_unit()
+        assert rank == 3
+
+    def test_generic_component_monomials(self):
+        # k >= 3 follows the wall-letter rule
+        monomial, rank = sod_label(2, 3, Chamber(("S", "S"), 0))
+        assert monomial.exponents == (1, 1)
+        assert rank == 1
+        monomial, rank = sod_label(3, 4, Chamber(("S", "L", "S"), 0))
+        assert monomial.exponents == (1, 0, 1)
+        assert rank == comb(3 + 1, 3)
+
+    def test_zero_beyond_step(self):
+        assert sod_label(2, 2, Chamber(("S", "S"), 0)) is None
+        assert sod_label(2, 1, Chamber(("L", "L"), 1)) is None
+
+    def test_rank_formula(self):
+        for n in (1, 2, 3):
+            for k in range(1, n + 2):
+                for c in enumerate_chambers(n):
+                    label = sod_label(n, k, c)
+                    if c.step >= k:
+                        assert label is None
+                    else:
+                        assert label[1] == comb(n + k - c.step - 1, n)
