@@ -139,6 +139,7 @@ class AffineMonoid:
         rays, lines = dd_generators(self.inequalities, self.rank)
         self._cone_rays = rays
         self._cone_lines = lines
+        self._coset_tables = {}
 
     def contains(self, point):
         point = tuple(Fraction(x) for x in point)
@@ -178,23 +179,7 @@ class AffineMonoid:
         the cone inequalities on y, then the lattice congruence; a
         ``Fraction`` point is built only for an accepted element.
         """
-        if not _is_int(bound):
-            raise CohError(f"bound {bound!r} is not an integer")
-        if weight is None:
-            weight = self.default_weight()
-        weight = tuple(weight)
-        for w in weight:
-            if not _is_int(w):
-                raise CohError(f"weight entry {w!r} is not an integer")
-        if len(weight) != self.rank:
-            raise CohError(f"weight {weight!r} has length {len(weight)}, "
-                           f"expected {self.rank}")
-        if not self.weight_is_proper(weight):
-            raise ImproperWeightError(
-                "weight functional is not strictly positive on the monoid "
-                "cone; supply a proper weight")
-        if bound < 0:
-            raise CohError("bound must be nonnegative")
+        weight = self._checked_grading(bound, weight)
         # bounds on y from the extreme rays: y = d x lies in the cone, so
         # with degree <= bound it is a nonnegative ray combination of
         # total weight <= bound
@@ -224,6 +209,54 @@ class AffineMonoid:
                 continue
             out[deg].append(tuple(Fraction(c, d) for c in y))
         return out
+
+    def _checked_grading(self, bound, weight):
+        """The weight as a tuple (default all ones) once bound and weight pass.
+
+        ``bound`` must be a nonnegative ``int`` and the weight ``rank``
+        ``int`` entries, strictly positive on the cone.
+        """
+        if not _is_int(bound):
+            raise CohError(f"bound {bound!r} is not an integer")
+        if weight is None:
+            weight = self.default_weight()
+        weight = tuple(weight)
+        for w in weight:
+            if not _is_int(w):
+                raise CohError(f"weight entry {w!r} is not an integer")
+        if len(weight) != self.rank:
+            raise CohError(f"weight {weight!r} has length {len(weight)}, "
+                           f"expected {self.rank}")
+        if not self.weight_is_proper(weight):
+            raise ImproperWeightError(
+                "weight functional is not strictly positive on the monoid "
+                "cone; supply a proper weight")
+        if bound < 0:
+            raise CohError("bound must be nonnegative")
+        return weight
+
+    def _coset_dims(self, bound, weight):
+        """Graded dims of the monoid's elements in each coset of Z^rank.
+
+        A coset is keyed by d x mod d, which is d chi mod d for x in
+        chi + Z^rank.  The table is filled by one
+        :meth:`elements_by_degree` call per (bound, weight) and kept for
+        the life of the monoid.  The caller passes a grading checked by
+        :meth:`_checked_grading`: 1.0 and True hash as 1 and must never
+        reach the key.
+        """
+        table = self._coset_tables.get((bound, weight))
+        if table is None:
+            d = self.denominator
+            counts = {}
+            for deg, points in self.elements_by_degree(bound, weight).items():
+                for x in points:
+                    key = tuple(c.numerator * (d // c.denominator) % d
+                                for c in x)
+                    counts.setdefault(key, [0] * (bound + 1))[deg] += 1
+            table = {key: tuple(dims) for key, dims in counts.items()}
+            self._coset_tables[bound, weight] = table
+        return table
 
     def __repr__(self):
         return (f"AffineMonoid(rank={self.rank}, "
@@ -339,24 +372,40 @@ def cyclic_quiver_paths(n: int, i: int, j: int, length_bound: int) -> GradedDims
     return GradedDims(dims=tuple(counts), bound=length_bound, weight=(1,))
 
 
+def _exact_character(chi, rank):
+    """``chi`` as a tuple of ``int`` and ``Fraction`` entries of length ``rank``."""
+    chi = tuple(chi)
+    for x in chi:
+        if type(x) is not int and not isinstance(x, Fraction):
+            raise CohError(f"character entry {x!r} is not an integer or a "
+                           "Fraction")
+    if len(chi) != rank:
+        raise CohError("character has the wrong rank")
+    return chi
+
+
 def isotypic_component(monoid: AffineMonoid, chi, bound: int,
                        weight=None) -> GradedDims:
     """Graded dimensions of the chi-isotypic piece of the monoid algebra.
 
-    ``chi`` is a rational coset representative; the component collects
-    the monoid elements lying in chi + Z^rank.
+    ``chi`` is a rational coset representative with ``int`` or
+    ``Fraction`` entries; the component collects the monoid elements
+    lying in chi + Z^rank.  It is read from the monoid's coset table for
+    (bound, weight), so the monoid is enumerated once for all characters;
+    a chi with d chi not integral, d the denominator, meets no element.
     """
-    chi = tuple(Fraction(x) for x in chi)
-    if len(chi) != monoid.rank:
-        raise CohError("character has the wrong rank")
-    weight = tuple(weight) if weight is not None else monoid.default_weight()
-    elements = monoid.elements_by_degree(bound, weight)
-    dims = []
-    for d in range(bound + 1):
-        dims.append(sum(1 for p in elements[d]
-                        if all((x - c).denominator == 1
-                               for x, c in zip(p, chi))))
-    return GradedDims(dims=tuple(dims), bound=bound, weight=weight)
+    chi = _exact_character(chi, monoid.rank)
+    weight = monoid._checked_grading(bound, weight)
+    d = monoid.denominator
+    zero = (0,) * (bound + 1)
+    key = []
+    for x in chi:
+        y = x * d
+        if y.denominator != 1:
+            return GradedDims(dims=zero, bound=bound, weight=weight)
+        key.append(y.numerator % d)
+    dims = monoid._coset_dims(bound, weight).get(tuple(key), zero)
+    return GradedDims(dims=dims, bound=bound, weight=weight)
 
 
 def costandard_stalk(c: Cone, chi, bound: int, denominator=1,
@@ -365,12 +414,16 @@ def costandard_stalk(c: Cone, chi, bound: int, denominator=1,
 
     Counted directly as the coset chi + Z^n intersected with the dual
     cone modulo the cone's perp (degree = denominator-cleared coordinate
-    sum in the quotient coordinates).  This coset-first route is the
-    independent side of the comparison with :func:`isotypic_component`,
-    which enumerates the monoid first and filters by coset.  ``bound``
-    must be a nonnegative ``int``, ``denominator`` a positive one, and
-    ``weight`` (default all ones) q ``int`` entries, q the rank of the
-    quotient modulo the cone's perp (the dimension of the cone).
+    sum in the quotient coordinates).  The count runs in integers over
+    y = d z, d the denominator, for z in chi_q + Z^q: y steps through
+    d chi_q + d Z^q, its degree is weight . y and it lies in the cone iff
+    every pairing with a generator is >= 0.  This coset-first route is
+    the independent side of the comparison with
+    :func:`isotypic_component`, which enumerates the monoid first.
+    ``chi`` must have ``int`` or ``Fraction`` entries, ``bound`` be a
+    nonnegative ``int``, ``denominator`` a positive one, and ``weight``
+    (default all ones) q ``int`` entries, q the rank of the quotient
+    modulo the cone's perp (the dimension of the cone).
     """
     if not _is_int(bound) or bound < 0:
         raise CohError(f"bound {bound!r} is not a nonnegative integer")
@@ -378,17 +431,15 @@ def costandard_stalk(c: Cone, chi, bound: int, denominator=1,
         raise CohError(f"denominator {denominator!r} is not a positive integer")
     if not c.is_strictly_convex():
         raise CohError("costandard stalks need a strictly convex cone")
-    chi = tuple(Fraction(x) for x in chi)
-    n = c.ambient_rank
-    if len(chi) != n:
-        raise CohError("character has the wrong rank")
+    chi = _exact_character(chi, c.ambient_rank)
     for x in chi:
         if (x * denominator).denominator != 1:
             raise IncompatibleCharacterError(
                 f"character {chi} is not a torsion point of order dividing "
                 f"{denominator}")
     q, project, ineqs_q = _adapted_quotient(c)
-    chi_q = project(chi)
+    # project is unimodular, so d chi_q is integral with d chi
+    base = tuple(int(x * denominator) for x in project(chi))
     weight = tuple(weight) if weight is not None else (1,) * q
     for w in weight:
         if not _is_int(w):
@@ -407,29 +458,22 @@ def costandard_stalk(c: Cone, chi, bound: int, denominator=1,
         if sum(w * x for w, x in zip(weight, r)) <= 0:
             raise ImproperWeightError(
                 "weight is not strictly positive on the quotient cone")
-    los = [Fraction(0)] * q
-    his = [Fraction(0)] * q
+    # y in the cone with weight . y <= bound is a nonnegative combination
+    # of the points bound r / (weight . r), so it lies in their box with 0
+    los = [0] * q
+    his = [0] * q
     for r in rays_q:
         w = sum(a * b for a, b in zip(weight, r))
         for i in range(q):
-            ratio = Fraction(bound) * Fraction(r[i]) / (w * denominator)
-            los[i] = min(los[i], ratio)
-            his[i] = max(his[i], ratio)
-    offsets = []
-    for i in range(q):
-        lo = (los[i] - chi_q[i]).__floor__() - 1
-        hi = (his[i] - chi_q[i]).__ceil__() + 1
-        offsets.append(range(lo, hi + 1))
-    for zint in product(*offsets):
-        z = tuple(cq + zi for cq, zi in zip(chi_q, zint))
-        deg = sum(w * x for w, x in zip(weight, z)) * denominator
-        if deg.denominator != 1:
-            raise IncompatibleCharacterError(
-                f"character {chi} has degrees outside (1/{denominator}) Z")
-        deg = int(deg)
+            los[i] = min(los[i], (bound * r[i]) // w)
+            his[i] = max(his[i], -(-(bound * r[i]) // w))
+    steps = [range(lo + (b - lo) % denominator, hi + 1, denominator)
+             for b, lo, hi in zip(base, los, his)]
+    for y in product(*steps):
+        deg = sum(w * x for w, x in zip(weight, y))
         if not 0 <= deg <= bound:
             continue
-        if all(sum(a * x for a, x in zip(ineq, z)) >= 0 for ineq in ineqs_q):
+        if all(sum(a * x for a, x in zip(ineq, y)) >= 0 for ineq in ineqs_q):
             dims[deg] += 1
     return GradedDims(dims=tuple(dims), bound=bound, weight=weight)
 

@@ -149,13 +149,26 @@ def _chamber_nonempty(flags, slant, eps):
     return max(lo, Fraction(slant)) < min(hi, Fraction(slant + 1))
 
 
+def _exact_epsilon(eps, n):
+    """``eps`` as a ``Fraction`` (default 1/(2n + 2)); it must be an ``int``
+    or a ``Fraction``, so a float or bool is a :class:`SkeletonError`."""
+    if eps is None:
+        return default_epsilon(n)
+    if type(eps) is not int and not isinstance(eps, Fraction):
+        raise SkeletonError(f"epsilon {eps!r} is not an int or a Fraction")
+    return Fraction(eps)
+
+
 def enumerate_chambers(n: int, eps=None) -> list:
-    """All nonempty chambers, found geometrically from exact sign vectors."""
+    """All nonempty chambers, found geometrically from exact sign vectors.
+
+    ``n`` must be an ``int`` >= 1 and ``eps`` an ``int`` or ``Fraction``.
+    """
+    if type(n) is not int:
+        raise SkeletonError(f"n = {n!r} is not an int")
     if n < 1:
         raise SkeletonError("chamber enumeration needs n >= 1")
-    if eps is None:
-        eps = default_epsilon(n)
-    eps = Fraction(eps)
+    eps = _exact_epsilon(eps, n)
     if not 0 < eps < Fraction(1, 2):
         raise SkeletonError("epsilon must lie strictly between 0 and 1/2")
     out = []
@@ -181,12 +194,10 @@ def sample_point(chamber: Chamber, eps=None):
     """A deterministic exact interior point of the chamber.
 
     Interpolates the box corners so that the coordinate sum hits the
-    middle of the admissible slant interval.
+    middle of the admissible slant interval.  ``eps`` must be an ``int``
+    or a ``Fraction``.
     """
-    n = chamber.n
-    if eps is None:
-        eps = default_epsilon(n)
-    eps = Fraction(eps)
+    eps = _exact_epsilon(eps, chamber.n)
     lows, highs = _box_bounds(chamber.flags, eps)
     lo_sum, hi_sum = sum(lows), sum(highs)
     target_lo = max(lo_sum, Fraction(chamber.slant))

@@ -513,7 +513,15 @@ class LatticeQuotient:
                                 for chi in self.group.characters()]
 
     def character_of(self, vec) -> Character:
-        """Character of a superlattice vector in the quotient group."""
+        """Character of a superlattice vector in the quotient group.
+
+        A float or bool entry is a :class:`ZlinError`, as in the bases.
+        """
+        vec = tuple(vec)
+        for x in vec:
+            if type(x) is not int and not isinstance(x, Fraction):
+                raise ZlinError(f"vector entry {x!r} is not an int or a "
+                                "Fraction")
         vec = [Fraction(x) for x in vec]
         coords = [sum(self._adapted_inv[i][k] * vec[k] for k in range(self._rank))
                   for i in range(self._rank)]

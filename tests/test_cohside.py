@@ -13,6 +13,7 @@ from fltzlab.cohside import (
     ImproperWeightError,
     IncompatibleCharacterError,
     TruncationError,
+    _adapted_quotient,
     _pattern_cohomology,
     costandard_stalk,
     cyclic_quiver_paths,
@@ -22,7 +23,7 @@ from fltzlab.cohside import (
     isotypic_component,
     pn_line_bundle_cohomology,
 )
-from fltzlab.fans import Cone, StackyFan, fan_from_max_cones
+from fltzlab.fans import Cone, StackyFan, dd_generators, fan_from_max_cones
 from fltzlab.skeleton import SkeletonError, character_lattice_quotient
 from fltzlab.zlin import FiniteAbelianGroup, IntMatrix, ZlinError
 
@@ -142,6 +143,67 @@ def reference_hom_graded(G, chi, chi_prime, bound, weight=None):
         dims.append(sum(1 for p in elements[d]
                         if G.quotient.character_of(p) == target))
     return GradedDims(dims=tuple(dims), bound=bound, weight=weight)
+
+
+def reference_costandard_stalk(c, chi, bound, denominator=1, weight=None):
+    """The Fraction loop: every z of chi_q + Z^q, degree by Fraction sum."""
+    chi = tuple(Fraction(x) for x in chi)
+    for x in chi:
+        if (x * denominator).denominator != 1:
+            raise IncompatibleCharacterError("not a torsion point")
+    q, project, ineqs_q = _adapted_quotient(c)
+    chi_q = project(chi)
+    weight = tuple(weight) if weight is not None else (1,) * q
+    dims = [0] * (bound + 1)
+    if q == 0:
+        dims[0] = 1
+        return GradedDims(dims=tuple(dims), bound=bound, weight=weight)
+    rays_q, _ = dd_generators(ineqs_q, q)
+    for r in rays_q:
+        if sum(w * x for w, x in zip(weight, r)) <= 0:
+            raise ImproperWeightError("improper weight")
+    los = [Fraction(0)] * q
+    his = [Fraction(0)] * q
+    for r in rays_q:
+        w = sum(a * b for a, b in zip(weight, r))
+        for i in range(q):
+            ratio = Fraction(bound) * Fraction(r[i]) / (w * denominator)
+            los[i] = min(los[i], ratio)
+            his[i] = max(his[i], ratio)
+    offsets = []
+    for i in range(q):
+        lo = (los[i] - chi_q[i]).__floor__() - 1
+        hi = (his[i] - chi_q[i]).__ceil__() + 1
+        offsets.append(range(lo, hi + 1))
+    for zint in product(*offsets):
+        z = tuple(cq + zi for cq, zi in zip(chi_q, zint))
+        deg = sum(w * x for w, x in zip(weight, z)) * denominator
+        assert deg.denominator == 1
+        deg = int(deg)
+        if not 0 <= deg <= bound:
+            continue
+        if all(sum(a * x for a, x in zip(ineq, z)) >= 0 for ineq in ineqs_q):
+            dims[deg] += 1
+    return GradedDims(dims=tuple(dims), bound=bound, weight=weight)
+
+
+def random_strictly_convex_cone(rng):
+    """A strictly convex cone of ambient rank n = 1-3 on 0..n+1 generators.
+
+    Generators lie in the open half space of a random vector v, so the
+    cone is strictly convex; with fewer generators than the rank it is
+    not full-dimensional and its perp is nonzero.
+    """
+    n = rng.randint(1, 3)
+    v = [rng.choice((-1, 1)) * rng.randint(1, 2) for _ in range(n)]
+    count = rng.randint(0, n + 1)
+    gens = []
+    while len(gens) < count:
+        g = tuple(rng.randint(-2, 2) for _ in range(n))
+        pairing = sum(a * b for a, b in zip(g, v))
+        if pairing:
+            gens.append(g if pairing > 0 else tuple(-x for x in g))
+    return Cone(gens, ambient_rank=n)
 
 
 def orthant_stack(beta):
@@ -347,6 +409,62 @@ class TestHomGradedOracle:
             hom_graded(G, other, other, 3)
 
 
+class TestCosetTable:
+    """isotypic_component reads one coset table per (bound, weight)."""
+
+    def test_one_enumeration_per_grading(self, monkeypatch):
+        calls = []
+        enumerate_ = AffineMonoid.elements_by_degree
+
+        def counting(self, bound, weight=None):
+            calls.append((bound, weight))
+            return enumerate_(self, bound, weight)
+
+        monkeypatch.setattr(AffineMonoid, "elements_by_degree", counting)
+        for n in (2, 5, 7):
+            calls.clear()
+            G = gamma_category(cyclic_stack(n))
+            chars = G.group.characters()
+            # None and (1,) are one grading
+            for bound, weight in ((6, None), (6, (1,)), (9, None), (6, (2,))):
+                for chi in chars:
+                    for chi_prime in chars:
+                        hom_graded(G, chi, chi_prime, bound, weight)
+            assert calls == [(6, (1,)), (9, (1,)), (6, (2,))]
+
+    @pytest.mark.parametrize("bound, weight", [
+        (6, (1.0,)), (6, (True,)), (6.0, (1,)), (6.0, None), (True, None)])
+    def test_warm_table_keeps_the_checks(self, bound, weight):
+        # 1.0 and True hash as 1: a lookup before the checks would hit
+        G = gamma_category(cyclic_stack(3))
+        chars = G.group.characters()
+        isotypic_component(G.monoid, (0,), 6, weight=(1,))
+        hom_graded(G, chars[0], chars[1], 1)
+        with pytest.raises(CohError, match="is not an integer"):
+            isotypic_component(G.monoid, (0,), bound, weight)
+        with pytest.raises(CohError, match="is not an integer"):
+            hom_graded(G, chars[0], chars[1], bound, weight)
+
+    @pytest.mark.parametrize("weight", [(0,), (-1,)])
+    def test_improper_weight_raises_every_time(self, weight):
+        G = gamma_category(cyclic_stack(3))
+        isotypic_component(G.monoid, (0,), 6)
+        for _ in range(3):
+            with pytest.raises(ImproperWeightError):
+                isotypic_component(G.monoid, (0,), 6, weight)
+        assert list(G.monoid._coset_tables) == [(6, (1,))]
+
+    @pytest.mark.parametrize("chi", [(0.1,), (0.5,), (True,), ("1/3",)])
+    def test_inexact_character_rejected(self, chi):
+        # (0.1,) used to give all zeros and (True,) the character 1
+        G = gamma_category(cyclic_stack(3))
+        with pytest.raises(CohError, match="character entry"):
+            isotypic_component(G.monoid, chi, 6)
+        with pytest.raises(CohError, match="character entry"):
+            costandard_stalk(Cone([(1,)], ambient_rank=1), chi, 6,
+                             denominator=3)
+
+
 class TestCyclicPaths:
     def test_basic(self):
         dims = cyclic_quiver_paths(3, 0, 1, 8)
@@ -386,6 +504,11 @@ class TestIsotypic:
         # support {2/3, 5/3, 8/3} -> weights 2, 5, 8
         assert dims.dims == (0, 0, 1, 0, 0, 1, 0, 0, 1, 0)
 
+    def test_character_off_the_monoid_lattice_is_zero(self):
+        G = gamma_category(cyclic_stack(3))
+        for chi in ((Fraction(1, 2),), (Fraction(1, 6),), (Fraction(-5, 9),)):
+            assert isotypic_component(G.monoid, chi, 6).dims == (0,) * 7
+
     def test_completeness(self):
         G = gamma_category(cyclic_stack(4))
         full = G.monoid.elements_by_degree(9)
@@ -419,6 +542,39 @@ class TestCostandard:
         iso = isotypic_component(mono, (0,), 6)
         stalk = costandard_stalk(ray, (0,), 6)
         assert stalk.dims == iso.dims == (1,) * 7
+
+    def test_matches_fraction_loop(self):
+        rng = random.Random(20261019)
+        compared = {"default": 0, "weighted": 0, "perp": 0, "twisted": 0}
+        for _ in range(600):
+            cone = random_strictly_convex_cone(rng)
+            d = rng.randint(1, 4)
+            chi = tuple(Fraction(rng.randint(-2 * d, 2 * d), d)
+                        for _ in range(cone.ambient_rank))
+            q, _, ineqs_q = _adapted_quotient(cone)
+            weight = None
+            if rng.random() < 0.5:
+                # a positive combination of the generator pairings is
+                # proper; some draws add a negative one
+                weight = [0] * q
+                for row in ineqs_q:
+                    c = rng.randint(-1 if rng.random() < 0.2 else 1, 3)
+                    weight = [w + c * a for w, a in zip(weight, row)]
+                weight = tuple(weight)
+            bound = rng.randint(0, 8)
+            args = (cone, chi, bound)
+            try:
+                expected = reference_costandard_stalk(*args, d, weight)
+            except ImproperWeightError:
+                with pytest.raises(ImproperWeightError):
+                    costandard_stalk(*args, denominator=d, weight=weight)
+                continue
+            assert costandard_stalk(*args, denominator=d,
+                                    weight=weight) == expected
+            compared["default" if weight is None else "weighted"] += 1
+            compared["perp"] += q < cone.ambient_rank
+            compared["twisted"] += any(x.denominator > 1 for x in chi)
+        assert min(compared.values()) >= 100, compared
 
     def test_zero_cone(self):
         stalk = costandard_stalk(Cone((), ambient_rank=2), (0, 0), 4)

@@ -229,6 +229,13 @@ class TestCharacterQuotient:
         assert [c.components for c in chars[:4]] == [(0,), (1,), (2,), (3,)]
         assert chars[4].components == (0,)
 
+    @pytest.mark.parametrize("vec", [(0.75,), (True,)])
+    def test_character_of_float_or_bool_rejected(self, vec):
+        # (0.75,) used to give the character 3 and (True,) the character 0
+        q = LatticeQuotient([[Fraction(1, 4)]], [[1]])
+        with pytest.raises(ZlinError, match="vector entry"):
+            q.character_of(vec)
+
 
 class TestCharacters:
     def test_arithmetic(self):
