@@ -498,8 +498,9 @@ def hom_complex(M: CatRep, N: CatRep):
     (-1)^k times the ``compose`` coefficient.
 
     Returns (dims, differentials): the dimension of each term and the
-    dense differential matrices d_p, lists of rows mapping term p to
-    term p + 1.  Entries are summed from ``int`` 0, so they are ``int``
+    sparse differentials d_p from term p to term p + 1, each a list of
+    dims[p + 1] rows, each row a ``{column: entry}`` dict of the nonzero
+    entries only.  Entries are summed from ``int`` 0, so they are ``int``
     when both reps are and ``Fraction`` where a ``Fraction`` entry
     takes part.
     """
@@ -515,9 +516,9 @@ def hom_complex(M: CatRep, N: CatRep):
             size += N.dims[objs[-1]] * M.dims[objs[0]]
         offsets.append(at)
         term_dims.append(size)
-    dense_diffs = []
+    diffs = []
     for p in range(len(chains) - 1):
-        dense = [[0] * term_dims[p] for _ in range(term_dims[p + 1])]
+        d = [{} for _ in range(term_dims[p + 1])]
         for (objs, fs), row0 in offsets[p + 1].items():
             rows, cols = N.dims[objs[-1]], M.dims[objs[0]]
             if not rows or not cols:
@@ -536,10 +537,15 @@ def hom_complex(M: CatRep, N: CatRep):
                 right = _entries(right, cols)
                 for i, v, a in _entries(left, rows):
                     for u, j, b in right:
-                        dense[row0 + i * cols + j][col0 + v * width + u] += \
-                            sign * a * b
-        dense_diffs.append(dense)
-    return term_dims, dense_diffs
+                        row = d[row0 + i * cols + j]
+                        col = col0 + v * width + u
+                        x = row.get(col, 0) + sign * a * b
+                        if x:
+                            row[col] = x
+                        else:
+                            row.pop(col, None)
+        diffs.append(d)
+    return term_dims, diffs
 
 
 def rep_hom(M: CatRep, N: CatRep):
@@ -551,9 +557,9 @@ def rep_hom(M: CatRep, N: CatRep):
     because the category is directed.  Returns the list of Ext^i
     dimensions, ending at the last potentially-nonzero degree.
     """
-    term_dims, dense_diffs = hom_complex(M, N)
+    term_dims, diffs = hom_complex(M, N)
     # ranks[p] is the rank of the differential into term p
-    ranks = [0] + [rational_rank(dense) for dense in dense_diffs] + [0]
+    ranks = [0] + [rational_rank(d) for d in diffs] + [0]
     out = [dim - ranks[p] - ranks[p + 1] for p, dim in enumerate(term_dims)]
     while len(out) > 1 and out[-1] == 0:
         out.pop()

@@ -149,16 +149,21 @@ class IntMatrix:
 def _sparse_rows(rows):
     """Rows of Fractions/ints as primitive sparse ``{col: int}`` rows.
 
-    Each row is scaled by the lcm of its denominators and divided by its
-    content; zero rows are dropped.
+    A row is a sequence of entries, all sequence rows of one length, or
+    a ``{column: entry}`` dict.  Each row is scaled by the lcm of its
+    denominators and divided by its content; zero rows are dropped.
     """
-    rows = list(rows)
-    ncols = len(rows[0]) if rows else 0
+    ncols = None
     out = []
     for row in rows:
-        if len(row) != ncols:
-            raise ZlinError("ragged rows in rational matrix")
-        r = {j: x for j, x in enumerate(row) if x}
+        if isinstance(row, dict):
+            r = {j: x for j, x in row.items() if x}
+        else:
+            if ncols is None:
+                ncols = len(row)
+            elif len(row) != ncols:
+                raise ZlinError("ragged rows in rational matrix")
+            r = {j: x for j, x in enumerate(row) if x}
         if not r:
             continue
         den = lcm(*(x.denominator for x in r.values()))
@@ -208,7 +213,11 @@ def _echelon(rows):
 
 
 def rational_rank(rows):
-    """Rank of a matrix given as a list of rows of Fractions/ints."""
+    """Rank of a matrix given as rows of Fractions/ints.
+
+    Each row is a sequence of entries (all of one length) or a sparse
+    ``{column: entry}`` dict, in which a missing column is zero.
+    """
     return len(_echelon(_sparse_rows(rows)))
 
 

@@ -328,6 +328,30 @@ class TestExactElimination:
             rows = random_sparse_matrix(rng)
             assert rational_rank(rows) == dense_rank(rows)
 
+    def test_rank_of_mapping_rows_matches_dense_reference(self):
+        # the same matrices as {column: entry} rows: some zeros stored
+        # explicitly, zero rows as empty dicts, int and Fraction entries
+        rng = random.Random(14)
+        kinds = set()
+        for _ in range(400):
+            rows = random_sparse_matrix(rng)
+            if rng.random() < 0.5:
+                rows = [[x.numerator if x.denominator == 1 else x
+                         for x in row] for row in rows]
+            mapping = []
+            for row in rows:
+                r = {j: x for j, x in enumerate(row)
+                     if x or rng.random() < 0.2}
+                mapping.append(dict(rng.sample(sorted(r.items()), len(r))))
+                if not r:
+                    kinds.add("empty")
+                if 0 in r.values():
+                    kinds.add("zero")
+                if any(type(x) is Fraction for x in r.values()):
+                    kinds.add("fraction")
+            assert rational_rank(mapping) == dense_rank(rows)
+        assert kinds == {"empty", "zero", "fraction"}
+
     def test_rank_matches_sympy(self):
         sympy = pytest.importorskip("sympy")
         rng = random.Random(12)
