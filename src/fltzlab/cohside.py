@@ -142,6 +142,13 @@ class AffineMonoid:
         self._coset_tables = {}
 
     def contains(self, point):
+        """True iff ``point`` (``int`` or ``Fraction`` coordinates) lies in
+        the monoid."""
+        point = tuple(point)
+        for x in point:
+            if not (_is_int(x) or isinstance(x, Fraction)):
+                raise CohError(f"coordinate {x!r} is not an int or a "
+                               "Fraction")
         point = tuple(Fraction(x) for x in point)
         if len(point) != self.rank:
             return False
@@ -358,7 +365,16 @@ def hom_graded(G: GammaCategory, chi: Character, chi_prime: Character,
 
 
 def cyclic_quiver_paths(n: int, i: int, j: int, length_bound: int) -> GradedDims:
-    """Path counts on the directed n-cycle, by length, via honest walking."""
+    """Path counts on the directed n-cycle, by length, via honest walking.
+
+    ``n``, ``i``, ``j`` and ``length_bound`` must be ``int``, with n >= 1.
+    """
+    for name, value in (("n", n), ("i", i), ("j", j),
+                        ("length_bound", length_bound)):
+        if not _is_int(value):
+            raise CohError(f"{name} = {value!r} is not an integer")
+    if n < 1:
+        raise CohError("the cycle needs n >= 1")
     if not (0 <= i < n and 0 <= j < n):
         raise CohError("vertices must lie in 0..n-1")
     if length_bound < 0:

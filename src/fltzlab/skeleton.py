@@ -151,11 +151,14 @@ def _chamber_nonempty(flags, slant, eps):
 
 def _exact_epsilon(eps, n):
     """``eps`` as a ``Fraction`` (default 1/(2n + 2)); it must be an ``int``
-    or a ``Fraction``, so a float or bool is a :class:`SkeletonError`."""
+    or a ``Fraction`` strictly between 0 and 1/2, so a float, a bool or a
+    value out of range is a :class:`SkeletonError`."""
     if eps is None:
         return default_epsilon(n)
     if type(eps) is not int and not isinstance(eps, Fraction):
         raise SkeletonError(f"epsilon {eps!r} is not an int or a Fraction")
+    if not 0 < eps < Fraction(1, 2):
+        raise SkeletonError("epsilon must lie strictly between 0 and 1/2")
     return Fraction(eps)
 
 
@@ -169,8 +172,6 @@ def enumerate_chambers(n: int, eps=None) -> list:
     if n < 1:
         raise SkeletonError("chamber enumeration needs n >= 1")
     eps = _exact_epsilon(eps, n)
-    if not 0 < eps < Fraction(1, 2):
-        raise SkeletonError("epsilon must lie strictly between 0 and 1/2")
     out = []
     for flags in product("SL", repeat=n):
         for slant in range(n):
@@ -195,7 +196,7 @@ def sample_point(chamber: Chamber, eps=None):
 
     Interpolates the box corners so that the coordinate sum hits the
     middle of the admissible slant interval.  ``eps`` must be an ``int``
-    or a ``Fraction``.
+    or a ``Fraction`` strictly between 0 and 1/2.
     """
     eps = _exact_epsilon(eps, chamber.n)
     lows, highs = _box_bounds(chamber.flags, eps)

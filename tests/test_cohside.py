@@ -490,6 +490,20 @@ class TestCyclicPaths:
         with pytest.raises(CohError):
             cyclic_quiver_paths(3, 0, 3, 5)
 
+    @pytest.mark.parametrize("args, message", [
+        ((3, 0, 1, 2.5), "length_bound = 2.5 is not an integer"),
+        ((3.0, 0, 1, 2), "n = 3.0 is not an integer"),
+        ((True, 0, 0, 3), "n = True is not an integer"),
+        ((3, False, 1, 2), "i = False is not an integer"),
+        ((3, 0, "1", 2), "j = '1' is not an integer"),
+        ((0, 0, 0, 3), "n >= 1"),
+        ((-2, 0, 0, 3), "n >= 1")])
+    def test_bad_arguments_rejected(self, args, message):
+        # 2.5 and 3.0 used to end in a raw TypeError, and True to count
+        # paths on a 1-cycle
+        with pytest.raises(CohError, match=message):
+            cyclic_quiver_paths(*args)
+
 
 class TestIsotypic:
     def test_untwisted_cyclic(self):
@@ -746,6 +760,14 @@ class TestAffineMonoid:
         assert not mono.contains((0, -1))
         assert mono.contains((0, 0))
         assert not mono.contains((Fraction(1, 2), 0))  # off the lattice
+
+    @pytest.mark.parametrize("point", [(0.75,), (True,), ("1",), (1.0,)])
+    def test_membership_rejects_inexact_coordinates(self, point):
+        # on the order-4 line, (0.75,) and (True,) used to be members
+        mono = AffineMonoid(1, [(1,)], denominator=4)
+        assert mono.contains((Fraction(3, 4),)) and mono.contains((1,))
+        with pytest.raises(CohError, match="is not an int or a Fraction"):
+            mono.contains(point)
 
     def test_wrong_length_inequality_rejected(self):
         with pytest.raises(CohError, match="length 3"):

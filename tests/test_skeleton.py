@@ -122,6 +122,12 @@ class TestChambers:
         with pytest.raises(SkeletonError, match="is not an int or a Fraction"):
             sample_point(enumerate_chambers(2)[0], eps)
 
+    @pytest.mark.parametrize("eps", [Fraction(-1, 4), 0, Fraction(1, 2), 1])
+    def test_sample_point_epsilon_out_of_range_rejected(self, eps):
+        # -1/4 and 0 used to return a point
+        with pytest.raises(SkeletonError, match="strictly between 0 and 1/2"):
+            sample_point(enumerate_chambers(2)[0], eps)
+
 
 class TestChamberQuiver:
     def test_untwisted_p2(self):
