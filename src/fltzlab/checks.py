@@ -67,8 +67,8 @@ def pn_cohomology(n):
 def two_sided(n):
     """Chamber-category generators against O, O(1), ..., O(n) on Pn.
 
-    The Euler Gram matrices are compared for n <= 3 and the full graded
-    rep homs for n <= 2; larger n yields no records.
+    The Euler Gram matrices and the full graded rep homs are compared
+    for n <= 3; larger n yields no records.
     """
     if n > 3:
         return
@@ -78,8 +78,6 @@ def two_sided(n):
                  for j in range(n + 1)] for i in range(n + 1)]
     yield Check(f"P{n} euler Gram matches coherent Gram",
                 gram == coh_gram, f"{gram} vs {coh_gram}")
-    if n > 2:
-        return
     for i in range(n + 1):
         for j in range(n + 1):
             ext = conside.rep_hom(gens[i], gens[j])

@@ -15,8 +15,10 @@ isotypic component; ``generator_display.json`` (the chamber ranks and
 monomial decorations of every decomposition generator, n = 1..4) was
 written while ``picsym`` still kept a second display rule (per-chamber
 component labels, rotated for k = 2) next to
-``BeilinsonGenerator.decorations``.  Every case
-here must keep producing exactly the same bytes.
+``BeilinsonGenerator.decorations``.  ``verify-ccc-P3.txt`` later gained
+the 16 P3 rep-hom records, written by the sparse bar complex when
+``checks.two_sided`` reached n = 3; no other line of it changed.  Every
+case here must keep producing exactly the same bytes.
 """
 
 import io
