@@ -51,6 +51,22 @@ def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+_INT_TYPES = frozenset((int,))
+
+
+def _check_ints(values, what):
+    """Raise CohError naming the first value that is not an integer.
+
+    One C-level pass over the types accepts the common case; only values
+    of another type (a ``bool``, a float, an ``int`` subclass) are looked
+    at one by one.
+    """
+    if not _INT_TYPES.issuperset(map(type, values)):
+        for x in values:
+            if not _is_int(x):
+                raise CohError(f"{what} {x!r} is not an integer")
+
+
 # ---------------------------------------------------------------------------
 # graded dimension vectors
 
@@ -60,7 +76,7 @@ class GradedDims:
     """Dimensions per integer degree 0..bound under a fixed weight functional.
 
     ``weight`` records the integer coefficient row applied to the
-    denominator-cleared coordinates.
+    denominator-cleared coordinates, as a tuple of ``int``.
     """
 
     dims: tuple
@@ -70,14 +86,16 @@ class GradedDims:
     def __post_init__(self):
         if not _is_int(self.bound):
             raise CohError(f"bound {self.bound!r} is not an integer")
-        object.__setattr__(self, "dims", tuple(self.dims))
-        for x in self.dims:
-            if not _is_int(x):
-                raise CohError(f"graded dimension {x!r} is not an integer")
-        if len(self.dims) != self.bound + 1:
+        dims = tuple(self.dims)
+        object.__setattr__(self, "dims", dims)
+        _check_ints(dims, "graded dimension")
+        if len(dims) != self.bound + 1:
             raise CohError("dims length must be bound + 1")
-        if any(x < 0 for x in self.dims):
+        if min(dims, default=0) < 0:
             raise CohError("graded dimensions must be nonnegative")
+        if type(self.weight) is not tuple:
+            raise CohError(f"weight {self.weight!r} is not a tuple")
+        _check_ints(self.weight, "weight entry")
 
     def __getitem__(self, d):
         return self.dims[d]
@@ -140,6 +158,7 @@ class AffineMonoid:
         self._cone_rays = rays
         self._cone_lines = lines
         self._coset_tables = {}
+        self._proper_weights = set()
 
     def contains(self, point):
         """True iff ``point`` (``int`` or ``Fraction`` coordinates) lies in
@@ -221,23 +240,25 @@ class AffineMonoid:
         """The weight as a tuple (default all ones) once bound and weight pass.
 
         ``bound`` must be a nonnegative ``int`` and the weight ``rank``
-        ``int`` entries, strictly positive on the cone.
+        ``int`` entries, strictly positive on the cone.  A weight that
+        passed is remembered, after the type and length checks, so its
+        cone test runs once per monoid.
         """
         if not _is_int(bound):
             raise CohError(f"bound {bound!r} is not an integer")
         if weight is None:
             weight = self.default_weight()
         weight = tuple(weight)
-        for w in weight:
-            if not _is_int(w):
-                raise CohError(f"weight entry {w!r} is not an integer")
+        _check_ints(weight, "weight entry")
         if len(weight) != self.rank:
             raise CohError(f"weight {weight!r} has length {len(weight)}, "
                            f"expected {self.rank}")
-        if not self.weight_is_proper(weight):
-            raise ImproperWeightError(
-                "weight functional is not strictly positive on the monoid "
-                "cone; supply a proper weight")
+        if weight not in self._proper_weights:
+            if not self.weight_is_proper(weight):
+                raise ImproperWeightError(
+                    "weight functional is not strictly positive on the "
+                    "monoid cone; supply a proper weight")
+            self._proper_weights.add(weight)
         if bound < 0:
             raise CohError("bound must be nonnegative")
         return weight
@@ -297,35 +318,36 @@ class GammaCategory:
 def _adapted_quotient(cone: Cone):
     """Quotient data of the ambient lattice modulo the cone's perp.
 
-    Returns (q, project, ineqs_q): the quotient rank, a projection of
-    rational ambient vectors onto deterministic quotient coordinates,
-    and the cone's generator pairings rewritten in those coordinates
-    (so that pairing a vector with a generator equals pairing its
-    projection with the rewritten normal).
+    Returns (q, project, ineqs_q, rays_q, lines_q): the quotient rank, q
+    integer rows that project ambient vectors onto deterministic
+    quotient coordinates (the i-th coordinate of v is the pairing of row
+    i with v), the cone's generator pairings rewritten in those
+    coordinates (so that pairing a vector with a generator equals
+    pairing its projection with the rewritten normal), and the rays and
+    lines of the quotient cone they cut out.
     """
     n = cone.ambient_rank
     from .zlin import kernel_basis, rational_inverse
     perp = kernel_basis(IntMatrix([list(g) for g in cone.rays])) if cone.rays else \
         [tuple(int(i == j) for j in range(n)) for i in range(n)]
     if not perp:
-        return (n, lambda v: tuple(Fraction(x) for x in v),
-                [tuple(g) for g in cone.rays])
-    T = IntMatrix.from_columns([list(p) for p in perp], rows=n)
-    u = smith_normal_form(T).U  # carries the perp into the leading coordinates
-    q = n - len(perp)
-
-    def project(v):
-        img = u @ [Fraction(x) for x in v]
-        return tuple(img[n - q:])
-
-    u_inv = rational_inverse([list(r) for r in u.entries])
-    ineqs_q = []
-    for g in cone.rays:
-        h = [sum(u_inv[i][j] * g[i] for i in range(n)) for j in range(n)]
-        if any(x != 0 for x in h[:n - q]):
-            raise CohError("generator does not annihilate the cone's perp")
-        ineqs_q.append(tuple(int(x) for x in h[n - q:]))
-    return q, project, ineqs_q
+        q, project = n, IntMatrix.identity(n).entries
+        ineqs_q = [tuple(g) for g in cone.rays]
+    else:
+        T = IntMatrix.from_columns([list(p) for p in perp], rows=n)
+        # U carries the perp into the leading coordinates
+        u = smith_normal_form(T).U
+        q = n - len(perp)
+        project = u.entries[n - q:]
+        u_inv = rational_inverse([list(r) for r in u.entries])
+        ineqs_q = []
+        for g in cone.rays:
+            h = [sum(u_inv[i][j] * g[i] for i in range(n)) for j in range(n)]
+            if any(x != 0 for x in h[:n - q]):
+                raise CohError("generator does not annihilate the cone's "
+                               "perp")
+            ineqs_q.append(tuple(int(x) for x in h[n - q:]))
+    return (q, project, ineqs_q, *dd_generators(ineqs_q, q))
 
 
 def gamma_category(sf: StackyFan) -> GammaCategory:
@@ -365,9 +387,13 @@ def hom_graded(G: GammaCategory, chi: Character, chi_prime: Character,
 
 
 def cyclic_quiver_paths(n: int, i: int, j: int, length_bound: int) -> GradedDims:
-    """Path counts on the directed n-cycle, by length, via honest walking.
+    """Path counts on the directed n-cycle, by length, from the one walk.
 
-    ``n``, ``i``, ``j`` and ``length_bound`` must be ``int``, with n >= 1.
+    Vertex v has the one arrow v -> v + 1 mod n, so the paths out of
+    ``i`` are the steps of one walk, and the path of length L counts
+    toward j iff the walk stands at j after L steps: first after
+    (j - i) mod n steps, then every n steps.  ``n``, ``i``, ``j`` and
+    ``length_bound`` must be ``int``, with n >= 1.
     """
     for name, value in (("n", n), ("i", i), ("j", j),
                         ("length_bound", length_bound)):
@@ -379,12 +405,9 @@ def cyclic_quiver_paths(n: int, i: int, j: int, length_bound: int) -> GradedDims
         raise CohError("vertices must lie in 0..n-1")
     if length_bound < 0:
         raise CohError("length bound must be nonnegative")
-    counts = []
-    state = [0] * n
-    state[i] = 1
-    for _ in range(length_bound + 1):
-        counts.append(state[j])
-        state = [state[(v - 1) % n] for v in range(n)]
+    counts = [0] * (length_bound + 1)
+    first = (j - i) % n
+    counts[first::n] = [1] * len(range(first, length_bound + 1, n))
     return GradedDims(dims=tuple(counts), bound=length_bound, weight=(1,))
 
 
@@ -453,13 +476,15 @@ def costandard_stalk(c: Cone, chi, bound: int, denominator=1,
             raise IncompatibleCharacterError(
                 f"character {chi} is not a torsion point of order dividing "
                 f"{denominator}")
-    q, project, ineqs_q = _adapted_quotient(c)
-    # project is unimodular, so d chi_q is integral with d chi
-    base = tuple(int(x * denominator) for x in project(chi))
+    # a fact of the cone, kept on it: its stalks share one double
+    # description
+    q, project, ineqs_q, rays_q, lines_q = c._memo("_quotient",
+                                                   _adapted_quotient)
+    # the projection is integral, so d chi_q is the projection of d chi
+    dchi = [int(x * denominator) for x in chi]
+    base = tuple(sum(a * y for a, y in zip(row, dchi)) for row in project)
     weight = tuple(weight) if weight is not None else (1,) * q
-    for w in weight:
-        if not _is_int(w):
-            raise CohError(f"weight entry {w!r} is not an integer")
+    _check_ints(weight, "weight entry")
     if len(weight) != q:
         raise CohError(f"weight {weight!r} has length {len(weight)}, "
                        f"expected the quotient rank {q}")
@@ -467,7 +492,6 @@ def costandard_stalk(c: Cone, chi, bound: int, denominator=1,
     if q == 0:
         dims[0] = 1  # a single coset class, sitting in degree zero
         return GradedDims(dims=tuple(dims), bound=bound, weight=weight)
-    rays_q, lines_q = dd_generators(ineqs_q, q)
     if lines_q:
         raise CohError("quotient cone is not pointed")
     for r in rays_q:

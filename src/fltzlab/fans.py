@@ -198,9 +198,13 @@ class Cone:
     ``dd_generators`` pass, on an H-representation it already holds.
     ``_dual_gens`` (x is in the cone iff a.x >= 0 for all of them) may be
     any valid H-representation, redundant or not: nothing compares it.
+    ``_dim`` and ``_quotient`` (the data of ``cohside``'s costandard
+    stalks) are facts of the cone, computed on first use by :meth:`_memo`.
+    ``ambient_rank`` must be a nonnegative ``int``.
     """
 
-    __slots__ = ("ambient_rank", "rays", "lines", "_dual_gens")
+    __slots__ = ("ambient_rank", "rays", "lines", "_dual_gens", "_dim",
+                 "_quotient")
 
     def __init__(self, generators=(), ambient_rank=None):
         gens = [tuple(g) for g in generators]
@@ -208,8 +212,9 @@ class Cone:
             if not gens:
                 raise FanError("ambient rank needed for a generator-free cone")
             ambient_rank = len(gens[0])
-        if ambient_rank < 0:
-            raise FanError(f"ambient rank {ambient_rank} is negative")
+        if type(ambient_rank) is not int or ambient_rank < 0:
+            raise FanError(f"ambient rank {ambient_rank!r} is not a "
+                           "nonnegative integer")
         for g in gens:
             if len(g) != ambient_rank:
                 raise FanError("generator length does not match ambient rank")
@@ -224,12 +229,23 @@ class Cone:
 
     @classmethod
     def _from_reps(cls, rank, rays, lines, hrep, cone=None):
-        """Set the four slots of ``cone`` (a new Cone by default)."""
+        """Set the slots of ``cone`` (a new Cone by default); the
+        memoized ones start empty."""
         cone = object.__new__(cls) if cone is None else cone
         for name, value in zip(cls.__slots__, (rank, tuple(rays),
-                                               tuple(lines), tuple(hrep))):
+                                               tuple(lines), tuple(hrep),
+                                               None, None)):
             object.__setattr__(cone, name, value)
         return cone
+
+    def _memo(self, slot, compute):
+        """The value of a memoized slot, set to ``compute(self)`` on first
+        use."""
+        value = getattr(self, slot)
+        if value is None:
+            value = compute(self)
+            object.__setattr__(self, slot, value)
+        return value
 
     def __setattr__(self, name, value):
         raise AttributeError("Cone is immutable")
@@ -254,10 +270,7 @@ class Cone:
         return f"Cone({list(self.rays)}, ambient_rank={self.ambient_rank})"
 
     def dim(self):
-        gens = self.generators
-        if not gens:
-            return 0
-        return rational_rank([list(g) for g in gens])
+        return self._memo("_dim", _generator_rank)
 
     def is_zero(self):
         return not self.rays and not self.lines
@@ -286,6 +299,11 @@ class Cone:
         hrep = [tuple(-x for x in a) for a in self._dual_gens]
         return Cone._from_reps(self.ambient_rank,
                                *dd_generators(hrep, self.ambient_rank), hrep)
+
+
+def _generator_rank(c):
+    gens = c.generators
+    return rational_rank([list(g) for g in gens]) if gens else 0
 
 
 def _signed(rays, lines):
@@ -354,10 +372,14 @@ def is_smooth_cone(c: Cone) -> bool:
 
 
 class Fan:
-    """A finite fan: strictly convex cones closed under faces and intersections."""
+    """A finite fan: strictly convex cones closed under faces and intersections.
+
+    Its maximal cones are found once, on first use.
+    """
 
     def __init__(self, cones, rank):
         self.rank = rank
+        self._maximal = None
         table = {}
         for c in cones:
             if c.ambient_rank != rank:
@@ -381,15 +403,18 @@ class Fan:
         return sorted(c.rays[0] for c in self.cones_of_dim(1))
 
     def maximal_cones(self):
-        cones = self.cones
-        out = []
-        for c in cones:
-            contained = any(
-                d.key != c.key and all(d.contains(g) for g in c.rays)
-                for d in cones)
-            if not contained:
-                out.append(c)
-        return sorted(out, key=lambda c: c.key)
+        """The cones that lie in no other, sorted by key.
+
+        The fan is closed under faces and intersections, so a cone lies
+        in another exactly when it is a face of it, that is when its
+        rays are a subset of the other's.
+        """
+        if self._maximal is None:
+            cones = self.cones
+            ray_sets = [frozenset(c.rays) for c in cones]
+            self._maximal = tuple(c for c, s in zip(cones, ray_sets)
+                                  if not any(s < t for t in ray_sets))
+        return list(self._maximal)
 
     def __contains__(self, cone):
         return cone.key in self._cones
@@ -439,12 +464,15 @@ def standard_fan(kind, n=None, k=None) -> Fan:
 
     ``Pn(n)`` uses the rays e_1..e_n and -e_1-...-e_n; ``AkGm(k, n)`` is
     the face fan of cone(e_1..e_k) inside Z^n; ``point`` is the rank-0
-    fan.
+    fan.  ``n`` and ``k`` must be ``int``.
     """
+    for name, value in (("n", n), ("k", k)):
+        if value is not None and type(value) is not int:
+            raise FanError(f"{name} = {value!r} is not an integer")
     if kind == "point":
         return Fan([Cone((), ambient_rank=0)], rank=0)
     if kind == "Pn":
-        if not n or n < 1:
+        if n is None or n < 1:
             raise FanError("Pn needs n >= 1")
         rays = [tuple(int(i == j) for j in range(n)) for i in range(n)]
         rays.append(tuple(-1 for _ in range(n)))

@@ -146,30 +146,57 @@ class IntMatrix:
 # exact elimination on sparse integer rows (shared by the geometric modules)
 
 
+_INT_TYPES = frozenset((int,))
+_EXACT_TYPES = frozenset((int, Fraction))
+
+
 def _sparse_rows(rows):
     """Rows of Fractions/ints as primitive sparse ``{col: int}`` rows.
 
     A row is a sequence of entries, all sequence rows of one length, or
-    a ``{column: entry}`` dict.  Each row is scaled by the lcm of its
-    denominators and divided by its content; zero rows are dropped.
+    a ``{column: entry}`` dict with nonnegative ``int`` columns.  Every
+    entry must be an ``int`` or a ``Fraction``.  Each row is scaled by
+    the lcm of its denominators and divided by its content; zero rows
+    are dropped.
     """
     ncols = None
     out = []
     for row in rows:
         if isinstance(row, dict):
-            r = {j: x for j, x in row.items() if x}
+            if (not _INT_TYPES.issuperset(map(type, row))
+                    or min(row, default=0) < 0):
+                raise ZlinError(f"sparse row {row!r} has a column that is "
+                                "not a nonnegative int")
+            values, r = row.values(), row.items()
         else:
             if ncols is None:
                 ncols = len(row)
             elif len(row) != ncols:
                 raise ZlinError("ragged rows in rational matrix")
-            r = {j: x for j, x in enumerate(row) if x}
+            values, r = row, enumerate(row)
+        # one C-level pass over the entry types; an all-int row needs no
+        # scaling by denominators
+        kinds = set(map(type, values))
+        if not kinds <= _EXACT_TYPES:
+            _reject_inexact(values)
+        r = {j: x for j, x in r if x}
         if not r:
             continue
-        den = lcm(*(x.denominator for x in r.values()))
-        r = {j: x.numerator * (den // x.denominator) for j, x in r.items()}
+        if kinds != _INT_TYPES:
+            den = lcm(*(x.denominator for x in r.values()))
+            r = {j: x.numerator * (den // x.denominator)
+                 for j, x in r.items()}
         out.append(_primitive(r))
     return out
+
+
+def _reject_inexact(entries):
+    """Raise ZlinError on the first entry that is neither an ``int`` nor a
+    ``Fraction`` (a ``bool`` is not an ``int``)."""
+    for x in entries:
+        if type(x) is not int and not isinstance(x, Fraction):
+            raise ZlinError(f"matrix entry {x!r} is not an int or a "
+                            "Fraction")
 
 
 def _primitive(r):
@@ -216,7 +243,10 @@ def rational_rank(rows):
     """Rank of a matrix given as rows of Fractions/ints.
 
     Each row is a sequence of entries (all of one length) or a sparse
-    ``{column: entry}`` dict, in which a missing column is zero.
+    ``{column: entry}`` dict, in which a missing column is zero.  An
+    entry that is not an ``int`` or a ``Fraction`` (a ``bool`` is not),
+    or a column that is not a nonnegative ``int``, is a
+    :class:`ZlinError`.
     """
     return len(_echelon(_sparse_rows(rows)))
 
@@ -481,7 +511,8 @@ class LatticeQuotient:
     columns are kept in ``superlattice_basis``.  Provides the quotient
     group, a complete duplicate-free transversal of coset representatives,
     the character of any superlattice vector and its inverse,
-    ``representative``.  Two empty bases give the trivial quotient of rank 0.
+    ``representative``, read from a table filled once here.  Two empty
+    bases give the trivial quotient of rank 0.
     """
 
     def __init__(self, superlattice_basis, sublattice_basis):
@@ -518,8 +549,17 @@ class LatticeQuotient:
         self._diag = diag
         self._rank = n
         self.index = prod(diag)
-        self.representatives = [self.representative(chi)
-                                for chi in self.group.characters()]
+        # the representative of chi is sum_i c_i S'_i, with c_i the
+        # component of chi on the i-th cyclic summand (0 off them)
+        table = {}
+        for chi in self.group.characters():
+            comps = iter(chi.components)
+            coords = [next(comps) if d > 1 else 0 for d in diag]
+            table[chi.components] = tuple(
+                sum(c * a[i] for c, a in zip(coords, self._adapted))
+                for i in range(n))
+        self._representative_of = table
+        self.representatives = list(table.values())
 
     def character_of(self, vec) -> Character:
         """Character of a superlattice vector in the quotient group.
@@ -548,10 +588,7 @@ class LatticeQuotient:
         """
         if not isinstance(chi, Character) or chi.group != self.group:
             raise ZlinError(f"{chi!r} is not a character of {self.group}")
-        comps = iter(chi.components)
-        coords = [next(comps) if d > 1 else 0 for d in self._diag]
-        return tuple(sum(c * a[i] for c, a in zip(coords, self._adapted))
-                     for i in range(self._rank))
+        return self._representative_of[chi.components]
 
 
 def _rational_columns(basis):

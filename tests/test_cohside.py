@@ -133,6 +133,26 @@ def random_monoid(rng):
                         lattice_basis=basis)
 
 
+def reference_cyclic_quiver_paths(n, i, j, length_bound):
+    """The state-vector walk: shift a length-n indicator at every step."""
+    counts = []
+    state = [0] * n
+    state[i] = 1
+    for _ in range(length_bound + 1):
+        counts.append(state[j])
+        state = [state[(v - 1) % n] for v in range(n)]
+    return tuple(counts)
+
+
+def reference_representative(quotient, chi):
+    """The Fraction sum the representative table replaced: chi's
+    components times the adapted basis columns of their summands."""
+    comps = iter(chi.components)
+    coords = [next(comps) if d > 1 else 0 for d in quotient._diag]
+    return tuple(sum(c * a[i] for c, a in zip(coords, quotient._adapted))
+                 for i in range(quotient._rank))
+
+
 def reference_hom_graded(G, chi, chi_prime, bound, weight=None):
     """The per-point route: project every monoid element to its character."""
     target = chi_prime - chi
@@ -151,8 +171,8 @@ def reference_costandard_stalk(c, chi, bound, denominator=1, weight=None):
     for x in chi:
         if (x * denominator).denominator != 1:
             raise IncompatibleCharacterError("not a torsion point")
-    q, project, ineqs_q = _adapted_quotient(c)
-    chi_q = project(chi)
+    q, project, ineqs_q, _, _ = _adapted_quotient(c)
+    chi_q = tuple(sum(a * x for a, x in zip(row, chi)) for row in project)
     weight = tuple(weight) if weight is not None else (1,) * q
     dims = [0] * (bound + 1)
     if q == 0:
@@ -314,6 +334,19 @@ class TestGradedDims:
         with pytest.raises(CohError, match="is not an integer"):
             GradedDims(dims=dims, bound=bound, weight=(1,))
 
+    @pytest.mark.parametrize("weight, message", [
+        ("x", "weight 'x' is not a tuple"), ([1], r"weight \[1\] is not"),
+        (None, "weight None is not"), ((1.0,), "weight entry 1.0"),
+        ((True,), "weight entry True"), ((1, "2"), "weight entry '2'")])
+    def test_weight_must_be_a_tuple_of_ints(self, weight, message):
+        # weight='x' used to be accepted
+        with pytest.raises(CohError, match=message):
+            GradedDims(dims=(1,), bound=0, weight=weight)
+
+    def test_negative_dimension_rejected(self):
+        with pytest.raises(CohError, match="nonnegative"):
+            GradedDims(dims=(1, -1), bound=1, weight=(1,))
+
 
 class TestHomGraded:
     def test_cyclic_shifted_cone(self):
@@ -398,6 +431,14 @@ class TestHomGradedOracle:
             for chi in q.group.characters():
                 assert q.character_of(q.representative(chi)) == chi
 
+    def test_representative_table_matches_fraction_sum(self):
+        for G, _, _ in oracle_charts():
+            q = G.quotient
+            chars = q.group.characters()
+            expected = [reference_representative(q, chi) for chi in chars]
+            assert q.representatives == expected
+            assert [q.representative(chi) for chi in chars] == expected
+
     def test_character_of_another_group_rejected(self):
         G = gamma_category(cyclic_stack(3))
         other = FiniteAbelianGroup((7,)).character((1,))
@@ -445,6 +486,23 @@ class TestCosetTable:
         with pytest.raises(CohError, match="is not an integer"):
             hom_graded(G, chars[0], chars[1], bound, weight)
 
+    def test_only_proper_weights_are_remembered(self):
+        G = gamma_category(cyclic_stack(3))
+        for weight in ((1,), (0,), (2,), (-1,), (1,), (0,)):
+            if weight[0] > 0:
+                isotypic_component(G.monoid, (0,), 4, weight)
+                continue
+            with pytest.raises(ImproperWeightError):
+                isotypic_component(G.monoid, (0,), 4, weight)
+        assert G.monoid._proper_weights == {(1,), (2,)}
+        # a remembered weight still answers to the type checks, also on
+        # the enumeration, which builds no GradedDims to catch it
+        for weight in ((1.0,), (True,), (2.0,)):
+            with pytest.raises(CohError, match="is not an integer"):
+                isotypic_component(G.monoid, (0,), 4, weight)
+            with pytest.raises(CohError, match="is not an integer"):
+                G.monoid.elements_by_degree(4, weight)
+
     @pytest.mark.parametrize("weight", [(0,), (-1,)])
     def test_improper_weight_raises_every_time(self, weight):
         G = gamma_category(cyclic_stack(3))
@@ -485,6 +543,15 @@ class TestCyclicPaths:
                 for j in range(n):
                     assert (hom_graded(G, chars[i], chars[j], 12).dims
                             == cyclic_quiver_paths(n, i, j, 12).dims)
+
+    def test_matches_state_vector_walk(self):
+        for n in range(1, 9):
+            for i in range(n):
+                for j in range(n):
+                    for bound in range(31):
+                        assert (cyclic_quiver_paths(n, i, j, bound).dims
+                                == reference_cyclic_quiver_paths(
+                                    n, i, j, bound)), (n, i, j, bound)
 
     def test_bad_vertices(self):
         with pytest.raises(CohError):
@@ -565,7 +632,7 @@ class TestCostandard:
             d = rng.randint(1, 4)
             chi = tuple(Fraction(rng.randint(-2 * d, 2 * d), d)
                         for _ in range(cone.ambient_rank))
-            q, _, ineqs_q = _adapted_quotient(cone)
+            q, _, ineqs_q, _, _ = _adapted_quotient(cone)
             weight = None
             if rng.random() < 0.5:
                 # a positive combination of the generator pairings is
@@ -589,6 +656,36 @@ class TestCostandard:
             compared["perp"] += q < cone.ambient_rank
             compared["twisted"] += any(x.denominator > 1 for x in chi)
         assert min(compared.values()) >= 100, compared
+
+    def test_warm_cone_matches_fraction_loop(self):
+        # every stalk of one cone reads the quotient data kept on it, and
+        # gives the dims the oracle gives
+        rng = random.Random(20261020)
+        compared = 0
+        for _ in range(60):
+            cone = random_strictly_convex_cone(rng)
+            # the sum of the generator pairings is a proper weight
+            ineqs_q = _adapted_quotient(cone)[2]
+            proper = tuple(map(sum, zip(*ineqs_q))) or None
+            kept = []
+            for _ in range(6):
+                d = rng.randint(1, 4)
+                chi = tuple(Fraction(rng.randint(-2 * d, 2 * d), d)
+                            for _ in range(cone.ambient_rank))
+                weight = rng.choice((None, proper))
+                args = (cone, chi, rng.randint(0, 6))
+                try:
+                    expected = reference_costandard_stalk(*args, d, weight)
+                except ImproperWeightError:
+                    with pytest.raises(ImproperWeightError):
+                        costandard_stalk(*args, denominator=d, weight=weight)
+                else:
+                    assert costandard_stalk(*args, denominator=d,
+                                            weight=weight) == expected
+                    compared += 1
+                kept.append(cone._quotient)
+            assert all(data is kept[0] for data in kept)
+        assert compared >= 200, compared
 
     def test_zero_cone(self):
         stalk = costandard_stalk(Cone((), ambient_rank=2), (0, 0), 4)

@@ -698,3 +698,104 @@ class TestJson:
     def test_point_fan_round_trip(self):
         pt = standard_fan("point")
         assert fan_from_json(fan_to_json(pt)) == pt
+
+
+def reference_maximal_cones(fan):
+    """The geometric test the ray-set one replaced: a cone is maximal iff
+    no other cone of the fan contains all of its rays."""
+    cones = fan.cones
+    out = [c for c in cones
+           if not any(d.key != c.key and all(d.contains(g) for g in c.rays)
+                      for d in cones)]
+    return sorted(out, key=lambda c: c.key)
+
+
+def unit_vectors(rank):
+    return [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+
+
+def fans_under_test():
+    """Every fan the tests build: P1-P4, AkGm, the point, the mu3 and mu4
+    golden stacks, the cyclic and benchmark stacky charts with their image
+    fans, the refinement fans, and the face fans of seeded cones."""
+    fans = [standard_fan("Pn", n=n) for n in range(1, 5)]
+    fans += [standard_fan("AkGm", n=n, k=k)
+             for n in range(4) for k in range(n + 1)]
+    fans.append(standard_fan("point"))
+    mu3 = fan_from_json('{"rank": 1, "max_cones": [[[1]]], "beta": [[3]]}')
+    mu4 = fan_from_json('{"rank": 2, "max_cones": [[[1, 0], [0, 1]]], '
+                        '"beta": [[2, 0], [0, 2]]}')
+    charts = [[[n]] for n in range(2, 13)] + [
+        [[1, 1], [-1, 1]], [[2, 1], [0, 3]], [[3, 0], [0, 2]],
+        [[2, 0, 0], [0, 2, 0], [0, 0, 1]]]
+    stacks = [mu3, mu4] + [
+        StackyFan(IntMatrix(beta), fan_from_max_cones(
+            [Cone(unit_vectors(len(beta)), ambient_rank=len(beta))]))
+        for beta in charts]
+    for sf in stacks:
+        fans += [sf.fan_hat, sf.fan]
+    fans += [fan_from_max_cones([Cone([(1, 0), (1, 1)]),
+                                 Cone([(1, 1), (0, 1)])]),
+             fan_from_max_cones([Cone([(0, 1), (1, 0)]),
+                                 Cone([(1, 0), (2, -1)])]),
+             fan_from_max_cones([], rank=2)]
+    rng = random.Random(61)
+    fans += [fan_from_max_cones([c]) for c in seeded_cones(rng, 40)
+             if c.is_strictly_convex()]
+    return fans
+
+
+class TestMaximalConesOracle:
+    def test_ray_sets_match_geometric_containment(self):
+        fans = fans_under_test()
+        assert len(fans) > 60
+        for fan in fans:
+            expected = [c.key for c in reference_maximal_cones(fan)]
+            assert [c.key for c in fan.maximal_cones()] == expected, fan
+            # the second call reads the kept tuple
+            assert [c.key for c in fan.maximal_cones()] == expected
+
+    def test_callers_get_their_own_list(self):
+        fan = standard_fan("Pn", n=2)
+        fan.maximal_cones().clear()
+        assert len(fan.maximal_cones()) == 3
+
+
+class TestConeDimOracle:
+    def test_dim_is_the_rank_of_the_generators(self):
+        rng = random.Random(67)
+        checked = 0
+        for c in seeded_cones(rng, 120):
+            cones = [c, dual_cone(c)]
+            if c.is_strictly_convex():
+                cones += faces(c)
+            for f in cones:
+                gens = [list(g) for g in f.generators]
+                expected = rational_rank(gens) if gens else 0
+                assert f.dim() == expected, f
+                assert f.dim() == expected
+                checked += 1
+        assert checked > 500, checked
+
+    def test_cone_stays_immutable(self):
+        c = Cone([(1, 0)], ambient_rank=2)
+        assert c.dim() == 1
+        with pytest.raises(AttributeError):
+            c._dim = 2
+        assert c.dim() == 1
+
+
+class TestTypedErrors:
+    @pytest.mark.parametrize("rank", [2.0, "2", True])
+    def test_ambient_rank_must_be_an_int(self, rank):
+        # 2.0 and '2' used to end in raw TypeErrors, True to be accepted
+        with pytest.raises(FanError, match="ambient rank"):
+            Cone([(1, 0)], ambient_rank=rank)
+
+    @pytest.mark.parametrize("kind, n, k, message", [
+        ("Pn", True, None, "n = True"), ("Pn", 2.0, None, "n = 2.0"),
+        ("AkGm", 2, 1.5, "k = 1.5"), ("AkGm", "2", 1, "n = '2'")])
+    def test_standard_fan_sizes_must_be_ints(self, kind, n, k, message):
+        # True used to build P1; 2.0 and 1.5 ended in raw TypeErrors
+        with pytest.raises(FanError, match=message):
+            standard_fan(kind, n=n, k=k)

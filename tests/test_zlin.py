@@ -403,3 +403,28 @@ class TestExactElimination:
     def test_rank_rejects_ragged_rows(self):
         with pytest.raises(ZlinError):
             rational_rank([[1, 2], [3]])
+
+    @pytest.mark.parametrize("rows, message", [
+        ([[0.5, 1]], "entry 0.5"), ([{0: 0.5}], "entry 0.5"),
+        ([[True, 1]], "entry True"), ([{0: True}], "entry True"),
+        ([[1, 0.0]], "entry 0.0"), ([{0: 1, 2: 0.0}], "entry 0.0"),
+        ([{0: "1"}], "entry '1'"),
+        ([{"a": 1, 0: 2}], "not a nonnegative int"),
+        ([{-3: 1}], "not a nonnegative int"),
+        ([{True: 1}], "not a nonnegative int"),
+        ([{1.0: 1}], "not a nonnegative int")])
+    def test_rank_rejects_inexact_entries_and_bad_columns(self, rows,
+                                                          message):
+        # 0.5 used to end in a raw AttributeError, 'a' in a raw TypeError,
+        # and {-3: 1} and {0: True} to have rank 1
+        with pytest.raises(ZlinError, match=message):
+            rational_rank(rows)
+
+    def test_rank_zero_entries_are_checked_too(self):
+        # a zero entry is dropped from the row, but not before its check
+        with pytest.raises(ZlinError):
+            rational_rank([[False, 1]])
+        with pytest.raises(ZlinError):
+            rational_inverse([[1, 0.0], [0, 1]])
+        rows = [[0, Fraction(0)], {0: 0, 3: Fraction(2, 3)}]
+        assert rational_rank(rows) == 1
