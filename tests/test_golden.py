@@ -15,7 +15,12 @@ isotypic component; ``generator_display.json`` (the chamber ranks and
 monomial decorations of every decomposition generator, n = 1..4) was
 written while ``picsym`` still kept a second display rule (per-chamber
 component labels, rotated for k = 2) next to
-``BeilinsonGenerator.decorations``.  ``verify-ccc-P3.txt`` later gained
+``BeilinsonGenerator.decorations``.  ``chamber_quivers.json`` (every
+vertex and edge, with its label, of the twisted chamber quiver for
+n = 1..5, and the vertex and edge counts up to n = 8) was written by
+the per-flag ``Fraction`` box test and the pairwise wall loop, before
+chambers were decided by their S-flag count and walls by neighbour
+steps.  ``verify-ccc-P3.txt`` later gained
 the 16 P3 rep-hom records, written by the sparse bar complex when
 ``checks.two_sided`` reached n = 3; no other line of it changed.  Every
 case here must keep producing exactly the same bytes.
@@ -43,6 +48,8 @@ from fltzlab.fans import (
     intersect_cones,
     standard_fan,
 )
+from fltzlab.picsym import PicMonomial
+from fltzlab.skeleton import chamber_quiver
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -170,6 +177,28 @@ def generator_display_records():
     return _json_lines(records)
 
 
+def chamber_quiver_records():
+    """The twisted chamber quiver on the Pic generators: every vertex and
+    edge with its label for n = 1..5, and the counts for n = 1..8."""
+    records = []
+    for n in range(1, 9):
+        q = chamber_quiver(n, [PicMonomial.generator(i, n) for i in range(n)])
+        records.append({"n": n, "vertices": len(q.vertices),
+                        "edges": len(q.edges)})
+        if n > 5:
+            continue
+        for i, v in enumerate(q.vertices):
+            records.append({"n": n, "vertex": i,
+                            "chamber": [v.chamber.flag_string(),
+                                        v.chamber.slant],
+                            "translate": list(v.translate),
+                            "label": list(v.label.exponents)})
+        for e in q.edges:
+            records.append({"n": n, "edge": [e.source, e.target],
+                            "label": list(e.label.exponents)})
+    return _json_lines(records)
+
+
 @pytest.mark.parametrize("name", sorted(CLI_CASES))
 def test_cli_output_matches_golden(name):
     expected = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
@@ -195,3 +224,8 @@ def test_cone_ops_match_golden():
 def test_generator_display_matches_golden():
     expected = (GOLDEN / "generator_display.json").read_text(encoding="utf-8")
     assert generator_display_records() == expected
+
+
+def test_chamber_quivers_match_golden():
+    expected = (GOLDEN / "chamber_quivers.json").read_text(encoding="utf-8")
+    assert chamber_quiver_records() == expected
