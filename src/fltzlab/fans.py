@@ -282,10 +282,15 @@ class Cone:
         return self.dim() == self.ambient_rank
 
     def contains(self, point, strict=False):
-        """Exact membership; `strict` asks for the relative interior."""
-        point = tuple(x if type(x) is int else Fraction(x) for x in point)
+        """Exact membership of a point with ``int`` or ``Fraction``
+        coordinates; `strict` asks for the relative interior."""
+        point = tuple(point)
         if len(point) != self.ambient_rank:
             raise FanError("point has the wrong dimension")
+        for x in point:
+            if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+                raise FanError(f"coordinate {x!r} is not an integer or a "
+                               "Fraction")
         for a in self._dual_gens:
             v = _dot(a, point)
             if v < 0:

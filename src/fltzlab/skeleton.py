@@ -7,7 +7,10 @@ deterministic SVG emitter for the 1- and 2-dimensional pictures.
 
 The perturbation parameter is an exact rational: chambers are encoded by
 sign vectors against the walls {x_i = eps} and {sum x = m}, never by
-floating point.
+floating point.  Whether a chamber is nonempty depends only on its number
+k of S flags and its slant, so with eps = p/q each (k, slant) is decided
+once in integers scaled by q; the walls of the quiver are found by
+stepping from each chamber to its at most n + 1 lower neighbours.
 """
 
 from __future__ import annotations
@@ -143,10 +146,13 @@ def _box_bounds(flags, eps):
     return lows, highs
 
 
-def _chamber_nonempty(flags, slant, eps):
-    lows, highs = _box_bounds(flags, eps)
-    lo, hi = sum(lows), sum(highs)
-    return max(lo, Fraction(slant)) < min(hi, Fraction(slant + 1))
+def _check_dimension(n, needs):
+    """``n`` must be an ``int`` (not a ``bool``) and at least 1; ``needs``
+    is the message for a smaller one."""
+    if type(n) is not int:
+        raise SkeletonError(f"n = {n!r} is not an int")
+    if n < 1:
+        raise SkeletonError(needs)
 
 
 def _exact_epsilon(eps, n):
@@ -165,25 +171,31 @@ def _exact_epsilon(eps, n):
 def enumerate_chambers(n: int, eps=None) -> list:
     """All nonempty chambers, found geometrically from exact sign vectors.
 
-    ``n`` must be an ``int`` >= 1 and ``eps`` an ``int`` or ``Fraction``.
+    The box of a chamber with k S flags has coordinate sums between
+    (n - k) eps and k eps + n - k, so whether it meets the slant band
+    (m, m + 1) depends only on (k, m); with eps = p/q the test is decided
+    once per (k, m) in integers, scaled by q.  ``n`` must be an ``int``
+    >= 1 and ``eps`` an ``int`` or ``Fraction``.
     """
-    if type(n) is not int:
-        raise SkeletonError(f"n = {n!r} is not an int")
-    if n < 1:
-        raise SkeletonError("chamber enumeration needs n >= 1")
+    _check_dimension(n, "chamber enumeration needs n >= 1")
     eps = _exact_epsilon(eps, n)
-    out = []
-    for flags in product("SL", repeat=n):
-        for slant in range(n):
-            if _chamber_nonempty(flags, slant, eps):
-                out.append(Chamber(flags=flags, slant=slant))
-    return sorted(out, key=lambda c: (c.step, c.flags, c.slant))
+    p, q = eps.numerator, eps.denominator
+    slants = [[m for m in range(n)
+               if max((n - k) * p, m * q) < min(k * p + (n - k) * q,
+                                                (m + 1) * q)]
+              for k in range(n + 1)]
+    keys = sorted((flags.count("S") + m, flags, m)
+                  for flags in product("LS", repeat=n)
+                  for m in slants[flags.count("S")])
+    return [Chamber(flags=flags, slant=m) for _, flags, m in keys]
 
 
 def chamber_step_counts(n: int) -> list:
-    """Closed-formula chamber counts by step: the independent route."""
-    if n < 1:
-        raise SkeletonError("step counts need n >= 1")
+    """Closed-formula chamber counts by step: the independent route.
+
+    ``n`` must be an ``int`` >= 1.
+    """
+    _check_dimension(n, "step counts need n >= 1")
     counts = [1]
     for k in range(1, n):
         counts.append(sum(comb(n, j) for j in range(k + 1)))
@@ -210,6 +222,33 @@ def sample_point(chamber: Chamber, eps=None):
     return tuple(lo + t * (hi - lo) for lo, hi in zip(lows, highs))
 
 
+def _walls(n, chambers, eps):
+    """(upper, lower) pairs of chambers that share a wall, n >= 2.
+
+    From a chamber with k S flags at slant m a wall leads down either
+    across x_i = eps, to the chamber with the i-th S flag turned to L, or
+    across sum x = m, to slant m - 1.  Each wall is crossed when its face
+    meets the slant band, decided like ``enumerate_chambers`` in integers
+    scaled by the denominator q of eps = p/q; a face that does so lies
+    between two chambers, so the neighbour is always in ``chambers``.
+    """
+    p, q = eps.numerator, eps.denominator
+    by_key = {(c.flags, c.slant): c for c in chambers}
+    out = []
+    for c in chambers:
+        flags, m = c.flags, c.slant
+        k = flags.count("S")
+        if max((n - k + 1) * p, m * q) < min(k * p + (n - k) * q,
+                                             (m + 1) * q):
+            for i, f in enumerate(flags):
+                if f == "S":
+                    out.append((c, by_key[flags[:i] + ("L",) + flags[i + 1:],
+                                          m]))
+        if (n - k) * p < m * q < k * p + (n - k) * q:
+            out.append((c, by_key[flags, m - 1]))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # the chamber quiver with monodromy labels
 
@@ -226,10 +265,13 @@ class QuiverVertex:
 
     def region(self):
         """(interval indices, slant index) of the lift inside the cover."""
-        a = tuple((-1 if f == "S" else 0) + t
-                  for f, t in zip(self.chamber.flags, self.translate))
-        m = self.chamber.slant + sum(self.translate)
-        return a, m
+        return _region(self.chamber, self.translate)
+
+
+def _region(chamber, translate):
+    a = tuple((-1 if f == "S" else 0) + t
+              for f, t in zip(chamber.flags, translate))
+    return a, chamber.slant + sum(translate)
 
 
 @dataclass(frozen=True)
@@ -253,10 +295,25 @@ def _canonical_avec(n, step):
 
 
 def _transport(loops, vec):
-    out = PicMonomial.unit(loops[0].n_generators if loops else 0)
+    out = PicMonomial.unit(loops[0].n_generators)
     for loop, e in zip(loops, vec):
         out = out * (loop ** e)
     return out
+
+
+def _monomials(items, n, what):
+    """``items`` as a list of exactly n ``PicMonomial``s."""
+    try:
+        items = list(items)
+    except TypeError:
+        raise SkeletonError(f"{what}s {items!r} are not a sequence") from None
+    if len(items) != n:
+        raise SkeletonError(f"need one {what} per dimension: {n}, "
+                            f"not {len(items)}")
+    for m in items:
+        if not isinstance(m, PicMonomial):
+            raise SkeletonError(f"{what} {m!r} is not a PicMonomial")
+    return items
 
 
 def chamber_quiver(n: int, pic=None, loop_monomials=None) -> ChamberQuiver:
@@ -266,92 +323,73 @@ def chamber_quiver(n: int, pic=None, loop_monomials=None) -> ChamberQuiver:
     displayed twice, once per lift); edges are single wall crossings
     oriented from higher to lower step.  Crossing the i-th boundary of
     the domain multiplies a label by the i-th monomial, and each vertex
-    carries the transport of its step class's canonical lift.
+    carries the transport of its step class's canonical lift.  ``n``
+    must be an ``int`` >= 1, and ``pic`` and ``loop_monomials`` n
+    ``PicMonomial``s each, all over one generator count.
     """
-    if pic is None:
-        pic = [PicMonomial.unit(n) for _ in range(n)]
-    pic = list(pic)
-    if len(pic) != n:
-        raise SkeletonError("need one Pic generator per dimension")
-    loops = list(loop_monomials) if loop_monomials is not None else pic
+    _check_dimension(n, "the chamber quiver needs n >= 1")
+    pic = (_monomials(pic, n, "Pic generator") if pic is not None
+           else [PicMonomial.unit(n)] * n)
+    loops = (_monomials(loop_monomials, n, "loop monomial")
+             if loop_monomials is not None else pic)
+    if len({m.n_generators for m in pic + loops}) != 1:
+        raise SkeletonError("the Pic generators and loop monomials must "
+                            "share one generator count")
     eps = default_epsilon(n)
 
+    # the chambers come ordered by (step, flags, slant), and so do the
+    # lifts, which are the vertices in order
     chambers = enumerate_chambers(n, eps)
     lifts = [(c, (0,) * n) for c in chambers]
     if n == 1:
         # the {x = 0} wall sits on the domain boundary: show both lifts of
         # the outer chamber, matching the three-vertex picture
-        outer = next(c for c in chambers if c.step == 1)
-        lifts.append((outer, (1,)))
+        lifts.append((chambers[1], (1,)))
 
-    vertices = []
+    labels = {}
+
+    def transport(vec):
+        if vec not in labels:
+            labels[vec] = _transport(loops, vec)
+        return labels[vec]
+
+    vertices, regions, disps = [], [], []
     for c, t in lifts:
-        a = tuple((-1 if f == "S" else 0) + tt for f, tt in zip(c.flags, t))
-        v = tuple(x - y for x, y in zip(a, _canonical_avec(n, c.step)))
+        a, m = _region(c, t)
+        disp = tuple(x - y for x, y in zip(a, _canonical_avec(n, c.step)))
         vertices.append(QuiverVertex(chamber=c, translate=t,
-                                     label=_transport(loops, v)))
-    vertices.sort(key=lambda v: (v.step, v.chamber.flags, v.chamber.slant,
-                                 v.translate))
+                                     label=transport(disp)))
+        regions.append((a, m))
+        disps.append(disp)
     index = {(v.chamber, v.translate): i for i, v in enumerate(vertices)}
 
-    raw_edges = []
     if n == 1:
-        center = next(c for c in chambers if c.step == 0)
-        outer = next(c for c in chambers if c.step == 1)
-        raw_edges.append(((outer, (0,)), (center, (0,))))
-        raw_edges.append(((outer, (1,)), (center, (0,))))
+        center = index[chambers[0], (0,)]
+        crossings = [(i, center) for i, v in enumerate(vertices)
+                     if v.step == 1]
     else:
-        for ci in chambers:
-            for cj in chambers:
-                if ci.step != cj.step + 1:
-                    continue
-                diff = [i for i in range(n) if ci.flags[i] != cj.flags[i]]
-                if len(diff) == 1 and ci.slant == cj.slant:
-                    i = diff[0]
-                    if ci.flags[i] != "S":
-                        continue
-                    lows, highs = _box_bounds(ci.flags, eps)
-                    lo = eps + sum(l for k, l in enumerate(lows) if k != i)
-                    hi = eps + sum(h for k, h in enumerate(highs) if k != i)
-                    if max(lo, Fraction(ci.slant)) < min(hi, Fraction(ci.slant + 1)):
-                        raw_edges.append(((ci, (0,) * n), (cj, (0,) * n)))
-                elif not diff and ci.slant == cj.slant + 1:
-                    lows, highs = _box_bounds(ci.flags, eps)
-                    if sum(lows) < Fraction(ci.slant) < sum(highs):
-                        raw_edges.append(((ci, (0,) * n), (cj, (0,) * n)))
+        zero = (0,) * n
+        crossings = [(index[upper, zero], index[lower, zero])
+                     for upper, lower in _walls(n, chambers, eps)]
 
     # group edges into torus classes and decorate lifts relative to the
-    # class representative (smallest lift wins, deterministically)
-    def vertex_of(key):
-        return vertices[index[key]]
-
-    def vdisp(vertex):
-        a, _ = vertex.region()
-        return tuple(x - y for x, y in
-                     zip(a, _canonical_avec(n, vertex.step)))
-
+    # class representative (smallest displacement wins, deterministically)
     classes = {}
-    for (sk, tk) in raw_edges:
-        s, t = vertex_of(sk), vertex_of(tk)
-        (sa, sm), (ta, tm) = s.region(), t.region()
-        ckey = (s.step, t.step,
+    for s, t in crossings:
+        (sa, sm), (ta, tm) = regions[s], regions[t]
+        ckey = (vertices[s].step, vertices[t].step,
                 tuple(x - y for x, y in zip(sa, ta)), sm - tm)
-        classes.setdefault(ckey, []).append((sk, tk))
+        classes.setdefault(ckey, []).append((s, t))
 
+    size = [sum(map(abs, d)) for d in disps]
     edges = []
-    for ckey in sorted(classes):
-        members = classes[ckey]
-        ranked = sorted(
-            members,
-            key=lambda e: (sum(map(abs, vdisp(vertex_of(e[0])))),
-                           sum(map(abs, vdisp(vertex_of(e[1])))),
-                           vdisp(vertex_of(e[0])), vdisp(vertex_of(e[1]))))
-        base_disp = vdisp(vertex_of(ranked[0][0]))
-        for sk, tk in members:
-            shift = tuple(x - y for x, y in
-                          zip(vdisp(vertex_of(sk)), base_disp))
-            edges.append(QuiverEdge(source=index[sk], target=index[tk],
-                                    label=_transport(loops, shift)))
+    for members in classes.values():
+        base, _ = min(members, key=lambda e: (size[e[0]], size[e[1]],
+                                              disps[e[0]], disps[e[1]]))
+        for s, t in members:
+            shift = tuple(x - y for x, y in zip(disps[s], disps[base]))
+            edges.append(QuiverEdge(source=s, target=t,
+                                    label=transport(shift)))
     edges.sort(key=lambda e: (e.source, e.target))
     return ChamberQuiver(n=n, vertices=tuple(vertices), edges=tuple(edges),
                          generators=tuple(pic))

@@ -384,6 +384,18 @@ class TestConeBasics:
         assert c.contains((Fraction(1, 2), Fraction(1, 3)))
         assert not c.contains((Fraction(1, 2), Fraction(3, 2)))
 
+    @pytest.mark.parametrize("point", [(0.5, 1), (True, 1), ("1", 1),
+                                       (1, None)], ids=str)
+    def test_membership_needs_exact_coordinates(self, point):
+        # (0.5, 1), (True, 1) and ('1', 1) used to count as members
+        with pytest.raises(FanError, match="is not an integer or a Fraction"):
+            Cone([(1, 0), (0, 1)]).contains(point)
+
+    @pytest.mark.parametrize("point", [(1,), (1, 0, 0), (0.5,)], ids=str)
+    def test_membership_wrong_dimension(self, point):
+        with pytest.raises(FanError, match="point has the wrong dimension"):
+            Cone([(1, 0), (0, 1)]).contains(point)
+
     def test_strict_convexity(self):
         assert Cone([(1, 0), (0, 1)]).is_strictly_convex()
         assert not Cone([(1, 0), (-1, 0)]).is_strictly_convex()

@@ -1,5 +1,6 @@
 import xml.etree.ElementTree as ET
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -9,6 +10,7 @@ from fltzlab.skeleton import (
     Chamber,
     SkeletonError,
     UnsupportedConeError,
+    _walls,
     chamber_quiver,
     chamber_step_counts,
     default_epsilon,
@@ -23,6 +25,64 @@ from fltzlab.zlin import IntMatrix
 def cyclic_stack(n):
     return StackyFan(IntMatrix([[n]]),
                      fan_from_max_cones([Cone([(1,)], ambient_rank=1)]))
+
+
+EPSILONS = [None, "fine", Fraction(1, 3), Fraction(2, 5), Fraction(3, 7)]
+
+
+def epsilon_for(n, eps):
+    """The exact epsilon a test case names: the default, 1/(4n + 4), or a
+    fixed ``Fraction``."""
+    if eps is None:
+        return default_epsilon(n)
+    if eps == "fine":
+        return Fraction(1, 4 * n + 4)
+    return eps
+
+
+def box_bounds(flags, eps):
+    lows = [Fraction(0) if f == "S" else eps for f in flags]
+    highs = [eps if f == "S" else Fraction(1) for f in flags]
+    return lows, highs
+
+
+def reference_enumerate_chambers(n, eps):
+    """The per-flag ``Fraction`` test: the box of each of the 2^n flag
+    vectors against each slant band."""
+    out = []
+    for flags in product("SL", repeat=n):
+        lows, highs = box_bounds(flags, eps)
+        for slant in range(n):
+            if (max(sum(lows), Fraction(slant))
+                    < min(sum(highs), Fraction(slant + 1))):
+                out.append(Chamber(flags=flags, slant=slant))
+    return sorted(out, key=lambda c: (c.step, c.flags, c.slant))
+
+
+def reference_walls(chambers, eps):
+    """The pairwise wall loop: every ordered pair of chambers one step
+    apart, tested with ``Fraction`` sums."""
+    n = chambers[0].n
+    out = set()
+    for ci in chambers:
+        for cj in chambers:
+            if ci.step != cj.step + 1:
+                continue
+            diff = [i for i in range(n) if ci.flags[i] != cj.flags[i]]
+            lows, highs = box_bounds(ci.flags, eps)
+            if len(diff) == 1 and ci.slant == cj.slant:
+                i = diff[0]
+                if ci.flags[i] != "S":
+                    continue
+                lo = eps + sum(l for k, l in enumerate(lows) if k != i)
+                hi = eps + sum(h for k, h in enumerate(highs) if k != i)
+                if (max(lo, Fraction(ci.slant))
+                        < min(hi, Fraction(ci.slant + 1))):
+                    out.add((ci, cj))
+            elif not diff and ci.slant == cj.slant + 1:
+                if sum(lows) < Fraction(ci.slant) < sum(highs):
+                    out.add((ci, cj))
+    return out
 
 
 class TestComponents:
@@ -90,6 +150,13 @@ class TestChambers:
             b = enumerate_chambers(n, Fraction(1, 4 * n + 4))
             assert a == b
 
+    @pytest.mark.parametrize("eps", EPSILONS, ids=str)
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_per_flag_fraction_test(self, n, eps):
+        eps = epsilon_for(n, eps)
+        assert enumerate_chambers(n, eps) == reference_enumerate_chambers(
+            n, eps)
+
     def test_sample_points_lie_inside(self):
         eps = default_epsilon(3)
         for c in enumerate_chambers(3):
@@ -115,6 +182,16 @@ class TestChambers:
         # 1.5 used to end in a raw TypeError and True to build n = 1
         with pytest.raises(SkeletonError, match=message):
             enumerate_chambers(n, eps)
+
+    @pytest.mark.parametrize("n, message", [
+        (2.0, "n = 2.0 is not an int"),
+        ("3", "n = '3' is not an int"),
+        (True, "n = True is not an int"),
+        (0, "step counts need n >= 1")])
+    def test_step_counts_bad_n_rejected(self, n, message):
+        # 2.0 and "3" used to end in a raw TypeError, True to give [1, 1]
+        with pytest.raises(SkeletonError, match=message):
+            chamber_step_counts(n)
 
     @pytest.mark.parametrize("eps", [0.1, True])
     def test_sample_point_inexact_epsilon_rejected(self, eps):
@@ -207,6 +284,87 @@ class TestChamberQuiver:
                 for loop, e in zip(loops, shift):
                     expected = expected * (loop ** e)
                 assert w.label == expected
+
+
+class TestWalls:
+    @pytest.mark.parametrize("eps", EPSILONS, ids=str)
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_matches_pairwise_wall_loop(self, n, eps):
+        # at eps = 1/3 some chambers with one S flag have no x_i = eps wall
+        # inside their slant band, which the default epsilon never shows
+        eps = epsilon_for(n, eps)
+        walls = _walls(n, enumerate_chambers(n, eps), eps)
+        assert len(set(walls)) == len(walls)
+        assert set(walls) == reference_walls(
+            reference_enumerate_chambers(n, eps), eps)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_quiver_edges_are_the_walls(self, n):
+        q = chamber_quiver(n)
+        assert all(v.translate == (0,) * n for v in q.vertices)
+        edges = {(q.vertices[e.source].chamber, q.vertices[e.target].chamber)
+                 for e in q.edges}
+        assert len(edges) == len(q.edges)
+        assert edges == reference_walls(
+            reference_enumerate_chambers(n, default_epsilon(n)),
+            default_epsilon(n))
+
+
+class TestChamberQuiverInput:
+    @pytest.mark.parametrize("n, message", [
+        (1.5, "n = 1.5 is not an int"),
+        (True, "n = True is not an int"),
+        (0, "the chamber quiver needs n >= 1")])
+    def test_bad_n_rejected(self, n, message):
+        # 1.5 used to end in a raw TypeError
+        with pytest.raises(SkeletonError, match=message):
+            chamber_quiver(n)
+
+    def test_pic_entries_must_be_monomials(self):
+        # used to end in a raw AttributeError
+        with pytest.raises(SkeletonError,
+                           match="Pic generator 1 is not a PicMonomial"):
+            chamber_quiver(2, [1, 2])
+
+    def test_pic_must_be_a_sequence(self):
+        with pytest.raises(SkeletonError, match="are not a sequence"):
+            chamber_quiver(2, 5)
+
+    def test_wrong_pic_count_rejected(self):
+        with pytest.raises(SkeletonError,
+                           match="one Pic generator per dimension: 2, not 1"):
+            chamber_quiver(2, [PicMonomial.generator(0, 2)])
+
+    @pytest.mark.parametrize("count", [0, 1, 4])
+    def test_wrong_loop_count_rejected(self, count):
+        # [] and one loop at n = 3 used to be accepted, every label cut
+        # short by zip
+        loops = [PicMonomial.generator(0, 3)] * count
+        with pytest.raises(SkeletonError,
+                           match=f"one loop monomial per dimension: 3, "
+                                 f"not {count}"):
+            chamber_quiver(3, loop_monomials=loops)
+
+    def test_loop_entries_must_be_monomials(self):
+        with pytest.raises(SkeletonError,
+                           match="loop monomial 'L' is not a PicMonomial"):
+            chamber_quiver(1, loop_monomials=["L"])
+
+    @pytest.mark.parametrize("pic, loops", [
+        ([PicMonomial.generator(0, 2), PicMonomial.generator(0, 3)], None),
+        (None, [PicMonomial.generator(0, 3), PicMonomial.generator(1, 3)]),
+        ([PicMonomial.generator(0, 3), PicMonomial.generator(1, 3)],
+         [PicMonomial.generator(0, 2), PicMonomial.generator(1, 2)])],
+        ids=["mixed-pic", "unit-pic-against-loops", "pic-against-loops"])
+    def test_one_generator_count(self, pic, loops):
+        with pytest.raises(SkeletonError, match="share one generator count"):
+            chamber_quiver(2, pic, loops)
+
+    def test_generator_count_need_not_be_n(self):
+        # the count is shared, not tied to n
+        pic = [PicMonomial.generator(i, 3) for i in range(2)]
+        q = chamber_quiver(2, pic)
+        assert all(v.label.n_generators == 3 for v in q.vertices)
 
 
 class TestSvg:
