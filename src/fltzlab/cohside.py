@@ -26,6 +26,8 @@ from .zlin import (
     FiniteAbelianGroup,
     IntMatrix,
     LatticeQuotient,
+    check_exact,
+    check_ints,
     rational_rank,
     smith_normal_form,
 )
@@ -47,26 +49,6 @@ class ImproperWeightError(CohError):
     pass
 
 
-def _is_int(x):
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-_INT_TYPES = frozenset((int,))
-
-
-def _check_ints(values, what):
-    """Raise CohError naming the first value that is not an integer.
-
-    One C-level pass over the types accepts the common case; only values
-    of another type (a ``bool``, a float, an ``int`` subclass) are looked
-    at one by one.
-    """
-    if not _INT_TYPES.issuperset(map(type, values)):
-        for x in values:
-            if not _is_int(x):
-                raise CohError(f"{what} {x!r} is not an integer")
-
-
 # ---------------------------------------------------------------------------
 # graded dimension vectors
 
@@ -84,18 +66,18 @@ class GradedDims:
     weight: tuple
 
     def __post_init__(self):
-        if not _is_int(self.bound):
+        if type(self.bound) is not int:
             raise CohError(f"bound {self.bound!r} is not an integer")
         dims = tuple(self.dims)
         object.__setattr__(self, "dims", dims)
-        _check_ints(dims, "graded dimension")
+        check_ints(dims, CohError, "graded dimension")
         if len(dims) != self.bound + 1:
             raise CohError("dims length must be bound + 1")
         if min(dims, default=0) < 0:
             raise CohError("graded dimensions must be nonnegative")
         if type(self.weight) is not tuple:
             raise CohError(f"weight {self.weight!r} is not a tuple")
-        _check_ints(self.weight, "weight entry")
+        check_ints(self.weight, CohError, "weight entry")
 
     def __getitem__(self, d):
         return self.dims[d]
@@ -115,17 +97,14 @@ class AffineMonoid:
     """
 
     def __init__(self, rank, inequality_normals, denominator=1, lattice_basis=None):
-        if not _is_int(rank) or rank < 0:
+        if type(rank) is not int or rank < 0:
             raise CohError(f"rank {rank!r} is not a nonnegative integer")
-        if not _is_int(denominator):
+        if type(denominator) is not int:
             raise CohError(f"denominator {denominator!r} is not an integer")
         self.rank = rank
         rows = []
         for a in inequality_normals:
-            for x in a:
-                if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
-                    raise CohError(f"inequality entry {x!r} is not an "
-                                   "integer or a Fraction")
+            check_exact(a, CohError, "inequality entry")
             # a positive scale clears the denominators and keeps the cone
             scale = lcm(*(x.denominator for x in a))
             rows.append(tuple(int(x * scale) for x in a))
@@ -140,7 +119,10 @@ class AffineMonoid:
         self._basis_inv = None
         self._lattice_rows, self._lattice_modulus = (), 1
         if lattice_basis is not None:
-            cols = [tuple(Fraction(x) for x in c) for c in lattice_basis]
+            cols = [tuple(c) for c in lattice_basis]
+            for c in cols:
+                check_exact(c, CohError, "lattice basis entry")
+            cols = [tuple(map(Fraction, c)) for c in cols]
             if len(cols) != self.rank:
                 raise CohError("lattice basis must be square")
             from .zlin import rational_inverse
@@ -164,10 +146,7 @@ class AffineMonoid:
         """True iff ``point`` (``int`` or ``Fraction`` coordinates) lies in
         the monoid."""
         point = tuple(point)
-        for x in point:
-            if not (_is_int(x) or isinstance(x, Fraction)):
-                raise CohError(f"coordinate {x!r} is not an int or a "
-                               "Fraction")
+        check_exact(point, CohError, "coordinate")
         point = tuple(Fraction(x) for x in point)
         if len(point) != self.rank:
             return False
@@ -244,12 +223,12 @@ class AffineMonoid:
         passed is remembered, after the type and length checks, so its
         cone test runs once per monoid.
         """
-        if not _is_int(bound):
+        if type(bound) is not int:
             raise CohError(f"bound {bound!r} is not an integer")
         if weight is None:
             weight = self.default_weight()
         weight = tuple(weight)
-        _check_ints(weight, "weight entry")
+        check_ints(weight, CohError, "weight entry")
         if len(weight) != self.rank:
             raise CohError(f"weight {weight!r} has length {len(weight)}, "
                            f"expected {self.rank}")
@@ -397,7 +376,7 @@ def cyclic_quiver_paths(n: int, i: int, j: int, length_bound: int) -> GradedDims
     """
     for name, value in (("n", n), ("i", i), ("j", j),
                         ("length_bound", length_bound)):
-        if not _is_int(value):
+        if type(value) is not int:
             raise CohError(f"{name} = {value!r} is not an integer")
     if n < 1:
         raise CohError("the cycle needs n >= 1")
@@ -411,18 +390,6 @@ def cyclic_quiver_paths(n: int, i: int, j: int, length_bound: int) -> GradedDims
     return GradedDims(dims=tuple(counts), bound=length_bound, weight=(1,))
 
 
-def _exact_character(chi, rank):
-    """``chi`` as a tuple of ``int`` and ``Fraction`` entries of length ``rank``."""
-    chi = tuple(chi)
-    for x in chi:
-        if type(x) is not int and not isinstance(x, Fraction):
-            raise CohError(f"character entry {x!r} is not an integer or a "
-                           "Fraction")
-    if len(chi) != rank:
-        raise CohError("character has the wrong rank")
-    return chi
-
-
 def isotypic_component(monoid: AffineMonoid, chi, bound: int,
                        weight=None) -> GradedDims:
     """Graded dimensions of the chi-isotypic piece of the monoid algebra.
@@ -433,7 +400,10 @@ def isotypic_component(monoid: AffineMonoid, chi, bound: int,
     (bound, weight), so the monoid is enumerated once for all characters;
     a chi with d chi not integral, d the denominator, meets no element.
     """
-    chi = _exact_character(chi, monoid.rank)
+    chi = tuple(chi)
+    check_exact(chi, CohError, "character entry")
+    if len(chi) != monoid.rank:
+        raise CohError("character has the wrong rank")
     weight = monoid._checked_grading(bound, weight)
     d = monoid.denominator
     zero = (0,) * (bound + 1)
@@ -464,13 +434,16 @@ def costandard_stalk(c: Cone, chi, bound: int, denominator=1,
     (default all ones) q ``int`` entries, q the rank of the quotient
     modulo the cone's perp (the dimension of the cone).
     """
-    if not _is_int(bound) or bound < 0:
+    if type(bound) is not int or bound < 0:
         raise CohError(f"bound {bound!r} is not a nonnegative integer")
-    if not _is_int(denominator) or denominator < 1:
+    if type(denominator) is not int or denominator < 1:
         raise CohError(f"denominator {denominator!r} is not a positive integer")
     if not c.is_strictly_convex():
         raise CohError("costandard stalks need a strictly convex cone")
-    chi = _exact_character(chi, c.ambient_rank)
+    chi = tuple(chi)
+    check_exact(chi, CohError, "character entry")
+    if len(chi) != c.ambient_rank:
+        raise CohError("character has the wrong rank")
     for x in chi:
         if (x * denominator).denominator != 1:
             raise IncompatibleCharacterError(
@@ -484,7 +457,7 @@ def costandard_stalk(c: Cone, chi, bound: int, denominator=1,
     dchi = [int(x * denominator) for x in chi]
     base = tuple(sum(a * y for a, y in zip(row, dchi)) for row in project)
     weight = tuple(weight) if weight is not None else (1,) * q
-    _check_ints(weight, "weight entry")
+    check_ints(weight, CohError, "weight entry")
     if len(weight) != q:
         raise CohError(f"weight {weight!r} has length {len(weight)}, "
                        f"expected the quotient rank {q}")
@@ -605,10 +578,10 @@ def pn_line_bundle_cohomology(n: int, d: int, box_bound=None) -> tuple:
     contributing character on the box boundary is raised.  ``n``, ``d``
     and ``box_bound`` (default |d| + 1) must be ``int``.
     """
-    if box_bound is None and _is_int(d):
+    if box_bound is None and type(d) is int:
         box_bound = abs(d) + 1
     for name, value in (("n", n), ("d", d), ("box_bound", box_bound)):
-        if not _is_int(value):
+        if type(value) is not int:
             raise CohError(f"{name} = {value!r} is not an integer")
     if n < 1:
         raise CohError("projective space needs n >= 1")

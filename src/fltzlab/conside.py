@@ -30,15 +30,12 @@ from .fans import Cone, is_smooth_cone
 from .picsym import PicMonomial, format_monomial
 from .skeleton import (ChamberQuiver, UnsupportedConeError, chamber_quiver,
                        enumerate_chambers)
-from .zlin import IntMatrix, rational_inverse, rational_rank
+from .zlin import (IntMatrix, check_exact, check_ints, rational_inverse,
+                   rational_rank)
 
 
 class ConError(ValueError):
     pass
-
-
-def _is_int(x):
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 class GenerationFailure(ConError):
@@ -130,7 +127,7 @@ class FinitePoset:
 
     def power(self, k):
         """The product order on k-tuples; k = 0 gives the one-point poset."""
-        if not _is_int(k) or k < 0:
+        if type(k) is not int or k < 0:
             raise ConError(f"power needs an int k >= 0, not {k!r}")
         elems = list(product(self.elements, repeat=k))
         pairs = [(a, b) for a in elems for b in elems
@@ -258,7 +255,7 @@ class ChamberCategory:
     """
 
     def __init__(self, n):
-        if not _is_int(n) or n < 1:
+        if type(n) is not int or n < 1:
             raise ConError(f"chamber category needs an int n >= 1, not {n!r}")
         self.n = n
         self.objects = tuple(range(n + 1))  # step classes
@@ -337,11 +334,9 @@ def _matrix(rows, key):
         m = tuple(tuple(row) for row in rows)
     except TypeError:
         raise ConError(f"matrix on {key!r} is not a list of rows") from None
+    what = f"matrix on {key!r}: entry"
     for row in m:
-        for x in row:
-            if not (_is_int(x) or isinstance(x, Fraction)):
-                raise ConError(f"entry {x!r} of the matrix on {key!r} is not "
-                               "an int or a Fraction")
+        check_exact(row, ConError, what)
     return m
 
 
@@ -382,7 +377,7 @@ class CatRep:
             if x not in category.objects:
                 raise ConError(f"dimension given for {x!r}, which is not an "
                                f"object of {category!r}")
-            if not _is_int(d) or d < 0:
+            if type(d) is not int or d < 0:
                 raise ConError(f"dimension {d!r} at {x!r} is not a "
                                "nonnegative int")
         self.dims = {x: dims.get(x, 0) for x in category.objects}
@@ -582,6 +577,8 @@ def euler_form(category, d, e) -> int:
     objs = category.objects
     d = list(d)
     e = list(e)
+    check_ints(d, ConError, "dimension vector entry")
+    check_ints(e, ConError, "dimension vector entry")
     if len(d) != len(objs) or len(e) != len(objs):
         raise ConError("dimension vector length does not match object count")
     cinv = rational_inverse([list(r) for r in cartan_matrix(category).entries])
@@ -625,7 +622,7 @@ def beilinson_generators(n: int):
     bundle at each chamber of step below k, zero elsewhere, with the
     monomial prefix given by the wall letters of the chamber.
     """
-    if not _is_int(n) or n < 1:
+    if type(n) is not int or n < 1:
         raise ConError(f"generators need an int n >= 1, not {n!r}")
     chambers = enumerate_chambers(n)
     out = []
@@ -649,7 +646,7 @@ def beilinson_generators(n: int):
 
 def beilinson_rep(n: int, k: int, category: ChamberCategory | None = None) -> CatRep:
     """The k-th generator as a representation: the projective at step k-1."""
-    if not _is_int(n) or n < 1 or not _is_int(k):
+    if type(n) is not int or n < 1 or type(k) is not int:
         raise ConError(f"generator needs an int n >= 1 and an int k, not "
                        f"n = {n!r}, k = {k!r}")
     if category is None:
@@ -675,9 +672,7 @@ class ReductionStep:
 
 def _class_vector(n, d):
     d = list(d)
-    for x in d:
-        if not _is_int(x):
-            raise ConError(f"dimension vector entry {x!r} is not an int")
+    check_ints(d, ConError, "dimension vector entry")
     if len(d) == n + 1:
         return d
     chambers = enumerate_chambers(n)
@@ -705,7 +700,7 @@ def reduce_dimension_vector(n: int, d):
     unimodular triangular system (asserted), so the trace ends at zero
     after exactly n+1 steps and its coefficients reassemble the input.
     """
-    if not _is_int(n) or n < 1:
+    if type(n) is not int or n < 1:
         raise ConError(f"reduction needs an int n >= 1, not {n!r}")
     matrix = [_class_dims(n, k) for k in range(1, n + 2)]
     for k in range(n + 1):

@@ -20,6 +20,8 @@ from operator import mul
 
 from .zlin import (
     IntMatrix,
+    check_exact,
+    check_ints,
     cokernel,
     kernel_basis,
     rational_rank,
@@ -42,6 +44,7 @@ def primitivize(vec):
     vec = tuple(vec)
     if all(type(x) is int for x in vec):
         return _divide_content(vec)
+    check_exact(vec, FanError, "vector entry")
     fracs = [Fraction(x) for x in vec]
     if all(f == 0 for f in fracs):
         return tuple(0 for _ in fracs)
@@ -218,10 +221,7 @@ class Cone:
         for g in gens:
             if len(g) != ambient_rank:
                 raise FanError("generator length does not match ambient rank")
-            for x in g:
-                if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
-                    raise FanError(f"generator entry {x!r} is not an integer "
-                                   "or a Fraction")
+            check_exact(g, FanError, "generator entry")
         gens = [primitivize(g) for g in gens if any(x != 0 for x in g)]
         hrep = _signed(*dd_generators(gens, ambient_rank))
         rays, lines = dd_generators(hrep, ambient_rank)
@@ -287,10 +287,7 @@ class Cone:
         point = tuple(point)
         if len(point) != self.ambient_rank:
             raise FanError("point has the wrong dimension")
-        for x in point:
-            if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
-                raise FanError(f"coordinate {x!r} is not an integer or a "
-                               "Fraction")
+        check_exact(point, FanError, "coordinate")
         for a in self._dual_gens:
             v = _dot(a, point)
             if v < 0:
@@ -379,19 +376,32 @@ def is_smooth_cone(c: Cone) -> bool:
 class Fan:
     """A finite fan: strictly convex cones closed under faces and intersections.
 
-    Its maximal cones are found once, on first use.
+    Built as the face closure of the given cones, which must meet
+    pairwise in a common face; a pair that does not is a
+    :class:`FanError` naming it.  Its maximal cones are found once, on
+    first use.
     """
 
     def __init__(self, cones, rank):
         self.rank = rank
         self._maximal = None
+        cones = list(cones)
         table = {}
+        face_keys = []
         for c in cones:
             if c.ambient_rank != rank:
                 raise FanError("cone rank does not match fan rank")
             if not c.is_strictly_convex():
-                raise FanError("fans contain strictly convex cones only")
-            table[c.key] = c
+                raise FanError(f"cone {c!r} is not strictly convex")
+            fs = faces(c)
+            face_keys.append({f.key for f in fs})
+            for f in fs:
+                table[f.key] = f
+        for (a, fa), (b, fb) in combinations(zip(cones, face_keys), 2):
+            inter = intersect_cones(a, b)
+            if inter.key not in fa or inter.key not in fb:
+                raise FanError(f"cones overlap: intersection of {a!r} and "
+                               f"{b!r} is not a common face")
         zero = Cone((), ambient_rank=rank)
         table.setdefault(zero.key, zero)
         self._cones = dict(sorted(table.items()))
@@ -436,32 +446,14 @@ class Fan:
 
 
 def fan_from_max_cones(maximal, rank=None) -> Fan:
-    """Build the face-and-intersection closure of the given cones.
-
-    Rejects inputs where a pairwise intersection is not a common face,
-    reporting the offending pair.
-    """
+    """The fan of the given cones (see :class:`Fan`); ``rank`` defaults
+    to the first cone's ambient rank."""
     maximal = list(maximal)
     if rank is None:
         if not maximal:
             raise FanError("rank needed for an empty fan")
         rank = maximal[0].ambient_rank
-    table = {}
-    face_keys = []
-    for c in maximal:
-        if not c.is_strictly_convex():
-            raise FanError(f"cone {c!r} is not strictly convex")
-        fs = faces(c)
-        face_keys.append({f.key for f in fs})
-        for f in fs:
-            table[f.key] = f
-    for i, j in combinations(range(len(maximal)), 2):
-        inter = intersect_cones(maximal[i], maximal[j])
-        if inter.key not in face_keys[i] or inter.key not in face_keys[j]:
-            raise FanError(
-                "cones overlap: intersection of "
-                f"{maximal[i]!r} and {maximal[j]!r} is not a common face")
-    return Fan(table.values(), rank)
+    return Fan(maximal, rank)
 
 
 def standard_fan(kind, n=None, k=None) -> Fan:
@@ -475,7 +467,7 @@ def standard_fan(kind, n=None, k=None) -> Fan:
         if value is not None and type(value) is not int:
             raise FanError(f"{name} = {value!r} is not an integer")
     if kind == "point":
-        return Fan([Cone((), ambient_rank=0)], rank=0)
+        return Fan([], rank=0)
     if kind == "Pn":
         if n is None or n < 1:
             raise FanError("Pn needs n >= 1")
@@ -648,7 +640,7 @@ def fan_from_json(text):
     if not isinstance(data, dict) or "rank" not in data:
         raise FanError("fan JSON must be an object with a 'rank' field")
     rank = data["rank"]
-    if isinstance(rank, bool) or not isinstance(rank, int):
+    if type(rank) is not int:
         raise FanError(f"fan JSON 'rank' must be an integer, not {rank!r}")
     max_cones = data.get("max_cones", [])
     if not isinstance(max_cones, list) or not all(
@@ -658,15 +650,16 @@ def fan_from_json(text):
                        "a list of generator vectors")
     cones = [Cone([tuple(v) for v in gens], ambient_rank=rank)
              for gens in max_cones]
-    fan = fan_from_max_cones(cones, rank=rank) if cones else Fan([], rank)
+    fan = Fan(cones, rank)
     beta = data.get("beta")
     if beta is not None:
         if not isinstance(beta, list) or not all(
-                isinstance(row, list) and len(row) == len(beta[0]) and all(
-                    isinstance(x, int) and not isinstance(x, bool)
-                    for x in row)
+                isinstance(row, list) and len(row) == len(beta[0])
                 for row in beta):
             raise FanError("fan JSON 'beta' must be a rectangular list of "
                            f"integer rows, not {beta!r}")
+        for row in beta:
+            check_ints(row, FanError, "fan JSON 'beta' must be a rectangular "
+                       "list of integer rows; entry")
         return StackyFan(IntMatrix(beta), fan)
     return fan

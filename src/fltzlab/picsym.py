@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .zlin import IntMatrix
+from .zlin import IntMatrix, check_ints
 
 
 class PicError(ValueError):
@@ -26,9 +26,7 @@ class PicMonomial:
 
     def __post_init__(self):
         exponents = tuple(self.exponents)
-        for e in exponents:
-            if type(e) is not int:
-                raise PicError(f"exponent {e!r} is not an int")
+        check_ints(exponents, PicError, "exponent")
         object.__setattr__(self, "exponents", exponents)
 
     @classmethod

@@ -22,7 +22,8 @@ from math import comb
 
 from .fans import Cone, Fan, StackyFan
 from .picsym import PicMonomial, format_monomial
-from .zlin import IntMatrix, LatticeQuotient, kernel_basis, smith_normal_form
+from .zlin import (IntMatrix, LatticeQuotient, check_exact, kernel_basis,
+                   smith_normal_form)
 
 
 class SkeletonError(ValueError):
@@ -147,22 +148,20 @@ def _box_bounds(flags, eps):
 
 
 def _check_dimension(n, needs):
-    """``n`` must be an ``int`` (not a ``bool``) and at least 1; ``needs``
-    is the message for a smaller one."""
+    """``n`` must be an ``int`` and at least 1; ``needs`` is the message
+    for a smaller one."""
     if type(n) is not int:
         raise SkeletonError(f"n = {n!r} is not an int")
     if n < 1:
         raise SkeletonError(needs)
 
 
-def _exact_epsilon(eps, n):
+def _epsilon(eps, n):
     """``eps`` as a ``Fraction`` (default 1/(2n + 2)); it must be an ``int``
-    or a ``Fraction`` strictly between 0 and 1/2, so a float, a bool or a
-    value out of range is a :class:`SkeletonError`."""
+    or a ``Fraction`` strictly between 0 and 1/2."""
     if eps is None:
         return default_epsilon(n)
-    if type(eps) is not int and not isinstance(eps, Fraction):
-        raise SkeletonError(f"epsilon {eps!r} is not an int or a Fraction")
+    check_exact((eps,), SkeletonError, "epsilon")
     if not 0 < eps < Fraction(1, 2):
         raise SkeletonError("epsilon must lie strictly between 0 and 1/2")
     return Fraction(eps)
@@ -178,7 +177,7 @@ def enumerate_chambers(n: int, eps=None) -> list:
     >= 1 and ``eps`` an ``int`` or ``Fraction``.
     """
     _check_dimension(n, "chamber enumeration needs n >= 1")
-    eps = _exact_epsilon(eps, n)
+    eps = _epsilon(eps, n)
     p, q = eps.numerator, eps.denominator
     slants = [[m for m in range(n)
                if max((n - k) * p, m * q) < min(k * p + (n - k) * q,
@@ -210,7 +209,7 @@ def sample_point(chamber: Chamber, eps=None):
     middle of the admissible slant interval.  ``eps`` must be an ``int``
     or a ``Fraction`` strictly between 0 and 1/2.
     """
-    eps = _exact_epsilon(eps, chamber.n)
+    eps = _epsilon(eps, chamber.n)
     lows, highs = _box_bounds(chamber.flags, eps)
     lo_sum, hi_sum = sum(lows), sum(highs)
     target_lo = max(lo_sum, Fraction(chamber.slant))

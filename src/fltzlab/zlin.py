@@ -20,11 +20,31 @@ class ZlinError(ValueError):
     pass
 
 
-def _check_ints(values, what):
-    """Raise ZlinError unless every value is an ``int`` (``bool`` is not)."""
+def check_ints(values, error, what):
+    """Raise ``error`` naming the first of ``values`` that is not an ``int``.
+
+    "int" means exactly ``int``: a ``bool`` or another subclass is not.
+    ``error`` is the caller's exception class, so the message names the
+    caller's layer: ``f"{what} {x!r} is not an integer"``.  One pass; on
+    CPython 3.11 this loop beats ``issuperset(map(type, values))`` for
+    short and long sequences alike.
+    """
     for x in values:
         if type(x) is not int:
-            raise ZlinError(f"{what} {x!r} is not an int")
+            raise error(f"{what} {x!r} is not an integer")
+
+
+def check_exact(values, error, what):
+    """Raise ``error`` naming the first of ``values`` that is neither an
+    ``int`` nor a ``Fraction``.
+
+    As :func:`check_ints`, with ``Fraction`` and its subclasses also
+    allowed; the message is ``f"{what} {x!r} is not an integer or a
+    Fraction"``.
+    """
+    for x in values:
+        if type(x) is not int and not isinstance(x, Fraction):
+            raise error(f"{what} {x!r} is not an integer or a Fraction")
 
 
 # ---------------------------------------------------------------------------
@@ -42,7 +62,7 @@ class IntMatrix:
         for row in rows:
             if len(row) != ncols:
                 raise ZlinError("ragged rows in integer matrix")
-            _check_ints(row, "matrix entry")
+            check_ints(row, ZlinError, "matrix entry")
         object.__setattr__(self, "entries", rows)
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", ncols)
@@ -97,6 +117,7 @@ class IntMatrix:
                  for i in range(self.rows)])
         # matrix * vector with int or Fraction entries
         vec = tuple(other)
+        check_exact(vec, ZlinError, "vector entry")
         if self.cols != len(vec):
             raise ZlinError("shape mismatch in matrix-vector product")
         return tuple(sum(self.entries[i][k] * vec[k] for k in range(self.cols))
@@ -147,7 +168,6 @@ class IntMatrix:
 
 
 _INT_TYPES = frozenset((int,))
-_EXACT_TYPES = frozenset((int, Fraction))
 
 
 def _sparse_rows(rows):
@@ -174,29 +194,19 @@ def _sparse_rows(rows):
             elif len(row) != ncols:
                 raise ZlinError("ragged rows in rational matrix")
             values, r = row, enumerate(row)
-        # one C-level pass over the entry types; an all-int row needs no
-        # scaling by denominators
-        kinds = set(map(type, values))
-        if not kinds <= _EXACT_TYPES:
-            _reject_inexact(values)
+        # an all-int row needs no scaling by denominators
+        ints = _INT_TYPES.issuperset(map(type, values))
+        if not ints:
+            check_exact(values, ZlinError, "matrix entry")
         r = {j: x for j, x in r if x}
         if not r:
             continue
-        if kinds != _INT_TYPES:
+        if not ints:
             den = lcm(*(x.denominator for x in r.values()))
             r = {j: x.numerator * (den // x.denominator)
                  for j, x in r.items()}
         out.append(_primitive(r))
     return out
-
-
-def _reject_inexact(entries):
-    """Raise ZlinError on the first entry that is neither an ``int`` nor a
-    ``Fraction`` (a ``bool`` is not an ``int``)."""
-    for x in entries:
-        if type(x) is not int and not isinstance(x, Fraction):
-            raise ZlinError(f"matrix entry {x!r} is not an int or a "
-                            "Fraction")
 
 
 def _primitive(r):
@@ -244,9 +254,8 @@ def rational_rank(rows):
 
     Each row is a sequence of entries (all of one length) or a sparse
     ``{column: entry}`` dict, in which a missing column is zero.  An
-    entry that is not an ``int`` or a ``Fraction`` (a ``bool`` is not),
-    or a column that is not a nonnegative ``int``, is a
-    :class:`ZlinError`.
+    entry that is not an ``int`` or a ``Fraction``, or a column that is
+    not a nonnegative ``int``, is a :class:`ZlinError`.
     """
     return len(_echelon(_sparse_rows(rows)))
 
@@ -413,7 +422,7 @@ class FiniteAbelianGroup:
 
     def __post_init__(self):
         factors = tuple(self.invariant_factors)
-        _check_ints(factors + (self.free_rank,), "group datum")
+        check_ints(factors + (self.free_rank,), ZlinError, "group datum")
         object.__setattr__(self, "invariant_factors", factors)
         for f in factors:
             if f < 2:
@@ -463,7 +472,7 @@ class Character:
             raise ZlinError("characters require a finite group")
         factors = self.group.invariant_factors
         comps = tuple(self.components)
-        _check_ints(comps, "character component")
+        check_ints(comps, ZlinError, "character component")
         if len(comps) != len(factors):
             raise ZlinError("component count does not match invariant factors")
         comps = tuple(c % f for c, f in zip(comps, factors))
@@ -562,15 +571,9 @@ class LatticeQuotient:
         self.representatives = list(table.values())
 
     def character_of(self, vec) -> Character:
-        """Character of a superlattice vector in the quotient group.
-
-        A float or bool entry is a :class:`ZlinError`, as in the bases.
-        """
+        """Character of a superlattice vector in the quotient group."""
         vec = tuple(vec)
-        for x in vec:
-            if type(x) is not int and not isinstance(x, Fraction):
-                raise ZlinError(f"vector entry {x!r} is not an int or a "
-                                "Fraction")
+        check_exact(vec, ZlinError, "vector entry")
         vec = [Fraction(x) for x in vec]
         coords = [sum(self._adapted_inv[i][k] * vec[k] for k in range(self._rank))
                   for i in range(self._rank)]
@@ -592,15 +595,11 @@ class LatticeQuotient:
 
 
 def _rational_columns(basis):
-    """Columns of a basis as ``Fraction`` lists; a float or bool entry is a
-    :class:`ZlinError`."""
+    """Columns of a basis as ``Fraction`` lists."""
     if isinstance(basis, IntMatrix):
         cols = basis.columns()
     else:
         cols = [tuple(col) for col in basis]
     for col in cols:
-        for x in col:
-            if type(x) is not int and not isinstance(x, Fraction):
-                raise ZlinError(f"basis entry {x!r} is not an int or a "
-                                "Fraction")
+        check_exact(col, ZlinError, "basis entry")
     return [[Fraction(x) for x in col] for col in cols]

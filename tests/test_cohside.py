@@ -863,7 +863,7 @@ class TestAffineMonoid:
         # on the order-4 line, (0.75,) and (True,) used to be members
         mono = AffineMonoid(1, [(1,)], denominator=4)
         assert mono.contains((Fraction(3, 4),)) and mono.contains((1,))
-        with pytest.raises(CohError, match="is not an int or a Fraction"):
+        with pytest.raises(CohError, match="is not an integer or a Fraction"):
             mono.contains(point)
 
     def test_wrong_length_inequality_rejected(self):

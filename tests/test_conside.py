@@ -527,7 +527,8 @@ class TestArrowsAndRelations:
                    for row in m for x in row)
 
     @pytest.mark.parametrize("dims,maps,message", [
-        ({0: 1, 1: 1}, {(0, 1): [[0.1]]}, "entry 0.1 of the matrix on"),
+        ({0: 1, 1: 1}, {(0, 1): [[0.1]]},
+         "entry 0.1 is not an integer or a Fraction"),
         ({0: 1, 1: 1}, {(0, 1): [[True]]}, "entry True"),
         ({0: 1, 1: 1}, {(0, 1): [["1"]]}, "entry '1'"),
         ({0: 1, 1: 1}, {(0, 1): [1]}, "is not a list of rows"),

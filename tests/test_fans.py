@@ -6,6 +6,7 @@ import pytest
 
 from fltzlab.fans import (
     Cone,
+    Fan,
     FanError,
     StackyFan,
     _reduce_mod_lines,
@@ -581,6 +582,22 @@ class TestFans:
         with pytest.raises(FanError, match="not a common face"):
             fan_from_max_cones([Cone([(1, 0), (0, 1)]),
                                 Cone([(1, 1), (1, -1)])])
+
+    def test_fan_is_closed_by_construction(self):
+        # the ray (1, 1) inside the orthant once made a 'fan' whose
+        # maximal cones listed that ray
+        with pytest.raises(FanError, match="cones overlap"):
+            Fan([Cone([(1, 0), (0, 1)]), Cone([(1, 1)], ambient_rank=2)], 2)
+        with pytest.raises(FanError, match="not strictly convex"):
+            Fan([Cone([(1, 0), (-1, 0)])], 2)
+        with pytest.raises(FanError, match="does not match fan rank"):
+            Fan([Cone([(1, 0)])], 3)
+
+    def test_fan_adds_the_faces(self):
+        p2 = standard_fan("Pn", n=2)
+        assert Fan(p2.maximal_cones(), 2) == p2
+        assert Fan(p2.cones, 2) == p2
+        assert len(Fan([], 0)) == 1
 
     def test_standard_fans(self):
         p1 = standard_fan("Pn", n=1)

@@ -176,8 +176,8 @@ class TestChambers:
     @pytest.mark.parametrize("n, eps, message", [
         (1.5, None, "n = 1.5 is not an int"),
         (True, None, "n = True is not an int"),
-        (2, 0.1, "epsilon 0.1 is not an int or a Fraction"),
-        (2, True, "epsilon True is not an int or a Fraction")])
+        (2, 0.1, "epsilon 0.1 is not an integer or a Fraction"),
+        (2, True, "epsilon True is not an integer or a Fraction")])
     def test_inexact_n_or_epsilon_rejected(self, n, eps, message):
         # 1.5 used to end in a raw TypeError and True to build n = 1
         with pytest.raises(SkeletonError, match=message):
@@ -196,7 +196,7 @@ class TestChambers:
     @pytest.mark.parametrize("eps", [0.1, True])
     def test_sample_point_inexact_epsilon_rejected(self, eps):
         # 0.1 used to give coordinates with denominator 2^56
-        with pytest.raises(SkeletonError, match="is not an int or a Fraction"):
+        with pytest.raises(SkeletonError, match="is not an integer or a Fraction"):
             sample_point(enumerate_chambers(2)[0], eps)
 
     @pytest.mark.parametrize("eps", [Fraction(-1, 4), 0, Fraction(1, 2), 1])

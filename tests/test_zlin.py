@@ -1,13 +1,17 @@
 import random
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
 
+from fltzlab.fans import FanError
 from fltzlab.zlin import (
     FiniteAbelianGroup,
     IntMatrix,
     LatticeQuotient,
     ZlinError,
+    check_exact,
+    check_ints,
     cokernel,
     kernel_basis,
     rational_inverse,
@@ -220,7 +224,7 @@ class TestCharacterQuotient:
         ([[True]], [[2]])])
     def test_float_or_bool_basis_rejected(self, sup, sub):
         # the float bases used to build (Z/2)^2 and Z/2, with no error
-        with pytest.raises(ZlinError, match="is not an int or a Fraction"):
+        with pytest.raises(ZlinError, match="is not an integer or a Fraction"):
             LatticeQuotient(sup, sub)
 
     def test_character_of(self):
@@ -428,3 +432,66 @@ class TestExactElimination:
             rational_inverse([[1, 0.0], [0, 1]])
         rows = [[0, Fraction(0)], {0: 0, 3: Fraction(2, 3)}]
         assert rational_rank(rows) == 1
+
+
+class _CountedIterations(list):
+    """A list that counts how often it is iterated."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+class _One(IntEnum):
+    ONE = 1
+
+
+class _Half(Fraction):
+    """A ``Fraction`` subclass, which is exact too."""
+
+
+class TestExactnessGate:
+    @pytest.mark.parametrize("gate", [check_ints, check_exact])
+    def test_all_int_sequence_takes_one_pass(self, gate):
+        values = _CountedIterations([3, -1, 0, 10 ** 30])
+        assert gate(values, ZlinError, "entry") is None
+        assert values.iterations == 1
+
+    def test_exact_values_take_one_pass(self):
+        values = _CountedIterations([1, Fraction(1, 2), _Half(1, 2)])
+        check_exact(values, ZlinError, "entry")
+        assert values.iterations == 1
+
+    @pytest.mark.parametrize("gate", [check_ints, check_exact])
+    def test_a_one_shot_iterator_is_checked(self, gate):
+        with pytest.raises(ZlinError, match="entry 0.5"):
+            gate(iter([1, 0.5]), ZlinError, "entry")
+
+    @pytest.mark.parametrize("gate,values,message", [
+        (check_ints, (1, 2.5, True), "entry 2.5 is not an integer"),
+        (check_ints, (1, _One.ONE, "1"), "entry <_One.ONE: 1> is not an "
+         "integer"),
+        (check_ints, (0, Fraction(1, 2)), r"entry Fraction\(1, 2\) is not "
+         "an integer"),
+        (check_exact, (Fraction(1, 2), True, 0.5),
+         "entry True is not an integer or a Fraction"),
+        (check_exact, (1, 0.5, "1"),
+         "entry 0.5 is not an integer or a Fraction"),
+    ])
+    def test_first_bad_value_is_named(self, gate, values, message):
+        with pytest.raises(ZlinError, match=f"^{message}$"):
+            gate(values, ZlinError, "entry")
+
+    @pytest.mark.parametrize("gate", [check_ints, check_exact])
+    def test_the_callers_error_is_raised(self, gate):
+        with pytest.raises(FanError) as caught:
+            gate((1, 1.0), FanError, "coordinate")
+        assert type(caught.value) is FanError
+        assert not isinstance(caught.value, ZlinError)
+
+    @pytest.mark.parametrize("gate", [check_ints, check_exact])
+    @pytest.mark.parametrize("values", [(), [], {}.values()])
+    def test_empty_sequence_passes(self, gate, values):
+        assert gate(values, ZlinError, "entry") is None
