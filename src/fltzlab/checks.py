@@ -204,9 +204,13 @@ def monodromy(n):
         got = sorted(v.label.exponents for v in q.vertices)
         yield Check("n=2 twisted label multiset matches the comparison "
                     "picture", got == expected, f"{got}")
+    # every sum of two translations in {-2..2}^n lies in {-4..4}^n, so
+    # each transport is computed once and the pairs read this table
+    transport = {v: mono.transport(v)
+                 for v in product(range(-4, 5), repeat=n)}
     homomorphic = all(
-        mono.transport(v1) * mono.transport(v2) ==
-        mono.transport(tuple(a + b for a, b in zip(v1, v2)))
+        transport[v1] * transport[v2] ==
+        transport[tuple(a + b for a, b in zip(v1, v2))]
         for v1 in product(range(-2, 3), repeat=n)
         for v2 in product(range(-2, 3), repeat=n))
     yield Check("transport is path independent (composite = direct on all "

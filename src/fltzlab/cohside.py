@@ -243,7 +243,8 @@ class AffineMonoid:
         return weight
 
     def _coset_dims(self, bound, weight):
-        """Graded dims of the monoid's elements in each coset of Z^rank.
+        """The :class:`GradedDims` of the monoid's elements in each coset
+        of Z^rank, and the zero one every other coset reads.
 
         A coset is keyed by d x mod d, which is d chi mod d for x in
         chi + Z^rank.  The table is filled by one
@@ -252,8 +253,8 @@ class AffineMonoid:
         :meth:`_checked_grading`: 1.0 and True hash as 1 and must never
         reach the key.
         """
-        table = self._coset_tables.get((bound, weight))
-        if table is None:
+        entry = self._coset_tables.get((bound, weight))
+        if entry is None:
             d = self.denominator
             counts = {}
             for deg, points in self.elements_by_degree(bound, weight).items():
@@ -261,9 +262,12 @@ class AffineMonoid:
                     key = tuple(c.numerator * (d // c.denominator) % d
                                 for c in x)
                     counts.setdefault(key, [0] * (bound + 1))[deg] += 1
-            table = {key: tuple(dims) for key, dims in counts.items()}
-            self._coset_tables[bound, weight] = table
-        return table
+            entry = ({key: GradedDims(dims=dims, bound=bound, weight=weight)
+                      for key, dims in counts.items()},
+                     GradedDims(dims=(0,) * (bound + 1), bound=bound,
+                                weight=weight))
+            self._coset_tables[bound, weight] = entry
+        return entry
 
     def __repr__(self):
         return (f"AffineMonoid(rank={self.rank}, "
@@ -396,25 +400,23 @@ def isotypic_component(monoid: AffineMonoid, chi, bound: int,
 
     ``chi`` is a rational coset representative with ``int`` or
     ``Fraction`` entries; the component collects the monoid elements
-    lying in chi + Z^rank.  It is read from the monoid's coset table for
-    (bound, weight), so the monoid is enumerated once for all characters;
-    a chi with d chi not integral, d the denominator, meets no element.
+    lying in chi + Z^rank.  It is the monoid's kept :class:`GradedDims`
+    for chi's coset under (bound, weight), so the monoid is enumerated
+    once for all characters and every call for that coset returns the
+    same object; a chi with d chi not integral, d the denominator, meets
+    no element.  The coset key d chi mod d is computed in integers.
     """
     chi = tuple(chi)
     check_exact(chi, CohError, "character entry")
     if len(chi) != monoid.rank:
         raise CohError("character has the wrong rank")
     weight = monoid._checked_grading(bound, weight)
+    table, zero = monoid._coset_dims(bound, weight)
     d = monoid.denominator
-    zero = (0,) * (bound + 1)
-    key = []
-    for x in chi:
-        y = x * d
-        if y.denominator != 1:
-            return GradedDims(dims=zero, bound=bound, weight=weight)
-        key.append(y.numerator % d)
-    dims = monoid._coset_dims(bound, weight).get(tuple(key), zero)
-    return GradedDims(dims=dims, bound=bound, weight=weight)
+    if any(d % x.denominator for x in chi):
+        return zero
+    return table.get(tuple(x.numerator * (d // x.denominator) % d
+                           for x in chi), zero)
 
 
 def costandard_stalk(c: Cone, chi, bound: int, denominator=1,

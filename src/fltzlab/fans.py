@@ -402,8 +402,11 @@ class Fan:
             if inter.key not in fa or inter.key not in fb:
                 raise FanError(f"cones overlap: intersection of {a!r} and "
                                f"{b!r} is not a common face")
-        zero = Cone((), ambient_rank=rank)
-        table.setdefault(zero.key, zero)
+        if not table:
+            # every cone's faces hold the zero cone; only the empty fan
+            # builds it
+            zero = Cone((), ambient_rank=rank)
+            table[zero.key] = zero
         self._cones = dict(sorted(table.items()))
 
     @property
@@ -567,51 +570,93 @@ def cech_nerve(f: Fan) -> CechNerve:
 class StackyFan:
     """A lattice map with finite cokernel plus matching fans on both sides.
 
-    ``beta`` maps L -> N (a rows-by-cols = rank N-by-rank L integer
-    matrix); ``fan_hat`` lives in L_R and ``fan`` in N_R, and beta_R must
-    carry the cones of fan_hat bijectively onto those of fan.
+    ``beta`` maps L -> N (a rows-by-cols = rank N-by-rank L
+    :class:`IntMatrix`); ``fan_hat`` lives in L_R and ``fan`` in N_R, both
+    :class:`Fan`, and beta_R must carry the cones of fan_hat bijectively
+    onto those of fan.  ``fan`` defaults to the fan of the images of
+    fan_hat's maximal cones.  Those images are built once, on first use,
+    and kept in ``_images`` (maximal cone key -> image cone), which
+    ``fan``'s default, :meth:`image_cone`, :func:`validate_stacky` and
+    ``cohside.gamma_category`` all read; a stacky fan given its ``fan``
+    builds none until one of them asks.  Immutable, so the kept images
+    stay those of ``beta``.
     """
 
+    __slots__ = ("beta", "fan_hat", "fan", "_images")
+
     def __init__(self, beta: IntMatrix, fan_hat: Fan, fan: Fan | None = None):
-        self.beta = beta
-        self.fan_hat = fan_hat
+        if not isinstance(beta, IntMatrix):
+            raise FanError(f"beta {beta!r} is not an IntMatrix")
+        if not isinstance(fan_hat, Fan):
+            raise FanError(f"fan_hat {fan_hat!r} is not a Fan")
+        if fan is not None and not isinstance(fan, Fan):
+            raise FanError(f"fan {fan!r} is not a Fan")
         if fan_hat.rank != beta.cols:
             raise FanError("fan_hat rank must equal the source rank of beta")
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "fan_hat", fan_hat)
+        object.__setattr__(self, "_images", None)
         if fan is None:
-            maxi = [Cone([beta @ g for g in c.rays], ambient_rank=beta.rows)
-                    for c in fan_hat.maximal_cones()]
-            fan = fan_from_max_cones(maxi, rank=beta.rows)
+            fan = fan_from_max_cones(self._maximal_images().values(),
+                                     rank=beta.rows)
         if fan.rank != beta.rows:
             raise FanError("fan rank must equal the target rank of beta")
-        self.fan = fan
+        object.__setattr__(self, "fan", fan)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("StackyFan is immutable")
 
     @classmethod
     def nonstacky(cls, fan: Fan):
         return cls(IntMatrix.identity(fan.rank), fan, fan)
 
+    def _maximal_images(self):
+        """Maximal cone key of fan_hat -> its image cone, built on first
+        use with two double-description passes per cone."""
+        if self._images is None:
+            object.__setattr__(self, "_images", {
+                c.key: _image(self.beta, c)
+                for c in self.fan_hat.maximal_cones()})
+        return self._images
+
     def image_cone(self, cone_hat: Cone) -> Cone:
-        return Cone([self.beta @ g for g in cone_hat.generators] or (),
-                    ambient_rank=self.beta.rows)
+        """The cone beta_R(cone_hat); a maximal cone of fan_hat reads its
+        kept image, any other cone is built afresh."""
+        image = self._maximal_images().get(cone_hat.key)
+        return _image(self.beta, cone_hat) if image is None else image
 
     def __repr__(self):
         return f"StackyFan(beta={self.beta!r}, n_cones={len(self.fan_hat)})"
 
 
+def _image(beta, cone_hat):
+    return Cone([beta @ g for g in cone_hat.generators] or (),
+                ambient_rank=beta.rows)
+
+
 def validate_stacky(sf: StackyFan) -> bool:
-    """True iff coker(beta) is finite and beta maps fan_hat cone-bijectively onto fan."""
+    """True iff coker(beta) is finite and beta maps fan_hat cone-bijectively onto fan.
+
+    Dimensions are compared on the kept maximal images only.  Where they
+    match, beta is injective on each maximal cone's span, so it maps
+    every cone of fan_hat onto the cone on the primitive images of its
+    rays, and the image's key is read from that ray set with no double
+    description.
+    """
     if not cokernel(sf.beta).is_finite:
         return False
+    for c in sf.fan_hat.maximal_cones():
+        if sf.image_cone(c).dim() != c.dim():
+            return False
+    rank, targets = sf.beta.rows, sf.fan._cones
     image_keys = set()
     for c in sf.fan_hat.cones:
-        img = sf.image_cone(c)
-        if img not in sf.fan:
+        key = (rank, tuple(sorted(primitivize(sf.beta @ r) for r in c.rays)),
+               ())
+        if key not in targets or key in image_keys:
             return False
-        if img.dim() != c.dim():
-            return False
-        if img.key in image_keys:
-            return False
-        image_keys.add(img.key)
-    return image_keys == set(sf.fan._cones.keys())
+        image_keys.add(key)
+    return len(image_keys) == len(targets)
 
 
 # ---------------------------------------------------------------------------

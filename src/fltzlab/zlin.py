@@ -492,7 +492,7 @@ class Character:
         return Character(tuple(-a for a in self.components), self.group)
 
     def _check(self, other):
-        if self.group != other.group:
+        if self.group is not other.group and self.group != other.group:
             raise ZlinError("characters belong to different groups")
 
     def is_zero(self):

@@ -23,7 +23,15 @@ from fltzlab.cohside import (
     isotypic_component,
     pn_line_bundle_cohomology,
 )
-from fltzlab.fans import Cone, StackyFan, dd_generators, fan_from_max_cones
+from fltzlab import cohside, fans
+from fltzlab.fans import (
+    Cone,
+    StackyFan,
+    dd_generators,
+    fan_from_max_cones,
+    standard_fan,
+    validate_stacky,
+)
 from fltzlab.skeleton import SkeletonError, character_lattice_quotient
 from fltzlab.zlin import FiniteAbelianGroup, IntMatrix, ZlinError
 
@@ -321,6 +329,38 @@ class TestGammaCategory:
             gamma_category(sf)
 
 
+class TestChartWork:
+    """Each stacky chart runs only the double descriptions it needs."""
+
+    @pytest.fixture
+    def dd_calls(self, monkeypatch):
+        calls = []
+
+        def counting(inequalities, rank):
+            calls.append(rank)
+            return dd_generators(inequalities, rank)
+
+        for module in (fans, cohside):
+            monkeypatch.setattr(module, "dd_generators", counting)
+        return calls
+
+    def test_rank_three_bench_chart(self, dd_calls):
+        # two passes for the orthant, two for its image, none to validate
+        # and one for the monoid cone
+        sf = orthant_stack([[2, 0, 0], [0, 2, 0], [0, 0, 1]])
+        assert len(dd_calls) == 4
+        assert validate_stacky(sf)
+        assert len(dd_calls) == 4
+        gamma_category(sf)
+        assert len(dd_calls) == 5
+
+    def test_nonstacky_builds_no_image(self, dd_calls):
+        p3 = standard_fan("Pn", n=3)
+        dd_calls.clear()
+        StackyFan.nonstacky(p3)
+        assert dd_calls == []
+
+
 class TestGradedDims:
     def test_int_dims_kept(self):
         g = GradedDims(dims=[1, 2], bound=1, weight=(1,))
@@ -472,6 +512,18 @@ class TestCosetTable:
                     for chi_prime in chars:
                         hom_graded(G, chi, chi_prime, bound, weight)
             assert calls == [(6, (1,)), (9, (1,)), (6, (2,))]
+
+    def test_each_coset_keeps_one_graded_dims(self):
+        G = gamma_category(cyclic_stack(4))
+        quarter = isotypic_component(G.monoid, (Fraction(1, 4),), 6)
+        assert quarter.dims == (0, 1, 0, 0, 0, 1, 0)
+        assert isotypic_component(G.monoid, (Fraction(5, 4),), 6) is quarter
+        assert (isotypic_component(G.monoid, (5,), 6)
+                is isotypic_component(G.monoid, (0,), 6))
+        # a character off the lattice meets the coset no element lies in
+        third = isotypic_component(G.monoid, (Fraction(1, 3),), 6)
+        assert third.dims == (0,) * 7
+        assert isotypic_component(G.monoid, (Fraction(2, 3),), 6) is third
 
     @pytest.mark.parametrize("bound, weight", [
         (6, (1.0,)), (6, (True,)), (6.0, (1,)), (6.0, None), (True, None)])

@@ -25,7 +25,7 @@ from fltzlab.fans import (
     standard_fan,
     validate_stacky,
 )
-from fltzlab.zlin import IntMatrix, kernel_basis, rational_rank
+from fltzlab.zlin import IntMatrix, cokernel, kernel_basis, rational_rank
 
 
 def _frac_dot(a, b):
@@ -743,25 +743,30 @@ def unit_vectors(rank):
     return [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
 
 
-def fans_under_test():
-    """Every fan the tests build: P1-P4, AkGm, the point, the mu3 and mu4
-    golden stacks, the cyclic and benchmark stacky charts with their image
-    fans, the refinement fans, and the face fans of seeded cones."""
-    fans = [standard_fan("Pn", n=n) for n in range(1, 5)]
-    fans += [standard_fan("AkGm", n=n, k=k)
-             for n in range(4) for k in range(n + 1)]
-    fans.append(standard_fan("point"))
+def stacky_charts_under_test():
+    """The mu3 and mu4 golden stacks and the cyclic and benchmark stacky
+    charts."""
     mu3 = fan_from_json('{"rank": 1, "max_cones": [[[1]]], "beta": [[3]]}')
     mu4 = fan_from_json('{"rank": 2, "max_cones": [[[1, 0], [0, 1]]], '
                         '"beta": [[2, 0], [0, 2]]}')
     charts = [[[n]] for n in range(2, 13)] + [
         [[1, 1], [-1, 1]], [[2, 1], [0, 3]], [[3, 0], [0, 2]],
         [[2, 0, 0], [0, 2, 0], [0, 0, 1]]]
-    stacks = [mu3, mu4] + [
+    return [mu3, mu4] + [
         StackyFan(IntMatrix(beta), fan_from_max_cones(
             [Cone(unit_vectors(len(beta)), ambient_rank=len(beta))]))
         for beta in charts]
-    for sf in stacks:
+
+
+def fans_under_test():
+    """Every fan the tests build: P1-P4, AkGm, the point, the stacky
+    charts with their image fans, the refinement fans, and the face fans
+    of seeded cones."""
+    fans = [standard_fan("Pn", n=n) for n in range(1, 5)]
+    fans += [standard_fan("AkGm", n=n, k=k)
+             for n in range(4) for k in range(n + 1)]
+    fans.append(standard_fan("point"))
+    for sf in stacky_charts_under_test():
         fans += [sf.fan_hat, sf.fan]
     fans += [fan_from_max_cones([Cone([(1, 0), (1, 1)]),
                                  Cone([(1, 1), (0, 1)])]),
@@ -788,6 +793,106 @@ class TestMaximalConesOracle:
         fan = standard_fan("Pn", n=2)
         fan.maximal_cones().clear()
         assert len(fan.maximal_cones()) == 3
+
+
+def reference_image_cone(sf, cone_hat):
+    return Cone([sf.beta @ g for g in cone_hat.generators] or (),
+                ambient_rank=sf.beta.rows)
+
+
+def reference_validate_stacky(sf):
+    """The per-cone route the ray-set one replaced: build the image of
+    every cone of fan_hat through the double dual and compare it with the
+    cones of fan."""
+    if not cokernel(sf.beta).is_finite:
+        return False
+    target_keys = {c.key for c in sf.fan.cones}
+    image_keys = set()
+    for c in sf.fan_hat.cones:
+        img = reference_image_cone(sf, c)
+        if (img.key not in target_keys or img.dim() != c.dim()
+                or img.key in image_keys):
+            return False
+        image_keys.add(img.key)
+    return image_keys == target_keys
+
+
+def seeded_stacky_fans(rng, count):
+    """Stacky fans of seeded 2x2 and 3x3 betas with entries in -2..2 over
+    the orthant, Pn and a non-simplicial cone: each with fan_hat itself
+    given as the fan, and with the default image fan where the image
+    cones form one."""
+    square = fan_from_max_cones([Cone([(1, 0, 1), (0, 1, 1), (-1, 0, 1),
+                                       (0, -1, 1)])])
+    hats = {2: [standard_fan("AkGm", n=2, k=2), standard_fan("Pn", n=2)],
+            3: [standard_fan("AkGm", n=3, k=3), standard_fan("Pn", n=3),
+                square]}
+    out = []
+    for _ in range(count):
+        rank = rng.choice((2, 3))
+        beta = IntMatrix([[rng.randint(-2, 2) for _ in range(rank)]
+                          for _ in range(rank)])
+        hat = rng.choice(hats[rank])
+        out.append(StackyFan(beta, hat, hat))
+        try:
+            out.append(StackyFan(beta, hat))
+        except FanError:
+            pass
+    return out
+
+
+def stacky_fans_under_test():
+    """Every stacky fan the tests build, the seeded ones, and the edge
+    cases: det < 0, an infinite cokernel, a kernel, and a given fan that
+    is not the image."""
+    orthant2 = fan_from_max_cones([Cone([(1, 0), (0, 1)])])
+    ray1 = fan_from_max_cones([Cone([(1,)], ambient_rank=1)])
+    p2 = standard_fan("Pn", n=2)
+    stacks = stacky_charts_under_test() + [
+        StackyFan(IntMatrix([[1]]), ray1),
+        StackyFan.nonstacky(p2),
+        StackyFan.nonstacky(standard_fan("Pn", n=3)),
+        StackyFan(IntMatrix.identity(2), fan_from_max_cones(
+            [Cone([(1, 0)], ambient_rank=2)])),
+        StackyFan(IntMatrix([[0, 1], [1, 0]]), orthant2),
+        StackyFan(IntMatrix([[-1, 0], [0, 1]]), p2),
+        StackyFan(IntMatrix([[2, 0], [0, 0]]), orthant2,
+                  fan_from_max_cones([Cone([(1, 0)], ambient_rank=2)])),
+        StackyFan(IntMatrix([[1, 1], [1, 1]]), orthant2),
+        StackyFan(IntMatrix([[1, 1]]), orthant2),
+        StackyFan(IntMatrix.identity(2), p2, orthant2),
+        StackyFan(IntMatrix.identity(2), orthant2, p2),
+        StackyFan(IntMatrix([[2, 0], [0, 1]]), p2, p2),
+    ]
+    return stacks + seeded_stacky_fans(random.Random(71), 40)
+
+
+class TestValidateStackyOracle:
+    def test_matches_the_per_cone_route(self):
+        verdicts = []
+        for sf in stacky_fans_under_test():
+            expected = reference_validate_stacky(sf)
+            assert validate_stacky(sf) == expected, sf
+            verdicts.append((expected, sf.beta.rows == sf.beta.cols
+                             and sf.beta.det() < 0))
+        # both verdicts occur, and so does a valid chart with det < 0
+        assert sum(ok for ok, _ in verdicts) >= 40, verdicts
+        assert sum(not ok for ok, _ in verdicts) >= 40, verdicts
+        assert (True, True) in verdicts
+
+    def test_image_cone_keys(self):
+        checked = 0
+        for sf in stacky_fans_under_test():
+            for c in sf.fan_hat.cones:
+                assert (sf.image_cone(c).key
+                        == reference_image_cone(sf, c).key), (sf, c)
+                checked += 1
+        assert checked > 400, checked
+
+    def test_stacky_fan_stays_immutable(self):
+        sf = stacky_charts_under_test()[0]
+        with pytest.raises(AttributeError):
+            sf.beta = IntMatrix([[5]])
 
 
 class TestConeDimOracle:
@@ -820,6 +925,21 @@ class TestTypedErrors:
         # 2.0 and '2' used to end in raw TypeErrors, True to be accepted
         with pytest.raises(FanError, match="ambient rank"):
             Cone([(1, 0)], ambient_rank=rank)
+
+    def test_stacky_beta_must_be_an_int_matrix(self):
+        # used to end in a raw AttributeError on beta.cols
+        fan = fan_from_max_cones([Cone([(1,)], ambient_rank=1)])
+        with pytest.raises(FanError, match=r"beta \[\[2\]\] is not an "
+                                           "IntMatrix"):
+            StackyFan([[2]], fan)
+
+    @pytest.mark.parametrize("fan_hat, fan, message", [
+        (Cone([(1,)]), None, "fan_hat Cone"),
+        (standard_fan("AkGm", n=1, k=1), Cone([(1,)]), "fan Cone")])
+    def test_stacky_fans_must_be_fans(self, fan_hat, fan, message):
+        # fan_hat used to end in a raw AttributeError on fan_hat.rank
+        with pytest.raises(FanError, match=message):
+            StackyFan(IntMatrix([[2]]), fan_hat, fan)
 
     @pytest.mark.parametrize("kind, n, k, message", [
         ("Pn", True, None, "n = True"), ("Pn", 2.0, None, "n = 2.0"),
