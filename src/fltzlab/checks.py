@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import comb
+from operator import add
 
 from . import cohside, conside, fans, picsym, skeleton
 from .zlin import IntMatrix
@@ -205,12 +206,13 @@ def monodromy(n):
         yield Check("n=2 twisted label multiset matches the comparison "
                     "picture", got == expected, f"{got}")
     # every sum of two translations in {-2..2}^n lies in {-4..4}^n, so
-    # each transport is computed once and the pairs read this table
-    transport = {v: mono.transport(v)
+    # each transport is computed once and the pairs compare the exponent
+    # tuples of this table, as PicMonomial multiplication adds them
+    transport = {v: mono.transport(v).exponents
                  for v in product(range(-4, 5), repeat=n)}
     homomorphic = all(
-        transport[v1] * transport[v2] ==
-        transport[tuple(a + b for a, b in zip(v1, v2))]
+        tuple(map(add, transport[v1], transport[v2])) ==
+        transport[tuple(map(add, v1, v2))]
         for v1 in product(range(-2, 3), repeat=n)
         for v2 in product(range(-2, 3), repeat=n))
     yield Check("transport is path independent (composite = direct on all "

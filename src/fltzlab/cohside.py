@@ -13,7 +13,7 @@ monoid's denominator, which matches path length on the cyclic quiver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -179,40 +179,61 @@ class AffineMonoid:
         pieces would be infinite and an :class:`ImproperWeightError` is
         raised.  ``bound`` and the weight entries must be ``int``.
 
-        Candidates are the integer points y = d x of a box spanned by the
-        extreme rays.  Each is tested in integers: its degree first, then
-        the cone inequalities on y, then the lattice congruence; a
-        ``Fraction`` point is built only for an accepted element.
+        The integer points y = d x are enumerated in lexicographic order
+        inside a box spanned by the extreme rays, all in integers.  For
+        each prefix of y the cone inequalities and the degree bound are
+        linear in the last coordinate, so each clips its range; only
+        in-cone points of degree <= bound reach the lattice congruence.
+        Each coordinate value's ``Fraction`` is built once per call.
         """
         weight = self._checked_grading(bound, weight)
+        out = {d: [] for d in range(bound + 1)}
+        if not self.rank:
+            out[0].append(())
+            return out
         # bounds on y from the extreme rays: y = d x lies in the cone, so
         # with degree <= bound it is a nonnegative ray combination of
-        # total weight <= bound
+        # total weight <= bound; y is integral, so the bounds round inward
         los = [0] * self.rank
         his = [0] * self.rank
         for r in self._cone_rays:
             w = sum(a * b for a, b in zip(weight, r))
             for i in range(self.rank):
-                ratio = Fraction(bound * r[i], w)
-                if ratio < los[i]:
-                    los[i] = ratio.__floor__()
-                if ratio > his[i]:
-                    his[i] = ratio.__ceil__()
-        out = {d: [] for d in range(bound + 1)}
-        d = self.denominator
-        inequalities = self.inequalities
+                los[i] = min(los[i], -(-(bound * r[i]) // w))
+                his[i] = max(his[i], (bound * r[i]) // w)
+        base = min(los)
+        values = [Fraction(c, self.denominator)
+                  for c in range(base, max(his) + 1)]
+        # a clip (row, c) keeps the y with row . y + c >= 0: each cone
+        # inequality and degree <= bound (the proper weight makes every
+        # degree in the cone >= 0); zip pairs the row's prefix with the
+        # head y[:-1], and its last entry a clips the last coordinate t
+        # by a t + c >= 0
+        clips = [(a, 0) for a in self.inequalities]
+        clips.append((tuple(-w for w in weight), bound))
         lattice_rows, modulus = self._lattice_rows, self._lattice_modulus
-        for y in product(*(range(lo, hi + 1) for lo, hi in zip(los, his))):
-            deg = sum(w * c for w, c in zip(weight, y))
-            if not 0 <= deg <= bound:
-                continue
-            if any(sum(a * c for a, c in zip(ineq, y)) < 0
-                   for ineq in inequalities):
-                continue
-            if any(sum(a * c for a, c in zip(row, y)) % modulus
-                   for row in lattice_rows):
-                continue
-            out[deg].append(tuple(Fraction(c, d) for c in y))
+        for head in product(*(range(lo, hi + 1)
+                              for lo, hi in zip(los[:-1], his[:-1]))):
+            lo, hi = los[-1], his[-1]
+            for row, c in clips:
+                c += sum(x * y for x, y in zip(row, head))
+                a = row[-1]
+                if a > 0:
+                    lo = max(lo, -(c // a))
+                elif a < 0:
+                    hi = min(hi, c // -a)
+                elif c < 0:
+                    break
+            else:
+                start = sum(w * y for w, y in zip(weight, head))
+                residues = [(sum(x * y for x, y in zip(row, head)), row[-1])
+                            for row in lattice_rows]
+                point = tuple(values[y - base] for y in head)
+                for t in range(lo, hi + 1):
+                    if any((c + a * t) % modulus for c, a in residues):
+                        continue
+                    out[start + weight[-1] * t].append(
+                        point + (values[t - base],))
         return out
 
     def _checked_grading(self, bound, weight):
@@ -284,12 +305,16 @@ class GammaCategory:
 
     ``projection`` sends a monoid element to the character it acts by;
     hom(chi, chi') is the isotypic component of the monoid at
-    ``quotient.representative(chi' - chi)``.
+    ``quotient.representative(chi' - chi)``.  ``_homs`` keeps, per
+    (bound, weight), those components keyed by the components of
+    chi' - chi.
     """
 
     group: FiniteAbelianGroup
     monoid: AffineMonoid
     quotient: LatticeQuotient
+    _homs: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     def projection(self, point) -> Character:
         return self.quotient.character_of(point)
@@ -362,11 +387,24 @@ def hom_graded(G: GammaCategory, chi: Character, chi_prime: Character,
 
     The (chi' - chi)-isotypic component: the dimension in degree d counts
     the monoid elements of weight d in the coset of the representative of
-    chi' - chi.
+    chi' - chi.  The first call for a (bound, weight) fills the chart's
+    table from :func:`isotypic_component` at every representative; each
+    call then reads the monoid's kept :class:`GradedDims` for chi' - chi
+    there.  A ``chi`` or ``chi_prime`` that is not a character of
+    ``G.group`` is a :class:`ZlinError` naming the argument.
     """
-    return isotypic_component(G.monoid,
-                              G.quotient.representative(chi_prime - chi),
-                              bound, weight)
+    group = G.group
+    group.check_character(chi, "chi")
+    group.check_character(chi_prime, "chi_prime")
+    weight = G.monoid._checked_grading(bound, weight)
+    table = G._homs.get((bound, weight))
+    if table is None:
+        table = G._homs[bound, weight] = {
+            t.components: isotypic_component(
+                G.monoid, G.quotient.representative(t), bound, weight)
+            for t in group.characters()}
+    return table[tuple((b - a) % f for a, b, f in zip(
+        chi.components, chi_prime.components, group.invariant_factors))]
 
 
 def cyclic_quiver_paths(n: int, i: int, j: int, length_bound: int) -> GradedDims:

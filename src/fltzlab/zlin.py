@@ -459,6 +459,13 @@ class FiniteAbelianGroup:
     def zero_character(self):
         return Character((0,) * len(self.invariant_factors), self)
 
+    def check_character(self, value, what):
+        """Raise a :class:`ZlinError` naming ``what`` unless ``value`` is a
+        character of this group (tested by identity first)."""
+        if not isinstance(value, Character) or (
+                value.group is not self and value.group != self):
+            raise ZlinError(f"{what} {value!r} is not a character of {self}")
+
 
 @dataclass(frozen=True)
 class Character:
@@ -479,21 +486,17 @@ class Character:
         object.__setattr__(self, "components", comps)
 
     def __add__(self, other):
-        self._check(other)
+        self.group.check_character(other, "operand")
         return Character(tuple(a + b for a, b in zip(self.components, other.components)),
                          self.group)
 
     def __sub__(self, other):
-        self._check(other)
+        self.group.check_character(other, "operand")
         return Character(tuple(a - b for a, b in zip(self.components, other.components)),
                          self.group)
 
     def __neg__(self):
         return Character(tuple(-a for a in self.components), self.group)
-
-    def _check(self, other):
-        if self.group is not other.group and self.group != other.group:
-            raise ZlinError("characters belong to different groups")
 
     def is_zero(self):
         return all(c == 0 for c in self.components)
@@ -574,6 +577,9 @@ class LatticeQuotient:
         """Character of a superlattice vector in the quotient group."""
         vec = tuple(vec)
         check_exact(vec, ZlinError, "vector entry")
+        if len(vec) != self._rank:
+            raise ZlinError(f"vector {vec!r} has length {len(vec)}, "
+                            f"expected {self._rank}")
         vec = [Fraction(x) for x in vec]
         coords = [sum(self._adapted_inv[i][k] * vec[k] for k in range(self._rank))
                   for i in range(self._rank)]
@@ -589,8 +595,7 @@ class LatticeQuotient:
 
         A character of another group is a :class:`ZlinError`.
         """
-        if not isinstance(chi, Character) or chi.group != self.group:
-            raise ZlinError(f"{chi!r} is not a character of {self.group}")
+        self.group.check_character(chi, "chi")
         return self._representative_of[chi.components]
 
 

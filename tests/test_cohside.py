@@ -489,6 +489,73 @@ class TestHomGradedOracle:
         with pytest.raises(ZlinError):
             hom_graded(G, other, other, 3)
 
+    def test_non_character_rejected(self):
+        # a tuple used to raise a raw AttributeError as chi and a raw
+        # TypeError as chi_prime
+        G = gamma_category(cyclic_stack(4))
+        chi = G.group.character((1,))
+        with pytest.raises(ZlinError, match=r"^chi \(1,\) is not a character"):
+            hom_graded(G, (1,), chi, 4)
+        with pytest.raises(ZlinError,
+                           match=r"^chi_prime \(1,\) is not a character"):
+            hom_graded(G, chi, (1,), 4)
+
+    def test_character_of_an_equal_group_accepted(self):
+        G = gamma_category(cyclic_stack(4))
+        equal = FiniteAbelianGroup((4,))
+        assert equal == G.group and equal is not G.group
+        chars = G.group.characters()
+        for i, j in ((0, 1), (3, 1)):
+            assert (hom_graded(G, equal.character((i,)),
+                               equal.character((j,)), 6)
+                    is hom_graded(G, chars[i], chars[j], 6))
+
+    def test_projection_checks_the_length(self):
+        G = gamma_category(cyclic_stack(4))
+        assert G.projection((Fraction(1, 4),)).components == (1,)
+        with pytest.raises(ZlinError, match="has length 2, expected 1"):
+            G.projection((Fraction(1, 4), 7))
+
+
+class TestHomTable:
+    """hom_graded reads one table of isotypic components per grading."""
+
+    def test_filled_once_per_grading(self, monkeypatch):
+        calls = []
+        isotypic = cohside.isotypic_component
+
+        def counting(monoid, chi, bound, weight=None):
+            calls.append((bound, weight))
+            return isotypic(monoid, chi, bound, weight)
+
+        monkeypatch.setattr(cohside, "isotypic_component", counting)
+        for n in (2, 5, 7):
+            calls.clear()
+            G = gamma_category(cyclic_stack(n))
+            chars = G.group.characters()
+            # None and (1,) are one grading
+            for bound, weight in ((6, None), (6, (1,)), (9, None), (6, (2,))):
+                for chi in chars:
+                    for chi_prime in chars:
+                        hom_graded(G, chi, chi_prime, bound, weight)
+            assert calls == ([(6, (1,))] * n + [(9, (1,))] * n
+                             + [(6, (2,))] * n)
+            assert list(G._homs) == [(6, (1,)), (9, (1,)), (6, (2,))]
+
+    def test_hom_is_the_kept_isotypic_component(self):
+        compared = 0
+        for G, sf, bound in oracle_charts():
+            weight = non_default_weight(G, sf)
+            chars = G.group.characters()
+            for chi in chars:
+                for chi_prime in chars:
+                    rep = G.quotient.representative(chi_prime - chi)
+                    assert (hom_graded(G, chi, chi_prime, bound, weight)
+                            is isotypic_component(G.monoid, rep, bound,
+                                                  weight))
+                    compared += 1
+        assert compared >= 500
+
 
 class TestCosetTable:
     """isotypic_component reads one coset table per (bound, weight)."""
@@ -959,6 +1026,59 @@ class TestAffineMonoid:
             assert (mono.elements_by_degree(bound, weight)
                     == reference_elements_by_degree(mono, bound, weight))
             compared += 1
+
+    @pytest.mark.parametrize("mono", [
+        AffineMonoid(0, []), AffineMonoid(0, [()], denominator=3),
+        AffineMonoid(0, [], denominator=2, lattice_basis=[])])
+    def test_rank_zero_matches_contains_loop(self, mono):
+        for bound in (0, 3):
+            got = mono.elements_by_degree(bound)
+            assert got == reference_elements_by_degree(mono, bound)
+            assert got[0] == [()]
+
+    @pytest.mark.parametrize("rows,weight,bounds", [
+        # the last weight entry is 0, so an odd bound leaves the box's top
+        # row above the bound with nothing to clip the last coordinate
+        ([(1, -1), (1, 1)], (2, 0), (0, 3, 5)),
+        ([(1, -1), (1, 1)], (3, -1), (0, 4, 7)),
+        ([(1, 0), (1, -2)], (2, -1), (3, 6)),
+        # x0 >= x1 has last entry 0 and fails on part of the box
+        ([(1, -1, 0), (0, 1, 0), (0, 0, 1), (1, 0, -2)], (1, 0, 0), (2, 5)),
+        ([(1, -1, 0), (0, 1, 0), (0, 0, 1), (1, 0, -2)], (2, 1, -1), (3, 6)),
+    ])
+    def test_last_weight_entry_zero_or_negative(self, rows, weight, bounds):
+        for denominator, basis in ((1, None), (2, None), (2, "beta")):
+            rank = len(weight)
+            if basis:
+                beta = IntMatrix([[1] * rank] + [
+                    [int(i == j + 1) - int(i == j) for i in range(rank)]
+                    for j in range(rank - 1)])
+                basis = character_lattice_quotient(beta).superlattice_basis
+            mono = AffineMonoid(rank, rows, denominator=denominator,
+                                lattice_basis=basis)
+            assert mono.weight_is_proper(weight)
+            for bound in bounds:
+                assert (mono.elements_by_degree(bound, weight)
+                        == reference_elements_by_degree(mono, bound, weight))
+
+    def test_seeded_weights_match_contains_loop(self):
+        # weights drawn whole, so the last entry is often 0 or negative
+        rng = random.Random(20261019)
+        compared = nonpositive_last = 0
+        while compared < 150:
+            mono = random_monoid(rng)
+            weight = tuple(rng.randint(-3, 3) for _ in range(mono.rank))
+            if not mono.weight_is_proper(weight):
+                continue
+            bound = rng.randint(0, 9)
+            while bound and len(list(product(
+                    *reference_box(mono, bound, weight)))) > 800:
+                bound -= 1
+            assert (mono.elements_by_degree(bound, weight)
+                    == reference_elements_by_degree(mono, bound, weight))
+            compared += 1
+            nonpositive_last += weight[-1] <= 0
+        assert nonpositive_last >= 30
 
     @pytest.mark.parametrize("beta,bound,weight", [
         *[([[n]], 24, None) for n in range(2, 13)],

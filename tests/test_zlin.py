@@ -240,6 +240,18 @@ class TestCharacterQuotient:
         with pytest.raises(ZlinError, match="vector entry"):
             q.character_of(vec)
 
+    def test_character_of_too_long_rejected(self):
+        # the 7 used to be dropped, giving the character 1
+        q = LatticeQuotient([[Fraction(1, 4)]], [[1]])
+        with pytest.raises(ZlinError, match=r"has length 2, expected 1$"):
+            q.character_of((Fraction(1, 4), 7))
+
+    def test_character_of_too_short_rejected(self):
+        # used to be a raw IndexError
+        q = LatticeQuotient([[Fraction(1, 4)]], [[1]])
+        with pytest.raises(ZlinError, match=r"has length 0, expected 1$"):
+            q.character_of(())
+
 
 class TestCharacters:
     def test_arithmetic(self):
@@ -280,6 +292,22 @@ class TestCharacters:
         b = FiniteAbelianGroup((3,)).character((1,))
         with pytest.raises(ZlinError):
             a + b
+
+    def test_equal_groups_mix(self):
+        a = FiniteAbelianGroup((4,)).character((1,))
+        b = FiniteAbelianGroup((4,)).character((2,))
+        assert a.group is not b.group
+        assert (a + b).components == (3,) and (a - b).components == (3,)
+
+    @pytest.mark.parametrize("other, name", [
+        (1, "operand 1"), ((1,), r"operand \(1,\)")])
+    def test_non_character_operand_rejected(self, other, name):
+        # each used to be a raw AttributeError
+        chi = FiniteAbelianGroup((4,)).character((1,))
+        with pytest.raises(ZlinError, match=f"^{name} is not a character of"):
+            chi - other
+        with pytest.raises(ZlinError, match=f"^{name} is not a character of"):
+            chi + other
 
 
 def dense_rank(rows):
