@@ -1037,8 +1037,8 @@ class TestAffineMonoid:
             assert got[0] == [()]
 
     @pytest.mark.parametrize("rows,weight,bounds", [
-        # the last weight entry is 0, so an odd bound leaves the box's top
-        # row above the bound with nothing to clip the last coordinate
+        # with a last weight entry of 0 the degree bound does not clip the
+        # last coordinate; with a negative one it clips it from below
         ([(1, -1), (1, 1)], (2, 0), (0, 3, 5)),
         ([(1, -1), (1, 1)], (3, -1), (0, 4, 7)),
         ([(1, 0), (1, -2)], (2, -1), (3, 6)),
@@ -1047,13 +1047,13 @@ class TestAffineMonoid:
         ([(1, -1, 0), (0, 1, 0), (0, 0, 1), (1, 0, -2)], (2, 1, -1), (3, 6)),
     ])
     def test_last_weight_entry_zero_or_negative(self, rows, weight, bounds):
-        for denominator, basis in ((1, None), (2, None), (2, "beta")):
-            rank = len(weight)
-            if basis:
-                beta = IntMatrix([[1] * rank] + [
-                    [int(i == j + 1) - int(i == j) for i in range(rank)]
-                    for j in range(rank - 1)])
-                basis = character_lattice_quotient(beta).superlattice_basis
+        rank = len(weight)
+        # a beta of determinant rank: (1/rank) Z^rank refined to a lattice
+        beta = IntMatrix([[1] * rank] + [
+            [int(i == j + 1) - int(i == j) for i in range(rank)]
+            for j in range(rank - 1)])
+        lattice = character_lattice_quotient(beta).superlattice_basis
+        for denominator, basis in ((1, None), (2, None), (rank, lattice)):
             mono = AffineMonoid(rank, rows, denominator=denominator,
                                 lattice_basis=basis)
             assert mono.weight_is_proper(weight)
