@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import comb
-from operator import add
 
 from . import cohside, conside, fans, picsym, skeleton
 from .zlin import IntMatrix
@@ -205,16 +204,21 @@ def monodromy(n):
         got = sorted(v.label.exponents for v in q.vertices)
         yield Check("n=2 twisted label multiset matches the comparison "
                     "picture", got == expected, f"{got}")
-    # every sum of two translations in {-2..2}^n lies in {-4..4}^n, so
-    # each transport is computed once and the pairs compare the exponent
-    # tuples of this table, as PicMonomial multiplication adds them
-    transport = {v: mono.transport(v).exponents
-                 for v in product(range(-4, 5), repeat=n)}
-    homomorphic = all(
-        tuple(map(add, transport[v1], transport[v2])) ==
-        transport[tuple(map(add, v1, v2))]
-        for v1 in product(range(-2, 3), repeat=n)
-        for v2 in product(range(-2, 3), repeat=n))
+    # column j of the monodromy matrix is the exponent vector picked up
+    # around loop j, so going around the loops one at a time, v_j times
+    # around loop j, adds up v_j times column j; that sum is built here
+    # entry by entry, without the matrix product behind transport
+    loops = list(zip(*mono.matrix.entries))
+    start = (0,) * mono.matrix.rows
+
+    def around_loops(v):
+        total = start
+        for times, loop in zip(v, loops):
+            total = tuple(t + times * e for t, e in zip(total, loop))
+        return total
+
+    homomorphic = all(mono.transport(v).exponents == around_loops(v)
+                      for v in product(range(-4, 5), repeat=n))
     yield Check("transport is path independent (composite = direct on all "
                 "translation pairs)", homomorphic)
 

@@ -179,11 +179,12 @@ def dd_generators(inequalities, rank):
         zeros = [zeros[k] | (bit if signs[k] == 0 else 0)
                  for k in kept] + new_zeros
 
-    ray_keys = sorted({primitivize(r) for r in rays})
-    line_keys = _canonical_lines([primitivize(l) for l in lines], rank)
-    ray_keys = [_reduce_mod_lines(r, line_keys) for r in ray_keys]
-    ray_keys = sorted({primitivize(r) for r in ray_keys if any(x != 0 for x in r)})
-    return ray_keys, line_keys
+    # rays and lines are primitive integer tuples already
+    if not lines:
+        return sorted({r for r in rays if any(r)}), []
+    line_keys = _canonical_lines(lines, rank)
+    reduced = [_reduce_mod_lines(r, line_keys) for r in rays]
+    return sorted({_divide_content(r) for r in reduced if any(r)}), line_keys
 
 
 # ---------------------------------------------------------------------------
@@ -298,9 +299,17 @@ class Cone:
         return True
 
     def negated(self):
+        """The cone -c.  A strictly convex cone negates its rays and its
+        H-representation; a cone with lines takes one double description,
+        since reducing rays modulo the lines does not commute with
+        negation."""
         hrep = [tuple(-x for x in a) for a in self._dual_gens]
-        return Cone._from_reps(self.ambient_rank,
-                               *dd_generators(hrep, self.ambient_rank), hrep)
+        if self.lines:
+            return Cone._from_reps(self.ambient_rank,
+                                   *dd_generators(hrep, self.ambient_rank),
+                                   hrep)
+        rays = sorted(tuple(-x for x in r) for r in self.rays)
+        return Cone._from_reps(self.ambient_rank, rays, (), hrep)
 
 
 def _generator_rank(c):
@@ -313,11 +322,17 @@ def _signed(rays, lines):
     return list(rays) + [v for l in lines for v in (l, tuple(-x for x in l))]
 
 
+def _check_cone(value, name):
+    if not isinstance(value, Cone):
+        raise FanError(f"{name} {value!r} is not a Cone")
+
+
 def dual_cone(c: Cone) -> Cone:
     """The dual cone {v : v(x) >= 0 for all x in c} in the dual lattice.
 
     The generators of c are an H-representation of its dual.
     """
+    _check_cone(c, "c")
     gens = c.generators
     return Cone._from_reps(c.ambient_rank,
                            *dd_generators(gens, c.ambient_rank), gens)
@@ -332,6 +347,7 @@ def faces(c: Cone):
     so no face needs a double description.  Returned sorted by
     (dimension, canonical key); the partial order is inclusion of ray sets.
     """
+    _check_cone(c, "c")
     if not c.is_strictly_convex():
         raise FanError("faces are only computed for strictly convex cones")
     rays, hrep = c.rays, c._dual_gens
@@ -350,6 +366,8 @@ def faces(c: Cone):
 
 
 def intersect_cones(a: Cone, b: Cone) -> Cone:
+    _check_cone(a, "a")
+    _check_cone(b, "b")
     if a.ambient_rank != b.ambient_rank:
         raise FanError("cones live in different ranks")
     hrep = a._dual_gens + b._dual_gens
@@ -359,6 +377,7 @@ def intersect_cones(a: Cone, b: Cone) -> Cone:
 
 def is_smooth_cone(c: Cone) -> bool:
     """True iff the generators extend to (or are) a Z-basis of the lattice."""
+    _check_cone(c, "c")
     if not c.is_strictly_convex():
         return False
     if not c.rays:
@@ -550,16 +569,26 @@ class CechNerve:
 
 
 def cech_nerve(f: Fan) -> CechNerve:
+    """The nerve of the maximal-cone cover of ``f``.
+
+    Cones of a fan meet in a common face, whose rays are the rays the
+    cones share, so each simplex's cone is the cone of ``f`` on the
+    intersection of its vertices' ray sets, read from ``f``'s cone table
+    with no double description.
+    """
+    if not isinstance(f, Fan):
+        raise FanError(f"f {f!r} is not a Fan")
     maxc = f.maximal_cones()
     if not maxc:
         raise FanError("nerve of an empty fan")
+    shared = {(i,): frozenset(c.rays) for i, c in enumerate(maxc)}
     simplices = {}
     for size in range(1, len(maxc) + 1):
         for subset in combinations(range(len(maxc)), size):
-            inter = maxc[subset[0]]
-            for i in subset[1:]:
-                inter = intersect_cones(inter, maxc[i])
-            simplices[frozenset(subset)] = inter
+            if size > 1:
+                shared[subset] = shared[subset[:-1]] & shared[subset[-1:]]
+            simplices[frozenset(subset)] = f._cones[
+                (f.rank, tuple(sorted(shared[subset])), ())]
     return CechNerve(vertices=tuple(maxc), simplices=simplices)
 
 

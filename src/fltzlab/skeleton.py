@@ -100,9 +100,10 @@ def fltz_components(sf) -> list:
             perp = [tuple(int(i == j) for j in range(n)) for i in range(n)]
         else:
             perp = kernel_basis(IntMatrix([list(g) for g in tau.rays]))
+        cone = tau.negated()
         for chi in sorted(characters):
             out.append(SkeletonComponent(
-                cone=tau.negated(),
+                cone=cone,
                 character=chi,
                 base_subspace=tuple(tuple(v) for v in perp),
             ))

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm, prod
+from operator import mul
 
 
 class ZlinError(ValueError):
@@ -67,12 +68,23 @@ class IntMatrix:
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", ncols)
 
+    @classmethod
+    def _of(cls, rows):
+        """A matrix on ``rows``, a tuple of equal-length tuples of ``int``,
+        taken as they are: for the results of int arithmetic on entries
+        that were checked when they came in."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "entries", rows)
+        object.__setattr__(m, "rows", len(rows))
+        object.__setattr__(m, "cols", len(rows[0]) if rows else 0)
+        return m
+
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
 
     @classmethod
     def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._of(tuple(map(tuple, _identity_rows(n))))
 
     @classmethod
     def zeros(cls, rows, cols):
@@ -94,8 +106,7 @@ class IntMatrix:
         return [self.column(j) for j in range(self.cols)]
 
     def transpose(self):
-        return IntMatrix([[self.entries[i][j] for i in range(self.rows)]
-                          for j in range(self.cols)])
+        return IntMatrix._of(tuple(zip(*self.entries)))
 
     def __eq__(self, other):
         return isinstance(other, IntMatrix) and self.entries == other.entries
@@ -110,18 +121,16 @@ class IntMatrix:
         if isinstance(other, IntMatrix):
             if self.cols != other.rows:
                 raise ZlinError("shape mismatch in matrix product")
-            return IntMatrix(
-                [[sum(self.entries[i][k] * other.entries[k][j]
-                      for k in range(self.cols))
-                  for j in range(other.cols)]
-                 for i in range(self.rows)])
+            columns = tuple(zip(*other.entries))
+            return IntMatrix._of(tuple(
+                tuple(sum(map(mul, row, col)) for col in columns)
+                for row in self.entries))
         # matrix * vector with int or Fraction entries
         vec = tuple(other)
         check_exact(vec, ZlinError, "vector entry")
         if self.cols != len(vec):
             raise ZlinError("shape mismatch in matrix-vector product")
-        return tuple(sum(self.entries[i][k] * vec[k] for k in range(self.cols))
-                     for i in range(self.rows))
+        return tuple(sum(map(mul, row, vec)) for row in self.entries)
 
     def det(self):
         """Determinant by fraction-free (Bareiss) elimination."""
@@ -300,97 +309,94 @@ class SnfDecomposition:
         return True
 
 
+def _identity_rows(n):
+    """The rows of the n x n identity, as lists."""
+    rows = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        row[i] = 1
+    return rows
+
+
 def smith_normal_form(A: IntMatrix) -> SnfDecomposition:
     """Smith normal form of an arbitrary integer matrix.
 
     The pivot is always the smallest nonzero entry in absolute value of
     the remaining submatrix, with ties broken by row-major position, so
     the output is deterministic.  Diagonal entries are nonnegative and
-    form a divisibility chain.
+    form a divisibility chain.  Rows of d above the pivot are zero from
+    the pivot column on, so column operations skip them.
     """
     nrows, ncols = A.rows, A.cols
     d = [list(row) for row in A.entries]
-    u = [list(row) for row in IntMatrix.identity(nrows).entries]
-    v = [list(row) for row in IntMatrix.identity(ncols).entries]
-
-    def swap_rows(i, j):
-        if i != j:
-            d[i], d[j] = d[j], d[i]
-            u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        if i != j:
-            for row in d:
-                row[i], row[j] = row[j], row[i]
-            for row in v:
-                row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, q):
-        # row[dst] += q * row[src]
-        d[dst] = [a + q * b for a, b in zip(d[dst], d[src])]
-        u[dst] = [a + q * b for a, b in zip(u[dst], u[src])]
-
-    def add_col(src, dst, q):
-        for row in d:
-            row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
-
-    def negate_row(i):
-        d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
-
-    def find_pivot(t):
-        best = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                x = d[i][j]
-                if x != 0 and (best is None or abs(x) < best[0]):
-                    best = (abs(x), i, j)
-        return best
-
+    u = _identity_rows(nrows)
+    v = _identity_rows(ncols)
     for t in range(min(nrows, ncols)):
         while True:
-            best = find_pivot(t)
-            if best is None:
+            # the first smallest |x| in row-major order; nothing beats a 1
+            best = 0
+            for i in range(t, nrows):
+                row = d[i]
+                for j in range(t, ncols):
+                    x = row[j]
+                    if x:
+                        if x < 0:
+                            x = -x
+                        if x < best or not best:
+                            best, pi, pj = x, i, j
+                            if x == 1:
+                                break
+                if best == 1:
+                    break
+            if not best:
                 break
-            _, pi, pj = best
-            swap_rows(t, pi)
-            swap_cols(t, pj)
-            if d[t][t] < 0:
-                negate_row(t)
-            p = d[t][t]
+            if pi != t:
+                d[t], d[pi] = d[pi], d[t]
+                u[t], u[pi] = u[pi], u[t]
+            if pj != t:
+                for row in d[t:]:
+                    row[t], row[pj] = row[pj], row[t]
+                for row in v:
+                    row[t], row[pj] = row[pj], row[t]
+            top, utop = d[t], u[t]
+            if top[t] < 0:
+                d[t] = top = [-x for x in top]
+                u[t] = utop = [-x for x in utop]
+            p = top[t]
             dirty = False
             for i in range(t + 1, nrows):
-                if d[i][t] != 0:
-                    q = d[i][t] // p
-                    add_row(t, i, -q)
-                    if d[i][t] != 0:
+                row = d[i]
+                if row[t]:
+                    q = row[t] // p
+                    d[i] = row = [a - q * b for a, b in zip(row, top)]
+                    u[i] = [a - q * b for a, b in zip(u[i], utop)]
+                    if row[t]:
                         dirty = True
             for j in range(t + 1, ncols):
-                if d[t][j] != 0:
-                    q = d[t][j] // p
-                    add_col(t, j, -q)
-                    if d[t][j] != 0:
+                if top[j]:
+                    q = top[j] // p
+                    for row in d[t:]:
+                        row[j] -= q * row[t]
+                    for row in v:
+                        row[j] -= q * row[t]
+                    if top[j]:
                         dirty = True
             if dirty:
                 continue
             # divisibility sweep: the pivot must divide the whole tail
             offender = None
-            for i in range(t + 1, nrows):
-                for j in range(t + 1, ncols):
-                    if d[i][j] % p != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            if p != 1:
+                offender = next((i for i in range(t + 1, nrows)
+                                 if any(x % p for x in d[i][t + 1:])), None)
             if offender is None:
                 break
-            add_row(offender, t, 1)
-        if t >= min(nrows, ncols):
+            d[t] = [a + b for a, b in zip(top, d[offender])]
+            u[t] = [a + b for a, b in zip(utop, u[offender])]
+        if not best:
+            # the rest of d is zero
             break
-
-    return SnfDecomposition(IntMatrix(u), IntMatrix(d), IntMatrix(v))
+    return SnfDecomposition(IntMatrix._of(tuple(map(tuple, u))),
+                            IntMatrix._of(tuple(map(tuple, d))),
+                            IntMatrix._of(tuple(map(tuple, v))))
 
 
 def kernel_basis(A: IntMatrix):

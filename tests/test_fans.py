@@ -4,6 +4,7 @@ from itertools import combinations, product
 
 import pytest
 
+from fltzlab import fans
 from fltzlab.fans import (
     Cone,
     Fan,
@@ -729,6 +730,91 @@ class TestJson:
         assert fan_from_json(fan_to_json(pt)) == pt
 
 
+def reference_nerve(fan):
+    """Each simplex's cone as the chain of intersect_cones over its
+    vertices, the route the ray-set lookup replaced."""
+    maxc = fan.maximal_cones()
+    out = {}
+    for size in range(1, len(maxc) + 1):
+        for subset in combinations(range(len(maxc)), size):
+            inter = maxc[subset[0]]
+            for i in subset[1:]:
+                inter = intersect_cones(inter, maxc[i])
+            out[frozenset(subset)] = inter
+    return out
+
+
+def nerve_fans_under_test():
+    """Pn for n <= 4, every AkGm with n <= 4, and the image fans of the
+    mu3 and mu4 golden stacks."""
+    fans = [standard_fan("Pn", n=n) for n in range(1, 5)]
+    fans += [standard_fan("AkGm", n=n, k=k)
+             for n in range(1, 5) for k in range(n + 1)]
+    return fans + [sf.fan for sf in stacky_charts_under_test()[:2]]
+
+
+class TestNerveAndNegationOracle:
+    """The nerve and negation against the double-description routes."""
+
+    def test_simplices_match_the_intersection_chain(self):
+        grid = {r: list(product(range(-1, 2), repeat=r)) for r in range(1, 5)}
+        for fan in nerve_fans_under_test():
+            nerve, expected = cech_nerve(fan), reference_nerve(fan)
+            assert list(nerve.simplices) == list(expected), fan
+            for s, cone in nerve.simplices.items():
+                assert_same_cone(cone, expected[s], grid)
+                assert cone in fan
+
+    def test_negated_matches_the_double_dual(self):
+        rng = random.Random(101)
+        grid = {r: list(product(range(-2, 3), repeat=r)) for r in range(1, 4)}
+        grid[4] = list(product(range(-1, 2), repeat=4))
+        pointed = lines = 0
+        for c in seeded_cones(rng, 400):
+            neg = c.negated()
+            assert_same_cone(neg, reference_negated(c), grid)
+            assert list(neg.rays) == sorted(neg.rays)
+            assert neg.negated() == c
+            pointed += not c.lines
+            lines += bool(c.lines)
+        assert pointed >= 300 and lines >= 40, (pointed, lines)
+
+
+class TestDoubleDescriptionCount:
+    """The nerve and a pointed cone's negation run no double description."""
+
+    @pytest.fixture
+    def dd_calls(self, monkeypatch):
+        calls = []
+
+        def counting(inequalities, rank):
+            calls.append(rank)
+            return dd_generators(inequalities, rank)
+
+        monkeypatch.setattr(fans, "dd_generators", counting)
+        return calls
+
+    def test_nerve_of_p4(self, dd_calls):
+        p4 = standard_fan("Pn", n=4)
+        dd_calls.clear()
+        nerve = cech_nerve(p4)
+        assert len(nerve.simplices) == 31
+        assert dd_calls == []
+
+    def test_negated_pointed_cone(self, dd_calls):
+        c = Cone([(1, 0, 0), (1, 2, 0), (1, 1, 3)])
+        dd_calls.clear()
+        assert c.negated().rays == ((-1, -2, 0), (-1, -1, -3), (-1, 0, 0))
+        assert dd_calls == []
+
+    def test_negated_cone_with_lines(self, dd_calls):
+        c = Cone([(1, 0), (-1, 0), (1, 1)])
+        dd_calls.clear()
+        neg = c.negated()
+        assert neg.lines == ((1, 0),) and neg.rays == ((0, -1),)
+        assert len(dd_calls) == 1
+
+
 def reference_maximal_cones(fan):
     """The geometric test the ray-set one replaced: a cone is maximal iff
     no other cone of the fan contains all of its rays."""
@@ -940,6 +1026,22 @@ class TestTypedErrors:
         # fan_hat used to end in a raw AttributeError on fan_hat.rank
         with pytest.raises(FanError, match=message):
             StackyFan(IntMatrix([[2]]), fan_hat, fan)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: cech_nerve([Cone([(1,)])]), r"f \[Cone\(\[\(1,\)\]"),
+        (lambda: cech_nerve(None), "f None is not a Fan"),
+        (lambda: intersect_cones(Cone([(1,)]), [(1,)]),
+         r"b \[\(1,\)\] is not a Cone"),
+        (lambda: intersect_cones((1,), Cone([(1,)])),
+         r"a \(1,\) is not a Cone"),
+        (lambda: is_smooth_cone([(1, 0)]), r"c \[\(1, 0\)\] is not a Cone"),
+        (lambda: faces(standard_fan("Pn", n=1)),
+         r"c Fan\(rank=1, n_cones=3\) is not a Cone"),
+        (lambda: dual_cone("cone"), "c 'cone' is not a Cone")])
+    def test_cone_and_fan_arguments_are_checked(self, call, message):
+        # each used to end in a raw AttributeError
+        with pytest.raises(FanError, match=message):
+            call()
 
     @pytest.mark.parametrize("kind, n, k, message", [
         ("Pn", True, None, "n = True"), ("Pn", 2.0, None, "n = 2.0"),

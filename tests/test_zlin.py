@@ -72,6 +72,175 @@ class TestSmithNormalForm:
         assert smith_normal_form(A) == smith_normal_form(A)
 
 
+def reference_smith_normal_form(A):
+    """The pivot-by-pivot Smith normal form the kernel in ``zlin`` replaced,
+    kept as it was: closures for each row and column operation, a full
+    pivot search, and U and V built from identity matrices through the
+    public constructor."""
+    nrows, ncols = A.rows, A.cols
+    d = [list(row) for row in A.entries]
+    u = [list(row) for row in IntMatrix.identity(nrows).entries]
+    v = [list(row) for row in IntMatrix.identity(ncols).entries]
+
+    def swap_rows(i, j):
+        if i != j:
+            d[i], d[j] = d[j], d[i]
+            u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        if i != j:
+            for row in d:
+                row[i], row[j] = row[j], row[i]
+            for row in v:
+                row[i], row[j] = row[j], row[i]
+
+    def add_row(src, dst, q):
+        d[dst] = [a + q * b for a, b in zip(d[dst], d[src])]
+        u[dst] = [a + q * b for a, b in zip(u[dst], u[src])]
+
+    def add_col(src, dst, q):
+        for row in d:
+            row[dst] += q * row[src]
+        for row in v:
+            row[dst] += q * row[src]
+
+    def negate_row(i):
+        d[i] = [-x for x in d[i]]
+        u[i] = [-x for x in u[i]]
+
+    def find_pivot(t):
+        best = None
+        for i in range(t, nrows):
+            for j in range(t, ncols):
+                x = d[i][j]
+                if x != 0 and (best is None or abs(x) < best[0]):
+                    best = (abs(x), i, j)
+        return best
+
+    for t in range(min(nrows, ncols)):
+        while True:
+            best = find_pivot(t)
+            if best is None:
+                break
+            _, pi, pj = best
+            swap_rows(t, pi)
+            swap_cols(t, pj)
+            if d[t][t] < 0:
+                negate_row(t)
+            p = d[t][t]
+            dirty = False
+            for i in range(t + 1, nrows):
+                if d[i][t] != 0:
+                    add_row(t, i, -(d[i][t] // p))
+                    if d[i][t] != 0:
+                        dirty = True
+            for j in range(t + 1, ncols):
+                if d[t][j] != 0:
+                    add_col(t, j, -(d[t][j] // p))
+                    if d[t][j] != 0:
+                        dirty = True
+            if dirty:
+                continue
+            offender = None
+            for i in range(t + 1, nrows):
+                for j in range(t + 1, ncols):
+                    if d[i][j] % p != 0:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            add_row(offender, t, 1)
+    return IntMatrix(u), IntMatrix(d), IntMatrix(v)
+
+
+def shape_and_entries(m):
+    return m.rows, m.cols, m.entries
+
+
+class TestSmithNormalFormOracle:
+    def test_transforms_match_the_reference(self):
+        rng = random.Random(83)
+        checked = 0
+        for bound in (1, 9, 50):
+            for _ in range(800):
+                rows, cols = rng.randint(0, 7), rng.randint(0, 7)
+                A = IntMatrix([[rng.randint(-bound, bound)
+                                for _ in range(cols)] for _ in range(rows)])
+                snf = smith_normal_form(A)
+                expected = reference_smith_normal_form(A)
+                got = (snf.U, snf.D, snf.V)
+                assert ([shape_and_entries(m) for m in got]
+                        == [shape_and_entries(m) for m in expected]), A
+                checked += 1
+        assert checked >= 2000
+
+    def test_early_pivots_of_one_keep_the_row_major_tie_rule(self):
+        # several entries of |x| = 1: the first in row-major order wins
+        for entries in ([[2, -1], [1, 3]], [[0, 3, 1], [-1, 1, 0]],
+                        [[5, 7, -1], [1, 1, 1], [-1, 0, 2]]):
+            A = IntMatrix(entries)
+            snf = smith_normal_form(A)
+            assert ([shape_and_entries(m) for m in (snf.U, snf.D, snf.V)]
+                    == [shape_and_entries(m) for m in
+                        reference_smith_normal_form(A)])
+
+
+def reference_product(a, b):
+    """Entry (i, j) of a @ b by the triple loop, for shapes (r, k) @ (k, c)."""
+    return [[sum(a[i][k] * b[k][j] for k in range(len(b)))
+             for j in range(len(b[0]) if b else 0)] for i in range(len(a))]
+
+
+class TestMatrixProduct:
+    def test_matches_the_triple_loop(self):
+        rng = random.Random(89)
+        for _ in range(600):
+            r, k, c = (rng.randint(0, 5) for _ in range(3))
+            a = [[rng.randint(-20, 20) for _ in range(k)] for _ in range(r)]
+            b = [[rng.randint(-20, 20) for _ in range(c)] for _ in range(k)]
+            A, B = IntMatrix(a), IntMatrix(b)
+            if A.cols != B.rows:
+                # a matrix with no rows has no columns either
+                with pytest.raises(ZlinError, match="shape mismatch"):
+                    A @ B
+                continue
+            product = A @ B
+            assert shape_and_entries(product) == shape_and_entries(
+                IntMatrix(reference_product(a, b)))
+
+    @pytest.mark.parametrize("left, right, shape", [
+        ((0, 0), (0, 0), (0, 0)), ((3, 0), (0, 0), (3, 0)),
+        ((0, 0), (0, 4), (0, 0)), ((2, 3), (3, 0), (2, 0)),
+        ((2, 1), (1, 4), (2, 4))])
+    def test_empty_shapes(self, left, right, shape):
+        A = IntMatrix([[1] * left[1] for _ in range(left[0])])
+        B = IntMatrix([[2] * right[1] for _ in range(right[0])])
+        product = A @ B
+        assert (product.rows, product.cols) == shape
+        assert product.entries == tuple(
+            map(tuple, reference_product(A.entries, B.entries)))
+
+    def test_products_transposes_and_identities_hold_ints(self):
+        A = IntMatrix([[2, -3], [10 ** 30, 0]])
+        for m in (A @ A, A.transpose(), IntMatrix.identity(3),
+                  smith_normal_form(A).U):
+            assert all(type(x) is int for row in m.entries for x in row)
+        assert A.transpose().entries == ((2, 10 ** 30), (-3, 0))
+        assert IntMatrix.identity(0).entries == ()
+
+    def test_vector_product_matches_the_loop(self):
+        rng = random.Random(97)
+        for _ in range(200):
+            r, c = rng.randint(1, 5), rng.randint(1, 5)
+            a = [[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)]
+            vec = [Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                   for _ in range(c)]
+            assert IntMatrix(a) @ vec == tuple(
+                sum(row[k] * vec[k] for k in range(c)) for row in a)
+
+
 class TestIntMatrix:
     @pytest.mark.parametrize("entries", [
         [[1.5, 2.7]], [[1, 2.0]], [[Fraction(3, 2)]], [[Fraction(2)]],
