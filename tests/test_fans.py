@@ -4,7 +4,6 @@ from itertools import combinations, product
 
 import pytest
 
-from fltzlab import fans
 from fltzlab.fans import (
     Cone,
     Fan,
@@ -523,7 +522,9 @@ def seeded_cones(rng, count):
 
 
 def assert_same_cone(fast, slow, grid):
-    assert fast.key == slow.key
+    # the rays in their stored order, not only the sorted key
+    assert (fast.key, fast.rays, fast.lines) == (slow.key, slow.rays,
+                                                 slow.lines)
     for p in grid[fast.ambient_rank]:
         assert fast.contains(p) == slow.contains(p), (fast, p)
         assert (fast.contains(p, strict=True)
@@ -730,91 +731,6 @@ class TestJson:
         assert fan_from_json(fan_to_json(pt)) == pt
 
 
-def reference_nerve(fan):
-    """Each simplex's cone as the chain of intersect_cones over its
-    vertices, the route the ray-set lookup replaced."""
-    maxc = fan.maximal_cones()
-    out = {}
-    for size in range(1, len(maxc) + 1):
-        for subset in combinations(range(len(maxc)), size):
-            inter = maxc[subset[0]]
-            for i in subset[1:]:
-                inter = intersect_cones(inter, maxc[i])
-            out[frozenset(subset)] = inter
-    return out
-
-
-def nerve_fans_under_test():
-    """Pn for n <= 4, every AkGm with n <= 4, and the image fans of the
-    mu3 and mu4 golden stacks."""
-    fans = [standard_fan("Pn", n=n) for n in range(1, 5)]
-    fans += [standard_fan("AkGm", n=n, k=k)
-             for n in range(1, 5) for k in range(n + 1)]
-    return fans + [sf.fan for sf in stacky_charts_under_test()[:2]]
-
-
-class TestNerveAndNegationOracle:
-    """The nerve and negation against the double-description routes."""
-
-    def test_simplices_match_the_intersection_chain(self):
-        grid = {r: list(product(range(-1, 2), repeat=r)) for r in range(1, 5)}
-        for fan in nerve_fans_under_test():
-            nerve, expected = cech_nerve(fan), reference_nerve(fan)
-            assert list(nerve.simplices) == list(expected), fan
-            for s, cone in nerve.simplices.items():
-                assert_same_cone(cone, expected[s], grid)
-                assert cone in fan
-
-    def test_negated_matches_the_double_dual(self):
-        rng = random.Random(101)
-        grid = {r: list(product(range(-2, 3), repeat=r)) for r in range(1, 4)}
-        grid[4] = list(product(range(-1, 2), repeat=4))
-        pointed = lines = 0
-        for c in seeded_cones(rng, 400):
-            neg = c.negated()
-            assert_same_cone(neg, reference_negated(c), grid)
-            assert list(neg.rays) == sorted(neg.rays)
-            assert neg.negated() == c
-            pointed += not c.lines
-            lines += bool(c.lines)
-        assert pointed >= 300 and lines >= 40, (pointed, lines)
-
-
-class TestDoubleDescriptionCount:
-    """The nerve and a pointed cone's negation run no double description."""
-
-    @pytest.fixture
-    def dd_calls(self, monkeypatch):
-        calls = []
-
-        def counting(inequalities, rank):
-            calls.append(rank)
-            return dd_generators(inequalities, rank)
-
-        monkeypatch.setattr(fans, "dd_generators", counting)
-        return calls
-
-    def test_nerve_of_p4(self, dd_calls):
-        p4 = standard_fan("Pn", n=4)
-        dd_calls.clear()
-        nerve = cech_nerve(p4)
-        assert len(nerve.simplices) == 31
-        assert dd_calls == []
-
-    def test_negated_pointed_cone(self, dd_calls):
-        c = Cone([(1, 0, 0), (1, 2, 0), (1, 1, 3)])
-        dd_calls.clear()
-        assert c.negated().rays == ((-1, -2, 0), (-1, -1, -3), (-1, 0, 0))
-        assert dd_calls == []
-
-    def test_negated_cone_with_lines(self, dd_calls):
-        c = Cone([(1, 0), (-1, 0), (1, 1)])
-        dd_calls.clear()
-        neg = c.negated()
-        assert neg.lines == ((1, 0),) and neg.rays == ((0, -1),)
-        assert len(dd_calls) == 1
-
-
 def reference_maximal_cones(fan):
     """The geometric test the ray-set one replaced: a cone is maximal iff
     no other cone of the fan contains all of its rays."""
@@ -879,6 +795,66 @@ class TestMaximalConesOracle:
         fan = standard_fan("Pn", n=2)
         fan.maximal_cones().clear()
         assert len(fan.maximal_cones()) == 3
+
+
+def reference_nerve(fan):
+    """Each simplex's cone as the chain of intersect_cones over its
+    vertices, the route the ray-set lookup replaced."""
+    maxc = fan.maximal_cones()
+    out = {}
+    for size in range(1, len(maxc) + 1):
+        for subset in combinations(range(len(maxc)), size):
+            inter = maxc[subset[0]]
+            for i in subset[1:]:
+                inter = intersect_cones(inter, maxc[i])
+            out[frozenset(subset)] = inter
+    return out
+
+
+class TestCechNerveOracle:
+    def test_simplices_match_the_intersection_chain(self):
+        grid = {r: list(product(range(-1, 2), repeat=r)) for r in range(5)}
+        for fan in fans_under_test():
+            nerve, expected = cech_nerve(fan), reference_nerve(fan)
+            assert list(nerve.simplices) == list(expected), fan
+            for s, cone in nerve.simplices.items():
+                assert_same_cone(cone, expected[s], grid)
+                assert cone in fan
+
+
+class TestDoubleDescriptionCount:
+    """The nerve and a pointed cone's negation run no double description."""
+
+    @pytest.fixture
+    def dd_calls(self, monkeypatch):
+        calls = []
+
+        def counting(inequalities, rank):
+            calls.append(rank)
+            return dd_generators(inequalities, rank)
+
+        monkeypatch.setattr("fltzlab.fans.dd_generators", counting)
+        return calls
+
+    def test_nerve_of_p4(self, dd_calls):
+        p4 = standard_fan("Pn", n=4)
+        dd_calls.clear()
+        nerve = cech_nerve(p4)
+        assert len(nerve.simplices) == 31
+        assert dd_calls == []
+
+    def test_negated_pointed_cone(self, dd_calls):
+        c = Cone([(1, 0, 0), (1, 2, 0), (1, 1, 3)])
+        dd_calls.clear()
+        assert c.negated().rays == ((-1, -2, 0), (-1, -1, -3), (-1, 0, 0))
+        assert dd_calls == []
+
+    def test_negated_cone_with_lines(self, dd_calls):
+        c = Cone([(1, 0), (-1, 0), (1, 1)])
+        dd_calls.clear()
+        neg = c.negated()
+        assert neg.lines == ((1, 0),) and neg.rays == ((0, -1),)
+        assert len(dd_calls) == 1
 
 
 def reference_image_cone(sf, cone_hat):
