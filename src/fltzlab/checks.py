@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, factorial, prod
 
 from . import cohside, conside, fans, picsym, skeleton
 from .zlin import IntMatrix
@@ -27,13 +27,7 @@ class Check:
 
 def _binomial_continuation(n, e):
     """C(n + e, n) continued to every integer e: (e + 1)...(e + n) / n!."""
-    num = 1
-    for i in range(1, n + 1):
-        num *= e + i
-    den = 1
-    for i in range(1, n + 1):
-        den *= i
-    return num // den
+    return prod(range(e + 1, e + n + 1)) // factorial(n)
 
 
 def generator_gram(n, cat):
@@ -111,8 +105,7 @@ def _pull_back(rep, strata, collapse):
     for (x, y) in strata.covers():
         a, b = collapse[x], collapse[y]
         if a == b:
-            maps[(x, y)] = [[int(i == j) for j in range(dims[x])]
-                            for i in range(dims[x])]
+            maps[(x, y)] = [{i: 1} for i in range(dims[x])]
         else:
             maps[(x, y)] = rep.matrices[(a, b)]
     return conside.CatRep(strata, dims, maps)
@@ -219,8 +212,8 @@ def monodromy(n):
 
     homomorphic = all(mono.transport(v).exponents == around_loops(v)
                       for v in product(range(-4, 5), repeat=n))
-    yield Check("transport is path independent (composite = direct on all "
-                "translation pairs)", homomorphic)
+    yield Check(f"transport on {{-4..4}}^{n} equals the loop-by-loop "
+                "column sum", homomorphic)
 
 
 def generation(n, rng):

@@ -14,7 +14,8 @@ spaces have dimension at most one; a single nerve-complex implementation
 serves both.  Both are presented by arrows and relations: the covers of
 a poset with every pair of cover paths identified, and the n + 1 wall
 symbols per step of the chamber category with the commuting squares.
-A representation stores matrices on the arrows only, checks the
+A representation stores a matrix on each arrow only, as sparse
+``{column: entry}`` rows (dense rows are accepted as input), checks the
 relations, and composes the matrix of any other basis morphism along an
 arrow path.
 """
@@ -22,7 +23,6 @@ arrow path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from math import comb
 
@@ -261,12 +261,8 @@ class ChamberCategory:
         self.objects = tuple(range(n + 1))  # step classes
         self._arrows = tuple((s, s - 1, self.arrow(s, i))
                              for s in range(1, n + 1) for i in range(n + 1))
-        self._bases = {}
-        for s in self.objects:
-            for t in self.objects:
-                if s > t:
-                    self._bases[(s, t)] = tuple(
-                        m for m in _monomials(n + 1, s - t))
+        self._bases = {(s, t): tuple(_monomials(n + 1, s - t))
+                       for s in self.objects for t in range(s)}
 
     def hom_basis(self, s, t):
         if s == t:
@@ -328,33 +324,47 @@ def _monomials(width, degree):
 # representations
 
 
-def _matrix(rows, key):
-    """An exact matrix as row tuples of ``int`` or ``Fraction`` entries."""
-    try:
-        m = tuple(tuple(row) for row in rows)
-    except TypeError:
-        raise ConError(f"matrix on {key!r} is not a list of rows") from None
-    what = f"matrix on {key!r}: entry"
-    for row in m:
-        check_exact(row, ConError, what)
-    return m
+def _matrix(rows, key, shape):
+    """An exact ``shape`` matrix as sparse ``{column: entry}`` rows.
 
-
-def _mat_mul(a, b, cols):
-    """The product ``a b`` of row-tuple matrices, skipping zero entries.
-
-    ``cols`` is the column count of ``b``, which ``b`` cannot show when
-    it has no rows.
+    Each row of ``rows`` is a dense sequence of entries or such a dict
+    with ``int`` columns in ``range(cols)``; every entry must be an
+    ``int`` or a ``Fraction``, and only the nonzero ones are kept.
     """
-    sparse = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    n_rows, cols = shape
+    what = f"matrix on {key!r}"
+    try:
+        given = [row if isinstance(row, dict) else tuple(row) for row in rows]
+    except TypeError:
+        raise ConError(f"{what} is not a list of rows") from None
+    if len(given) != n_rows or any(len(row) != cols for row in given
+                                   if not isinstance(row, dict)):
+        # an empty matrix stands for the map to or from 0
+        if (n_rows and cols) or any(given):
+            raise ConError(f"matrix shape mismatch on {key!r}")
+        given = [()] * n_rows
+    out = []
+    for row in given:
+        row = row if isinstance(row, dict) else dict(enumerate(row))
+        check_ints(row, ConError, f"{what}: column")
+        for j in row:
+            if not 0 <= j < cols:
+                raise ConError(f"{what}: column {j} is out of range for "
+                               f"source dimension {cols}")
+        check_exact(row.values(), ConError, f"{what}: entry")
+        out.append({j: x for j, x in row.items() if x})
+    return tuple(out)
+
+
+def _mat_mul(a, b):
+    """The product ``a b`` of sparse-row matrices; cancelled entries go."""
     out = []
     for row in a:
-        acc = [0] * cols
-        for x, brow in zip(row, sparse):
-            if x:
-                for j, y in brow:
-                    acc[j] += x * y
-        out.append(tuple(acc))
+        acc = {}
+        for k, x in row.items():
+            for j, y in b[k].items():
+                acc[j] = acc.get(j, 0) + x * y
+        out.append({j: v for j, v in acc.items() if v})
     return tuple(out)
 
 
@@ -364,11 +374,13 @@ class CatRep:
     ``dims`` maps objects to nonnegative ``int`` dimensions (a missing
     object has dimension 0).  ``matrices`` maps arrows of the category
     (see its ``arrows()``) to exact matrices, target-dim rows by
-    source-dim columns, with ``int`` or ``Fraction`` entries, kept as
-    given; a missing arrow is the zero map, and an empty matrix stands
-    for the map to or from 0.  The category's relations are checked on
-    construction, so :meth:`matrix` gives any basis morphism the same
-    matrix along every arrow path.
+    source-dim columns, with ``int`` or ``Fraction`` entries; a missing
+    arrow is the zero map, and an empty matrix stands for the map to or
+    from 0.  Each matrix is stored as sparse ``{column: entry}`` rows
+    of its nonzero entries, kept as given; dense rows are accepted as
+    input.  The category's relations are checked on construction, so
+    :meth:`matrix` gives any basis morphism the same matrix along every
+    arrow path.
     """
 
     def __init__(self, category, dims, matrices):
@@ -381,27 +393,20 @@ class CatRep:
                 raise ConError(f"dimension {d!r} at {x!r} is not a "
                                "nonnegative int")
         self.dims = {x: dims.get(x, 0) for x in category.objects}
-        self._sources = {a: x for x, _, a in category.arrows()}
+        arrows = {a for _, _, a in category.arrows()}
         for key in matrices:
-            if key not in self._sources:
+            if key not in arrows:
                 raise ConError(f"{key!r} is not an arrow of {category!r}")
         self.matrices = {}
         for x, y, a in category.arrows():
-            rows, cols = self.dims[y], self.dims[x]
-            m = _matrix(matrices.get(a, ()), a)
-            if len(m) != rows or any(len(row) != cols for row in m):
-                # an empty matrix stands for the map to or from 0
-                if (rows and cols) or any(m):
-                    raise ConError(f"matrix shape mismatch on {a!r}")
-                m = tuple((0,) * cols for _ in range(rows))
-            self.matrices[a] = m
+            self.matrices[a] = _matrix(matrices.get(a, ()), a,
+                                       (self.dims[y], self.dims[x]))
         self._composites = {}
         self._validate()
 
     def _then(self, a, g):
         """The matrix of arrow ``a`` followed by basis morphism ``g``."""
-        return _mat_mul(self.matrix(g), self.matrices[a],
-                        self.dims[self._sources[a]])
+        return _mat_mul(self.matrix(g), self.matrices[a])
 
     def matrix(self, f):
         """The matrix of a basis morphism, composed along an arrow path.
@@ -429,7 +434,8 @@ def corepresentable(category, v) -> CatRep:
     """The corepresentable functor k hom(v, -): projective at v.
 
     Its value at x has the basis hom(v, x) (the identity at v); an arrow
-    acts by postcomposition, a 0/1 ``int`` matrix read off ``compose``.
+    acts by postcomposition, an ``int`` matrix read off ``compose`` with
+    one 1 per column.
     On a poset this is the rank-one representation of the up-set of v
     with identity maps.
     """
@@ -441,12 +447,13 @@ def corepresentable(category, v) -> CatRep:
                 for x, hs in basis.items()}
     matrices = {}
     for x, y, a in category.arrows():
-        mat = [[0] * len(basis[x]) for _ in basis[y]]
+        rows = [{} for _ in basis[y]]
         for col, f in enumerate(basis[x]):
             terms = ((1, a),) if f == "id" else category.compose(f, a)
             for coeff, h in terms:
-                mat[position[y][h]][col] += coeff
-        matrices[a] = mat
+                row = rows[position[y][h]]
+                row[col] = row.get(col, 0) + coeff
+        matrices[a] = rows
     return CatRep(category, {x: len(hs) for x, hs in basis.items()}, matrices)
 
 
@@ -476,8 +483,7 @@ def _entries(m, dim):
     None, of the identity of size ``dim``."""
     if m is None:
         return [(i, i, 1) for i in range(dim)]
-    return [(i, j, x) for i, row in enumerate(m) for j, x in enumerate(row)
-            if x]
+    return [(i, j, x) for i, row in enumerate(m) for j, x in row.items()]
 
 
 def hom_complex(M: CatRep, N: CatRep):
@@ -572,21 +578,31 @@ def cartan_matrix(category) -> IntMatrix:
                        for y in objs] for x in objs])
 
 
+def _cartan_inverse(category):
+    """The inverse of the Cartan matrix as ``int`` rows, kept on the
+    category: in object order the Cartan matrix of a directed category
+    is unitriangular (checked), so the inverse is integral."""
+    inverse = getattr(category, "_cartan_inv", None)
+    if inverse is None:
+        c = cartan_matrix(category).entries
+        below = any(c[i][j] for i in range(len(c)) for j in range(i))
+        above = any(c[j][i] for i in range(len(c)) for j in range(i))
+        if (below and above) or any(c[i][i] != 1 for i in range(len(c))):
+            raise ConError(f"the Cartan matrix of {category!r} is not "
+                           "unitriangular in its object order")
+        inverse = category._cartan_inv = [
+            [x.numerator for x in row] for row in rational_inverse(c)]
+    return inverse
+
+
 def euler_form(category, d, e) -> int:
     """The K-theoretic pairing sum_i (-1)^i dim Ext^i on dimension vectors."""
-    objs = category.objects
-    d = list(d)
-    e = list(e)
-    check_ints(d, ConError, "dimension vector entry")
-    check_ints(e, ConError, "dimension vector entry")
-    if len(d) != len(objs) or len(e) != len(objs):
+    d, e = list(d), list(e)
+    check_ints(d + e, ConError, "dimension vector entry")
+    if len(d) != len(category.objects) or len(e) != len(category.objects):
         raise ConError("dimension vector length does not match object count")
-    cinv = rational_inverse([list(r) for r in cartan_matrix(category).entries])
-    total = sum(Fraction(d[i]) * cinv[i][j] * Fraction(e[j])
-                for i in range(len(objs)) for j in range(len(objs)))
-    if total.denominator != 1:
-        raise ConError("Euler form did not evaluate to an integer")
-    return int(total)
+    return sum(x * sum(c * y for c, y in zip(row, e))
+               for x, row in zip(d, _cartan_inverse(category)))
 
 
 # ---------------------------------------------------------------------------

@@ -87,10 +87,6 @@ class IntMatrix:
         return cls._of(tuple(map(tuple, _identity_rows(n))))
 
     @classmethod
-    def zeros(cls, rows, cols):
-        return cls([[0] * cols for _ in range(rows)])
-
-    @classmethod
     def from_columns(cls, columns, rows=None):
         columns = [tuple(c) for c in columns]
         if rows is None:
@@ -302,11 +298,6 @@ class SnfDecomposition:
     U: IntMatrix
     D: IntMatrix
     V: IntMatrix
-
-    def check(self, A):
-        if (self.U @ A) @ self.V != self.D:
-            raise ZlinError("SNF transform identity violated")
-        return True
 
 
 def _identity_rows(n):

@@ -3,9 +3,12 @@
 Each top-level function and class of ``src/fltzlab`` and each method
 (dunders aside) must be named somewhere in ``src/fltzlab``, ``demos/``
 or ``bench/`` outside its own definition; a name that only tests reach
-either gets such a caller or goes.  The scan is by identifier, so a
-name shared with another attribute counts as used.  ``KEPT`` lists the
-names that stay on purpose, each with its reason.
+either gets such a caller or goes.  The scan is by identifier: a
+function or class counts as named by a bare name or an attribute, a
+method by an attribute only, so ``product`` imported from itertools
+or a local ``check`` does not stand in for a method of that name.  A
+method sharing its name with another attribute still counts as used.
+``KEPT`` lists the names that stay on purpose, each with its reason.
 """
 
 import ast
@@ -30,43 +33,56 @@ KEPT = {
         "the poset invariant the tests compare with chain lengths",
     "conside.FinitePoset.antichain":
         "builds the discrete posets of acceptance criterion 8",
+    "conside.FinitePoset.product":
+        "builds the grid posets of acceptance criterion 8; a product "
+        "poset that keeps its factors is to grow from it",
 }
 
 
 def _definitions(tree, module):
-    """(qualified name, bare name, node) of each top-level def and method."""
+    """(qualified name, bare name, node, is a method) of each top-level
+    def and method."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield f"{module}.{node.name}", node.name, node
+            yield f"{module}.{node.name}", node.name, node, False
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if (isinstance(item, ast.FunctionDef)
                         and not item.name.startswith("__")):
-                    yield f"{module}.{node.name}.{item.name}", item.name, item
+                    yield (f"{module}.{node.name}.{item.name}", item.name,
+                           item, True)
 
 
 def _references(node):
-    """Identifiers that ``node`` names, as Name ids and attribute names."""
+    """``(identifier, is an attribute)`` for each name ``node`` uses."""
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
-            yield sub.id
+            yield sub.id, False
         elif isinstance(sub, ast.Attribute):
-            yield sub.attr
+            yield sub.attr, True
+
+
+def _count(references, method):
+    """Uses per identifier; for a method, attribute uses only."""
+    counts = {}
+    for name, attribute in references:
+        if attribute or not method:
+            counts[name] = counts.get(name, 0) + 1
+    return counts
 
 
 def uncalled_names(package_dir=PACKAGE_DIR, caller_dirs=CALLER_DIRS):
     """Qualified library names with no reference outside their definition."""
     trees = {path: ast.parse(path.read_text(encoding="utf-8"))
              for d in caller_dirs for path in sorted(d.glob("*.py"))}
-    counts = {}
-    for tree in trees.values():
-        for name in _references(tree):
-            counts[name] = counts.get(name, 0) + 1
+    references = [ref for tree in trees.values() for ref in _references(tree)]
+    counts = {method: _count(references, method) for method in (False, True)}
     out = []
     for path in sorted(package_dir.glob("*.py")):
-        for qualified, name, node in _definitions(trees[path], path.stem):
-            inside = sum(1 for n in _references(node) if n == name)
-            if counts.get(name, 0) - inside == 0:
+        for qualified, name, node, method in _definitions(trees[path],
+                                                           path.stem):
+            inside = _count(_references(node), method).get(name, 0)
+            if counts[method].get(name, 0) - inside == 0:
                 out.append(qualified)
     return out
 
@@ -80,3 +96,26 @@ def test_every_library_name_has_a_caller():
 def test_kept_names_are_still_uncalled():
     # a kept name that gains a caller, or goes, leaves the list
     assert sorted(set(KEPT) - set(uncalled_names())) == []
+
+
+def test_a_bare_name_does_not_call_a_method(tmp_path):
+    # a method counts as called only through an attribute; an itertools
+    # import or a local of the same name used to hide it
+    package, callers = tmp_path / "package", tmp_path / "callers"
+    package.mkdir()
+    callers.mkdir()
+    (package / "lib.py").write_text(
+        "class Poset:\n"
+        "    def product(self):\n"
+        "        return self\n"
+        "    def meet(self):\n"
+        "        return self\n"
+        "def check():\n"
+        "    pass\n")
+    (callers / "user.py").write_text(
+        "from itertools import product\n"
+        "product()\n"
+        "check = None\n"
+        "Poset().meet()\n")
+    assert uncalled_names(package, [package, callers]) == [
+        "lib.Poset.product"]

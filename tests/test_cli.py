@@ -194,6 +194,14 @@ class TestVerifyCmd:
         assert "FAIL" not in out
         assert "all checks passed" in out
 
+    def test_monodromy_names_what_it_compares(self, capsys):
+        # the record once claimed "composite = direct on all translation
+        # pairs", which no longer described the comparison
+        assert main(["verify", "--what", "monodromy", "--n", "2"]) == 0
+        assert capsys.readouterr().out.splitlines()[-2:] == [
+            "[PASS] transport on {-4..4}^2 equals the loop-by-loop column "
+            "sum", "all checks passed"]
+
     @pytest.mark.parametrize("what", list(VERIFY_SUITES))
     def test_n_below_one_rejected(self, what, capsys):
         for n in ("0", "-2"):

@@ -71,7 +71,7 @@ class TestMonodromy:
         assert data.transport((1, 0)) == PicMonomial((-1, 0))
 
     def test_zero_anchor(self):
-        data = monodromy(IntMatrix.identity(2), Ikari(IntMatrix.zeros(2, 2)))
+        data = monodromy(IntMatrix.identity(2), Ikari(IntMatrix([[0, 0], [0, 0]])))
         assert all(data.transport(e).is_unit() for e in [(1, 0), (0, 1)])
 
     def test_doubled_lattice(self):
