@@ -281,11 +281,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (fans.FanError, skeleton.SkeletonError, cohside.CohError,
-            conside.ConError, picsym.PicError, zlin.ZlinError) as exc:
+    except (InputError, fans.FanError, skeleton.SkeletonError,
+            cohside.CohError, conside.ConError, picsym.PicError,
+            zlin.ZlinError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -28,6 +28,8 @@ from .zlin import (
     LatticeQuotient,
     check_exact,
     check_ints,
+    kernel_basis,
+    rational_inverse,
     rational_rank,
     smith_normal_form,
 )
@@ -125,7 +127,6 @@ class AffineMonoid:
             cols = [tuple(map(Fraction, c)) for c in cols]
             if len(cols) != self.rank:
                 raise CohError("lattice basis must be square")
-            from .zlin import rational_inverse
             rows = [[cols[j][i] for j in range(self.rank)]
                     for i in range(self.rank)]
             self._basis_inv = rational_inverse(rows)
@@ -335,7 +336,6 @@ def _adapted_quotient(cone: Cone):
     lines of the quotient cone they cut out.
     """
     n = cone.ambient_rank
-    from .zlin import kernel_basis, rational_inverse
     perp = kernel_basis(IntMatrix([list(g) for g in cone.rays])) if cone.rays else \
         [tuple(int(i == j) for j in range(n)) for i in range(n)]
     if not perp:

@@ -11,9 +11,12 @@ dimension vectors, and DOT export.
 
 A finite poset is the special case of a directed category whose hom
 spaces have dimension at most one; a single nerve-complex implementation
-serves both.  Both are presented by arrows and relations: the covers of
-a poset with every pair of cover paths identified, and the n + 1 wall
-symbols per step of the chamber category with the commuting squares.
+serves both.  A poset stores the up-set of each element and reads its
+order, covers and linear extension from it; a product of posets takes
+each tuple's up-set from its coordinates'.  Both are presented by
+arrows and relations: the covers of a poset with every pair of cover
+paths identified, and the n + 1 wall symbols per step of the chamber
+category with the commuting squares.
 A representation stores a matrix on each arrow only, as sparse
 ``{column: entry}`` rows (dense rows are accepted as input), checks the
 relations, and composes the matrix of any other basis morphism along an
@@ -22,7 +25,9 @@ arrow path.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from itertools import product
 from math import comb
 
@@ -48,42 +53,52 @@ class GenerationFailure(ConError):
 
 
 def _check_pairs(elements, pairs, what):
-    """Raise ConError on a repeated element, or on the first pair that is
-    not a 2-tuple or names a non-element."""
-    known = set()
+    """Each element's position; raise ConError on a repeated element, or
+    on the first pair that is not a 2-tuple or names a non-element."""
+    index = {}
     for x in elements:
-        if x in known:
+        if x in index:
             raise ConError(f"element {x!r} is repeated")
-        known.add(x)
+        index[x] = len(index)
     for pair in pairs:
         if not isinstance(pair, tuple) or len(pair) != 2:
             raise ConError(f"{what} {pair!r} is not a 2-tuple")
         for x in pair:
-            if x not in known:
+            if x not in index:
                 raise ConError(f"{what} {pair!r} names {x!r}, which is not "
                                "an element")
+    return index
 
 
 class FinitePoset:
-    """A finite poset; also acts as a directed category with 0/1 hom spaces."""
+    """A finite poset; also acts as a directed category with 0/1 hom spaces.
+
+    It stores one structure: ``_up`` maps each element to its up-set
+    (itself and all above it) as dict keys in element order.  The order,
+    the linear extension ``objects`` and the covers out of each element
+    (kept on first use) are read from it, and validation runs in element
+    order, so an invalid poset names one offender on every run.
+    """
 
     def __init__(self, elements, leq_pairs):
         self.elements = tuple(elements)
         leq_pairs = tuple(leq_pairs)
-        _check_pairs(self.elements, leq_pairs, "pair")
-        pairs = set(leq_pairs)
-        for x in self.elements:
-            pairs.add((x, x))
-        for (x, y) in pairs:
-            if (y, x) in pairs and x != y:
-                raise ConError(f"antisymmetry fails on {x!r}, {y!r}")
-        for (x, y) in pairs:
-            for (y2, z) in pairs:
-                if y2 == y and (x, z) not in pairs:
+        index = _check_pairs(self.elements, leq_pairs, "pair")
+        up = {x: {x} for x in self.elements}
+        for (x, y) in leq_pairs:
+            up[x].add(y)
+        self._up = {x: dict.fromkeys(sorted(s, key=index.__getitem__))
+                    for x, s in up.items()}
+        for x, above in self._up.items():
+            for y in above:
+                if y != x and x in self._up[y]:
+                    raise ConError(f"antisymmetry fails on {x!r}, {y!r}")
+        for above in self._up.values():
+            for y in above:
+                if not self._up[y].keys() <= above.keys():
                     raise ConError(f"transitivity fails through {y!r}")
-        self._leq = frozenset(pairs)
-        self.objects = self._linear_extension()
-        self._covers = None
+        self.objects = self._linear_extension(index)
+        self._covers_out = {}
 
     @classmethod
     def chain(cls, n):
@@ -98,79 +113,75 @@ class FinitePoset:
         elements = list(elements)
         covers = tuple(covers)
         _check_pairs(elements, covers, "cover")
-        leq = {(x, x) for x in elements}
-        adj = {x: [] for x in elements}
+        up = {x: {x} for x in elements}
         for (x, y) in covers:
-            adj[x].append(y)
+            up[x].add(y)
+        for z in elements:  # Warshall: close through each z in turn
+            for x in elements:
+                if z in up[x]:
+                    up[x] |= up[z]
+        return cls(elements, [(x, y) for x in elements for y in up[x]])
 
-        def reach(x):
-            seen = {x}
-            stack = [x]
-            while stack:
-                u = stack.pop()
-                for v in adj[u]:
-                    if v not in seen:
-                        seen.add(v)
-                        stack.append(v)
-            return seen
-
-        for x in elements:
-            for y in reach(x):
-                leq.add((x, y))
-        return cls(elements, leq)
+    @staticmethod
+    def _product(factors):
+        """The product order on tuples with one coordinate per factor: a
+        tuple's up-set is the product of its coordinates' up-sets."""
+        elems = list(product(*(f.elements for f in factors)))
+        pairs = [(a, b) for a in elems
+                 for b in product(*(f._up[x] for f, x in zip(factors, a)))]
+        return FinitePoset(elems, pairs)
 
     def product(self, other):
-        elems = [(a, b) for a in self.elements for b in other.elements]
-        pairs = [((a, b), (c, d)) for (a, b) in elems for (c, d) in elems
-                 if self.leq(a, c) and other.leq(b, d)]
-        return FinitePoset(elems, pairs)
+        return self._product((self, other))
 
     def power(self, k):
         """The product order on k-tuples; k = 0 gives the one-point poset."""
         if type(k) is not int or k < 0:
             raise ConError(f"power needs an int k >= 0, not {k!r}")
-        elems = list(product(self.elements, repeat=k))
-        pairs = [(a, b) for a in elems for b in elems
-                 if all(self.leq(x, y) for x, y in zip(a, b))]
-        return FinitePoset(elems, pairs)
+        return self._product((self,) * k)
 
     def leq(self, x, y):
-        return (x, y) in self._leq
+        return y in self._up.get(x, ())
 
-    def _linear_extension(self):
-        remaining = list(self.elements)
+    def _linear_extension(self, index):
+        """Each next object is the minimal element left of least ``repr``
+        (ties in element order)."""
+        # below[y] counts the elements left that are <= y, y included
+        below = Counter(y for above in self._up.values() for y in above)
+        ready = [(repr(x), index[x], x) for x in self.elements
+                 if below[x] == 1]
+        heapify(ready)
         out = []
-        while remaining:
-            minimal = [x for x in remaining
-                       if not any(self.leq(y, x) for y in remaining if y != x)]
-            minimal.sort(key=repr)
-            out.append(minimal[0])
-            remaining.remove(minimal[0])
+        while ready:
+            x = heappop(ready)[2]
+            out.append(x)
+            for y in self._up[x]:
+                below[y] -= 1
+                if below[y] == 1:
+                    heappush(ready, (repr(y), index[y], y))
         return tuple(out)
 
+    def _covers_from(self, x):
+        """The covers out of x, in element order: the elements above x
+        that lie above no other element above x."""
+        out = self._covers_out.get(x)
+        if out is None:
+            above = [y for y in self._up[x] if y != x]
+            over = {z for y in above for z in self._up[y] if z != y}
+            out = self._covers_out[x] = tuple(y for y in above
+                                              if y not in over)
+        return out
+
     def covers(self):
-        if self._covers is None:
-            self._covers = tuple(
-                (x, y) for x in self.elements for y in self.elements
-                if x != y and self.leq(x, y) and not any(
-                    z != x and z != y and self.leq(x, z) and self.leq(z, y)
-                    for z in self.elements))
-        return self._covers
+        return tuple((x, y) for x in self.elements
+                     for y in self._covers_from(x))
 
     def height(self):
-        best = 0
-        for x in self.objects:
-            best = max(best, self._height_from(x, {}))
-        return best
-
-    def _height_from(self, x, memo):
-        if x in memo:
-            return memo[x]
-        succ = [y for y in self.elements
-                if y != x and self.leq(x, y)]
-        memo[x] = 0 if not succ else 1 + max(self._height_from(y, memo)
-                                             for y in succ)
-        return memo[x]
+        """The length of a longest chain, in one pass down the objects."""
+        h = {}
+        for x in reversed(self.objects):
+            h[x] = max((h[y] + 1 for y in self._up[x] if y != x), default=0)
+        return max(h.values(), default=0)
 
     # directed-category protocol -------------------------------------------
     def hom_basis(self, x, y):
@@ -190,9 +201,9 @@ class FinitePoset:
         """``(a, g)`` with f = a then g: the first cover a out of f's source
         that lies below f's target; f must not be a cover."""
         x, y = f
-        for (a, b) in self.covers():
-            if a == x and b != y and self.leq(b, y):
-                return (a, b), (b, y)
+        for b in self._covers_from(x) if x in self._up else ():
+            if b != y and y in self._up[b]:
+                return (x, b), (b, y)
         raise ConError(f"{f!r} is not a composite of covers")
 
     def relations(self):
@@ -205,18 +216,14 @@ class FinitePoset:
         diamonds alone would not: two disjoint chains from x to y share
         no square.
         """
-        covers = self.covers()
-        cover_set = set(covers)
-        for x in self.elements:
-            for y in self.elements:
-                f = (x, y)
-                if x == y or not self.leq(x, y) or f in cover_set:
+        for x, above in self._up.items():
+            firsts = self._covers_from(x)
+            for y in above:
+                if y == x or y in firsts:
                     continue
-                first = self.factor(f)
-                for (a, b) in covers:
-                    if (a == x and self.leq(b, y)
-                            and ((a, b), (b, y)) != first):
-                        yield (a, b), (b, y), f
+                _, *others = (b for b in firsts if y in self._up[b])
+                for b in others:
+                    yield (x, b), (b, y), (x, y)
 
     def __len__(self):
         return len(self.elements)
@@ -339,8 +346,9 @@ def _matrix(rows, key, shape):
         raise ConError(f"{what} is not a list of rows") from None
     if len(given) != n_rows or any(len(row) != cols for row in given
                                    if not isinstance(row, dict)):
-        # an empty matrix stands for the map to or from 0
-        if (n_rows and cols) or any(given):
+        # a missing or empty matrix is the zero map, and so is a matrix
+        # of empty rows to or from 0
+        if given and ((n_rows and cols) or any(given)):
             raise ConError(f"matrix shape mismatch on {key!r}")
         given = [()] * n_rows
     out = []
@@ -375,12 +383,11 @@ class CatRep:
     object has dimension 0).  ``matrices`` maps arrows of the category
     (see its ``arrows()``) to exact matrices, target-dim rows by
     source-dim columns, with ``int`` or ``Fraction`` entries; a missing
-    arrow is the zero map, and an empty matrix stands for the map to or
-    from 0.  Each matrix is stored as sparse ``{column: entry}`` rows
-    of its nonzero entries, kept as given; dense rows are accepted as
-    input.  The category's relations are checked on construction, so
-    :meth:`matrix` gives any basis morphism the same matrix along every
-    arrow path.
+    or empty (``[]``) matrix is the zero map of the arrow's shape.  Each
+    matrix is stored as sparse ``{column: entry}`` rows of its nonzero
+    entries, kept as given; dense rows are accepted as input.  The
+    category's relations are checked on construction, so :meth:`matrix`
+    gives any basis morphism the same matrix along every arrow path.
     """
 
     def __init__(self, category, dims, matrices):

@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 from .zlin import (
@@ -46,16 +46,8 @@ def primitivize(vec):
         return _divide_content(vec)
     check_exact(vec, FanError, "vector entry")
     fracs = [Fraction(x) for x in vec]
-    if all(f == 0 for f in fracs):
-        return tuple(0 for _ in fracs)
-    denom = 1
-    for f in fracs:
-        denom = denom * f.denominator // gcd(denom, f.denominator)
-    ints = [int(f * denom) for f in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    return tuple(x // g for x in ints)
+    denom = lcm(*(f.denominator for f in fracs))
+    return _divide_content([int(f * denom) for f in fracs])
 
 
 def _dot(a, b):

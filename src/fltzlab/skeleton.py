@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, cos, hypot, pi, sin
 
 from .fans import Cone, Fan, StackyFan
 from .picsym import PicMonomial, format_monomial
@@ -426,17 +426,16 @@ def _emit_components_1d(components):
     parts = [_svg_header(size, size)]
     parts.append(f'<circle cx="{cx}" cy="{cy}" r="{radius}" fill="none" '
                  f'stroke="black" stroke-width="2"/>')
-    import math
     for comp in components:
         if comp.cone.is_zero():
             continue
-        theta = 2 * math.pi * float(comp.character[0])
-        px = cx + radius * math.cos(theta)
-        py = cy - radius * math.sin(theta)
+        theta = 2 * pi * float(comp.character[0])
+        px = cx + radius * cos(theta)
+        py = cy - radius * sin(theta)
         sign = comp.cone.rays[0][0]
         tick = 28 if sign > 0 else -28
-        ex = cx + (radius + tick) * math.cos(theta)
-        ey = cy - (radius + tick) * math.sin(theta)
+        ex = cx + (radius + tick) * cos(theta)
+        ey = cy - (radius + tick) * sin(theta)
         parts.append(_svg_line(px, py, ex, ey, "blue", 2))
         parts.append(f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="3" '
                      f'fill="blue"/>')
@@ -496,9 +495,8 @@ def _emit_components_2d(components):
                 x2, y2 = to_px(p2)
                 parts.append(_svg_line(x1, y1, x2, y2, "blue", 2))
                 # conormal hair ticks in the fiber direction
-                import math
                 nx, ny = (-float(v) for v in comp.cone.rays[0])
-                ln = math.hypot(nx, ny) or 1.0
+                ln = hypot(nx, ny) or 1.0
                 for t in (0.25, 0.5, 0.75):
                     mx = x1 + t * (x2 - x1)
                     my = y1 + t * (y2 - y1)
@@ -513,7 +511,6 @@ def _emit_components_2d(components):
 
 
 def _emit_chambers_1d(quiver: ChamberQuiver):
-    import math
     size = 300
     cx = cy = size / 2
     radius = 100
@@ -522,16 +519,16 @@ def _emit_chambers_1d(quiver: ChamberQuiver):
     parts.append(f'<circle cx="{cx}" cy="{cy}" r="{radius}" fill="none" '
                  f'stroke="black" stroke-width="2"/>')
     for frac in (0.0, eps):  # the two wall points on the circle
-        theta = 2 * math.pi * frac
-        px = cx + radius * math.cos(theta)
-        py = cy - radius * math.sin(theta)
-        parts.append(_svg_line(px, py, cx + (radius + 22) * math.cos(theta),
-                               cy - (radius + 22) * math.sin(theta), "blue", 2))
+        theta = 2 * pi * frac
+        px = cx + radius * cos(theta)
+        py = cy - radius * sin(theta)
+        parts.append(_svg_line(px, py, cx + (radius + 22) * cos(theta),
+                               cy - (radius + 22) * sin(theta), "blue", 2))
     for v in quiver.vertices:
         pt = sample_point(v.chamber, default_epsilon(1))
-        theta = 2 * math.pi * (float(pt[0]) + v.translate[0])
-        px = cx + (radius - 24) * math.cos(theta)
-        py = cy - (radius - 24) * math.sin(theta)
+        theta = 2 * pi * (float(pt[0]) + v.translate[0])
+        px = cx + (radius - 24) * cos(theta)
+        py = cy - (radius - 24) * sin(theta)
         parts.append(_svg_text(px, py, format_monomial(v.label), 10))
     parts.append("</svg>")
     return "\n".join(parts)

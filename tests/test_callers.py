@@ -34,8 +34,8 @@ KEPT = {
     "conside.FinitePoset.antichain":
         "builds the discrete posets of acceptance criterion 8",
     "conside.FinitePoset.product":
-        "builds the grid posets of acceptance criterion 8; a product "
-        "poset that keeps its factors is to grow from it",
+        "builds the grid posets of acceptance criterion 8 through the "
+        "product routine that power shares",
 }
 
 

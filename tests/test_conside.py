@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -104,6 +107,165 @@ class TestFinitePoset:
         assert p2.elements == sq.elements
         assert all(p2.leq(a, b) == sq.leq(a, b)
                    for a in sq.elements for b in sq.elements)
+
+
+def reference_linear_extension(elements, leq):
+    """Repeatedly the minimal element left of least ``repr``, found by
+    scanning all pairs (the order the poset had before up-sets)."""
+    remaining = list(elements)
+    out = []
+    while remaining:
+        minimal = [x for x in remaining
+                   if not any(leq(y, x) for y in remaining if y != x)]
+        minimal.sort(key=repr)
+        out.append(minimal[0])
+        remaining.remove(minimal[0])
+    return tuple(out)
+
+
+def reference_covers(elements, leq):
+    """The all-triples cover scan, in element order."""
+    return tuple((x, y) for x in elements for y in elements
+                 if x != y and leq(x, y) and not any(
+                     z != x and z != y and leq(x, z) and leq(z, y)
+                     for z in elements))
+
+
+def reference_factor(covers, leq, f):
+    """The first of the covers out of f's source that lies below f's
+    target."""
+    x, y = f
+    for (a, b) in covers:
+        if a == x and b != y and leq(b, y):
+            return (a, b), (b, y)
+    raise ConError(f"{f!r} is not a composite of covers")
+
+
+def reference_relations(elements, leq):
+    """Per non-cover x < y, every first cover below y but the factor's,
+    found by scanning every cover for each pair."""
+    covers = reference_covers(elements, leq)
+    out = []
+    for x in elements:
+        for y in elements:
+            f = (x, y)
+            if x == y or not leq(x, y) or f in covers:
+                continue
+            first = reference_factor(covers, leq, f)
+            out += [((a, b), (b, y), f) for (a, b) in covers
+                    if a == x and leq(b, y) and ((a, b), (b, y)) != first]
+    return out
+
+
+def reference_height(elements, leq):
+    """The longest chain, by recursion over all elements above."""
+    memo = {}
+
+    def height_from(x):
+        if x not in memo:
+            above = [y for y in elements if y != x and leq(x, y)]
+            memo[x] = 1 + max(map(height_from, above)) if above else 0
+        return memo[x]
+
+    return max(map(height_from, elements), default=0)
+
+
+def random_poset_data(rng):
+    """Seeded (elements, order pairs, generating pairs) of a poset with
+    at most 8 elements.
+
+    Labels mix ints, strings and tuples, so that ``repr`` order, element
+    order and the hidden order the relations follow all differ; the
+    order pairs are the transitive closure of the random generating
+    pairs, shuffled, with some reflexive pairs.
+    """
+    labels = rng.sample([0, 1, 2, 10, "a", "b", "c", "z", (1,), (0, 2)],
+                        rng.randint(1, 8))
+    less = [(x, y) for i, x in enumerate(labels) for y in labels[i + 1:]
+            if rng.random() < 0.4]
+    closed = {(x, x) for x in labels} | set(less)
+    for z in labels:
+        closed |= {(x, y) for (x, w) in closed for (v, y) in closed
+                   if w == v == z}
+    pairs = [(x, y) for (x, y) in closed if x != y or rng.random() < 0.3]
+    for shuffled in (pairs, less, labels):
+        rng.shuffle(shuffled)
+    return labels, pairs, less
+
+
+def oracle_posets():
+    """(name, poset, independent leq) for the up-set oracle test."""
+    out = [(f"small-{i}", p, p.leq) for i, p in enumerate(small_posets())]
+    out.append(("two-chains", two_chains(), None))
+    vee = FinitePoset.from_covers("lcr", [("c", "l"), ("c", "r")])
+    for k in range(4):
+        for name, base in (("strata", vee), ("arrow", FinitePoset.chain(2))):
+            out.append((f"{name}-{k}", base.power(k), lambda a, b, base=base:
+                        all(base.leq(x, y) for x, y in zip(a, b))))
+    rng = random.Random("up-set oracle")
+    for i in range(240):
+        elements, pairs, less = random_poset_data(rng)
+        order = set(pairs) | {(x, x) for x in elements}
+        leq = (lambda x, y, order=order: (x, y) in order)
+        out.append((f"random-{i}", FinitePoset(elements, pairs), leq))
+        out.append((f"random-{i}-generated",
+                    FinitePoset.from_covers(elements, less), leq))
+        if i % 4 == 0:
+            second, pairs2, _ = random_poset_data(rng)
+            order2 = set(pairs2) | {(x, x) for x in second}
+            out.append((f"random-product-{i}",
+                        FinitePoset(elements, pairs).product(
+                            FinitePoset(second, pairs2)),
+                        lambda a, b, order=order, order2=order2:
+                        (a[0], b[0]) in order and (a[1], b[1]) in order2))
+    return out
+
+
+class TestUpSets:
+    def test_queries_match_the_all_pairs_scans(self):
+        # the up-set reads against the scans the poset ran before, on
+        # every poset the tests build and on seeded random posets
+        for name, p, leq in oracle_posets():
+            elems = p.elements
+            if leq is None:
+                leq = p.leq
+            else:
+                assert all(p.leq(x, y) == leq(x, y)
+                           for x in elems for y in elems), name
+            covers = reference_covers(elems, leq)
+            assert p.objects == reference_linear_extension(elems, leq), name
+            assert p.covers() == covers, name
+            assert p.arrows() == tuple((x, y, (x, y)) for x, y in covers)
+            assert list(p.relations()) == reference_relations(elems, leq), name
+            assert p.height() == reference_height(elems, leq), name
+            for x in elems:
+                for y in elems:
+                    if x != y and leq(x, y) and (x, y) not in covers:
+                        assert p.factor((x, y)) == reference_factor(
+                            covers, leq, (x, y)), name
+
+    def test_invalid_poset_names_one_offender_under_every_hash_seed(self):
+        # the pair set was read in hash order: seeds 1..8 named 'b' or
+        # 'c' for the first poset and four different pairs for the second
+        code = (
+            "from fltzlab.conside import ConError, FinitePoset\n"
+            "for elements, pairs in [\n"
+            "        ('abcd', [('a', 'b'), ('b', 'c'), ('c', 'd')]),\n"
+            "        ('abc', [('a', 'b'), ('b', 'a'), ('b', 'c'), "
+            "('c', 'b')])]:\n"
+            "    try:\n"
+            "        FinitePoset(elements, pairs)\n"
+            "    except ConError as exc:\n"
+            "        print(exc)\n")
+        src = os.path.dirname(os.path.dirname(conside.__file__))
+        for seed in range(1, 9):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+            run = subprocess.run([sys.executable, "-c", code], env=env,
+                                 capture_output=True, text=True, timeout=60,
+                                 check=True)
+            assert run.stdout.splitlines() == [
+                "transitivity fails through 'b'",
+                "antisymmetry fails on 'a', 'b'"], seed
 
 
 class TestChamberCategory:
@@ -275,6 +437,22 @@ class TestRepHom:
         rep = CatRep(p, {0: 0, 1: 2}, {(0, 1): []})
         assert rep.matrices[(0, 1)] == ({}, {})
 
+    def test_missing_arrow_is_the_zero_map(self):
+        # before, a missing arrow between two nonzero dimensions raised
+        # "matrix shape mismatch"
+        p = FinitePoset.chain(2)
+        rep = CatRep(p, {0: 1, 1: 1}, {})
+        assert rep.matrices[(0, 1)] == ({},)
+        assert CatRep(p, {0: 1, 1: 1}, {(0, 1): []}).matrices == rep.matrices
+        for misshaped in ([[]], [{}, {}], [[0, 0]]):
+            with pytest.raises(ConError, match="shape mismatch"):
+                CatRep(p, {0: 1, 1: 1}, {(0, 1): misshaped})
+        # rep is S0 + S1, so its Ext is the sum over the simple pairs
+        simples = [CatRep(p, {v: 1}, {}) for v in p.objects]
+        ext = [rep_hom(a, b) for a in simples for b in simples]
+        assert ext == [[1], [0, 1], [0], [1]]
+        assert rep_hom(rep, rep) == [2, 1]
+
     def test_noncommuting_square_rejected(self):
         sq = FinitePoset.chain(2).product(FinitePoset.chain(2))
         dims = {v: 1 for v in sq.elements}
@@ -351,8 +529,9 @@ def reference_accepts(category, dims, arrow_maps):
 
     mats = {}
     for x, y, a in category.arrows():
+        # a missing or empty matrix is the zero map
         m = tuple(tuple(Fraction(v) for v in row)
-                  for row in arrow_maps.get(a, ()))
+                  for row in arrow_maps.get(a, ())) or zeros(dims[y], dims[x])
         if (len(m), len(m[0]) if m else 0) != (dims[y], dims[x]):
             if 0 not in (dims[y], dims[x]) or any(m):
                 return False, mats
@@ -443,7 +622,8 @@ def random_rep_data(category, rng):
     or ``Fraction`` entries;
     ``planted``: the same with one entry of one arrow changed;
     ``random``: random dims in 0..2 and random entries in -1..1;
-    ``misshaped``: a functor with one arrow matrix losing a row.
+    ``misshaped``: a functor with one arrow matrix losing a row (a
+    matrix left with no row is the zero map).
     """
     kind = rng.choice(("functor", "planted", "planted", "random",
                        "misshaped"))
