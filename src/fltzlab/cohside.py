@@ -18,6 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from math import lcm
+from operator import mul
 
 from .fans import Cone, StackyFan, dd_generators, validate_stacky
 from .skeleton import UnsupportedConeError, character_lattice_quotient
@@ -26,10 +27,10 @@ from .zlin import (
     FiniteAbelianGroup,
     IntMatrix,
     LatticeQuotient,
+    _int_inverse,
     check_exact,
     check_ints,
     kernel_basis,
-    rational_inverse,
     rational_rank,
     smith_normal_form,
 )
@@ -81,6 +82,17 @@ class GradedDims:
             raise CohError(f"weight {self.weight!r} is not a tuple")
         check_ints(self.weight, CohError, "weight entry")
 
+    @classmethod
+    def _of(cls, dims, bound, weight):
+        """Graded dims taken as they are: ``dims`` a tuple of bound + 1
+        nonnegative ``int`` counts, ``bound`` and ``weight`` already
+        checked, for values computed from checked inputs."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "dims", dims)
+        object.__setattr__(g, "bound", bound)
+        object.__setattr__(g, "weight", weight)
+        return g
+
     def __getitem__(self, d):
         return self.dims[d]
 
@@ -118,24 +130,17 @@ class AffineMonoid:
         self.denominator = denominator
         if self.denominator < 1:
             raise CohError("denominator must be positive")
-        self._basis_inv = None
         self._lattice_rows, self._lattice_modulus = (), 1
         if lattice_basis is not None:
             cols = [tuple(c) for c in lattice_basis]
             for c in cols:
                 check_exact(c, CohError, "lattice basis entry")
-            cols = [tuple(map(Fraction, c)) for c in cols]
             if len(cols) != self.rank:
                 raise CohError("lattice basis must be square")
-            rows = [[cols[j][i] for j in range(self.rank)]
-                    for i in range(self.rank)]
-            self._basis_inv = rational_inverse(rows)
-            # y = d x is a lattice point iff every row of this integer
-            # copy of the inverse pairs with y to a multiple of the modulus
-            scale = lcm(*(x.denominator for row in self._basis_inv
-                          for x in row))
-            self._lattice_rows = tuple(tuple(int(x * scale) for x in row)
-                                       for row in self._basis_inv)
+            # the inverse of the basis is B / q, so y = d x is a lattice
+            # point iff every row of B pairs with y to a multiple of q d
+            self._lattice_rows, scale = _int_inverse(
+                [[c[i] for c in cols] for i in range(self.rank)])
             self._lattice_modulus = scale * self.denominator
         rays, lines = dd_generators(self.inequalities, self.rank)
         self._cone_rays = rays
@@ -148,19 +153,17 @@ class AffineMonoid:
         the monoid."""
         point = tuple(point)
         check_exact(point, CohError, "coordinate")
-        point = tuple(Fraction(x) for x in point)
         if len(point) != self.rank:
             return False
-        for x in point:
-            if (x * self.denominator).denominator != 1:
-                return False
-        if self._basis_inv is not None:
-            coords = [sum(self._basis_inv[i][k] * point[k]
-                          for k in range(self.rank)) for i in range(self.rank)]
-            if any(c.denominator != 1 for c in coords):
-                return False
-        return all(sum(a * x for a, x in zip(ineq, point)) >= 0
-                   for ineq in self.inequalities)
+        d = self.denominator
+        if any(d % x.denominator for x in point):
+            return False
+        # the cone and the lattice tested on y = d x, in integers
+        y = [x.numerator * (d // x.denominator) for x in point]
+        if any(sum(map(mul, row, y)) % self._lattice_modulus
+               for row in self._lattice_rows):
+            return False
+        return all(sum(map(mul, ineq, y)) >= 0 for ineq in self.inequalities)
 
     def weight_is_proper(self, weight):
         """True iff the weight is strictly positive on the cone minus 0."""
@@ -243,12 +246,17 @@ class AffineMonoid:
         ``bound`` must be a nonnegative ``int`` and the weight ``rank``
         ``int`` entries, strictly positive on the cone.  A weight that
         passed is remembered, after the type and length checks, so its
-        cone test runs once per monoid.
+        cone test runs once per monoid; once the default weight has
+        passed, it is returned after the bound check alone.
         """
         if type(bound) is not int:
             raise CohError(f"bound {bound!r} is not an integer")
         if weight is None:
             weight = self.default_weight()
+            if weight in self._proper_weights:
+                if bound < 0:
+                    raise CohError("bound must be nonnegative")
+                return weight
         weight = tuple(weight)
         check_ints(weight, CohError, "weight entry")
         if len(weight) != self.rank:
@@ -284,10 +292,9 @@ class AffineMonoid:
                     key = tuple(c.numerator * (d // c.denominator) % d
                                 for c in x)
                     counts.setdefault(key, [0] * (bound + 1))[deg] += 1
-            entry = ({key: GradedDims(dims=dims, bound=bound, weight=weight)
+            entry = ({key: GradedDims._of(tuple(dims), bound, weight)
                       for key, dims in counts.items()},
-                     GradedDims(dims=(0,) * (bound + 1), bound=bound,
-                                weight=weight))
+                     GradedDims._of((0,) * (bound + 1), bound, weight))
             self._coset_tables[bound, weight] = entry
         return entry
 
@@ -347,14 +354,15 @@ def _adapted_quotient(cone: Cone):
         u = smith_normal_form(T).U
         q = n - len(perp)
         project = u.entries[n - q:]
-        u_inv = rational_inverse([list(r) for r in u.entries])
+        # U is unimodular, so its inverse is integral
+        u_inv, _ = _int_inverse(u.entries)
         ineqs_q = []
         for g in cone.rays:
             h = [sum(u_inv[i][j] * g[i] for i in range(n)) for j in range(n)]
             if any(x != 0 for x in h[:n - q]):
                 raise CohError("generator does not annihilate the cone's "
                                "perp")
-            ineqs_q.append(tuple(int(x) for x in h[n - q:]))
+            ineqs_q.append(tuple(h[n - q:]))
     return (q, project, ineqs_q, *dd_generators(ineqs_q, q))
 
 
@@ -429,7 +437,7 @@ def cyclic_quiver_paths(n: int, i: int, j: int, length_bound: int) -> GradedDims
     counts = [0] * (length_bound + 1)
     first = (j - i) % n
     counts[first::n] = [1] * len(range(first, length_bound + 1, n))
-    return GradedDims(dims=tuple(counts), bound=length_bound, weight=(1,))
+    return GradedDims._of(tuple(counts), length_bound, (1,))
 
 
 def isotypic_component(monoid: AffineMonoid, chi, bound: int,
@@ -504,7 +512,7 @@ def costandard_stalk(c: Cone, chi, bound: int, denominator=1,
     dims = [0] * (bound + 1)
     if q == 0:
         dims[0] = 1  # a single coset class, sitting in degree zero
-        return GradedDims(dims=tuple(dims), bound=bound, weight=weight)
+        return GradedDims._of(tuple(dims), bound, weight)
     if lines_q:
         raise CohError("quotient cone is not pointed")
     for r in rays_q:
@@ -528,7 +536,7 @@ def costandard_stalk(c: Cone, chi, bound: int, denominator=1,
             continue
         if all(sum(a * x for a, x in zip(ineq, y)) >= 0 for ineq in ineqs_q):
             dims[deg] += 1
-    return GradedDims(dims=tuple(dims), bound=bound, weight=weight)
+    return GradedDims._of(tuple(dims), bound, weight)
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,7 @@ class FinitePoset:
                     raise ConError(f"transitivity fails through {y!r}")
         self.objects = self._linear_extension(index)
         self._covers_out = {}
+        self._relations = None
 
     @classmethod
     def chain(cls, n):
@@ -214,16 +215,19 @@ class FinitePoset:
         representation satisfying them gives every cover path from x to
         y the same map (by induction on the length of the path), which
         diamonds alone would not: two disjoint chains from x to y share
-        no square.
+        no square.  The tuple is built on the first call and kept.
         """
-        for x, above in self._up.items():
-            firsts = self._covers_from(x)
-            for y in above:
-                if y == x or y in firsts:
-                    continue
-                _, *others = (b for b in firsts if y in self._up[b])
-                for b in others:
-                    yield (x, b), (b, y), (x, y)
+        if self._relations is None:
+            out = []
+            for x, above in self._up.items():
+                firsts = self._covers_from(x)
+                for y in above:
+                    if y == x or y in firsts:
+                        continue
+                    _, *others = (b for b in firsts if y in self._up[b])
+                    out += [((x, b), (b, y), (x, y)) for b in others]
+            self._relations = tuple(out)
+        return self._relations
 
     def __len__(self):
         return len(self.elements)
@@ -270,6 +274,7 @@ class ChamberCategory:
                              for s in range(1, n + 1) for i in range(n + 1))
         self._bases = {(s, t): tuple(_monomials(n + 1, s - t))
                        for s in self.objects for t in range(s)}
+        self._relations = None
 
     def hom_basis(self, s, t):
         if s == t:
@@ -306,13 +311,17 @@ class ChamberCategory:
 
         One triple per step s >= 2 and symbols i < j: the symbol j then
         the symbol i, against x_i x_j, whose :meth:`factor` takes i
-        first.  Any two words for one monomial differ by such swaps.
+        first.  Any two words for one monomial differ by such swaps.  The
+        tuple is built on the first call and kept.
         """
-        for s in range(2, self.n + 1):
-            for i in range(self.n + 1):
-                for j in range(i + 1, self.n + 1):
-                    m = tuple(int(k in (i, j)) for k in range(self.n + 1))
-                    yield self.arrow(s, j), self.arrow(s - 1, i), (s, s - 2, m)
+        if self._relations is None:
+            n = self.n
+            self._relations = tuple(
+                (self.arrow(s, j), self.arrow(s - 1, i),
+                 (s, s - 2, tuple(int(k in (i, j)) for k in range(n + 1))))
+                for s in range(2, n + 1)
+                for i in range(n + 1) for j in range(i + 1, n + 1))
+        return self._relations
 
     def __repr__(self):
         return f"ChamberCategory(n={self.n})"
@@ -524,6 +533,11 @@ def hom_complex(M: CatRep, N: CatRep):
             size += N.dims[objs[-1]] * M.dims[objs[0]]
         offsets.append(at)
         term_dims.append(size)
+    # the entry lists of the identities, of M(f_0) and of N(f_p), each
+    # built once per call: many chains share their first or last morphism
+    ident = [_entries(None, k) for k in range(
+        max([*M.dims.values(), *N.dims.values()], default=0) + 1)]
+    firsts, lasts = {}, {}
     diffs = []
     for p in range(len(chains) - 1):
         d = [{} for _ in range(term_dims[p + 1])]
@@ -531,19 +545,25 @@ def hom_complex(M: CatRep, N: CatRep):
             rows, cols = N.dims[objs[-1]], M.dims[objs[0]]
             if not rows or not cols:
                 continue
-            faces = [(1, (objs[1:], fs[1:]), None, M.matrix(fs[0]))]
+            one_rows, one_cols = ident[rows], ident[cols]
+            first = firsts.get(fs[0])
+            if first is None:
+                first = firsts[fs[0]] = _entries(M.matrix(fs[0]), cols)
+            last = lasts.get(fs[-1])
+            if last is None:
+                last = lasts[fs[-1]] = _entries(N.matrix(fs[-1]), rows)
+            faces = [(1, (objs[1:], fs[1:]), one_rows, first)]
             faces += [((-1) ** k * coeff, (objs[:k] + objs[k + 1:],
                                            fs[:k - 1] + (h,) + fs[k + 1:]),
-                       None, None)
+                       one_rows, one_cols)
                       for k in range(1, len(fs))
                       for coeff, h in cat.compose(fs[k - 1], fs[k])]
             faces.append(((-1) ** len(fs), (objs[:-1], fs[:-1]),
-                          N.matrix(fs[-1]), None))
+                          last, one_cols))
             for sign, face, left, right in faces:
                 col0 = offsets[p][face]
                 width = M.dims[face[0][0]]
-                right = _entries(right, cols)
-                for i, v, a in _entries(left, rows):
+                for i, v, a in left:
                     for u, j, b in right:
                         row = d[row0 + i * cols + j]
                         col = col0 + v * width + u

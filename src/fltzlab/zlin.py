@@ -265,10 +265,14 @@ def rational_rank(rows):
     return len(_echelon(_sparse_rows(rows)))
 
 
-def rational_inverse(rows):
-    """Inverse of a square matrix of Fractions/ints, as rows of Fractions.
+def _int_inverse(rows):
+    """The inverse of a square matrix of Fractions/ints as ``(B, q)``:
+    B a tuple of ``int`` row tuples and q the least positive ``int`` with
+    A^-1 = B / q.
 
-    Eliminates ``[A | I]`` to echelon form, then back-substitutes.
+    Eliminates ``[A | I]`` to echelon form, then back-substitutes.  Row i
+    ends primitive, as p_i e_i beside r_i, so r_i / p_i is row i of the
+    inverse in lowest terms and q is the lcm of the |p_i|.
     """
     rows = [list(row) for row in rows]
     n = len(rows)
@@ -283,8 +287,15 @@ def rational_inverse(rows):
         for lead in range(col):
             if col in echelon[lead]:
                 echelon[lead] = _eliminate(echelon[lead], p, col)
-    return [[Fraction(echelon[i].get(n + j, 0), echelon[i][i]) for j in range(n)]
-            for i in range(n)]
+    q = lcm(*(echelon[i][i] for i in range(n)))
+    return tuple(tuple(echelon[i].get(n + j, 0) * (q // echelon[i][i])
+                       for j in range(n)) for i in range(n)), q
+
+
+def rational_inverse(rows):
+    """Inverse of a square matrix of Fractions/ints, as rows of Fractions."""
+    b, q = _int_inverse(rows)
+    return [[Fraction(x, q) for x in row] for row in b]
 
 
 # ---------------------------------------------------------------------------
@@ -447,14 +458,14 @@ class FiniteAbelianGroup:
         """All characters, in lexicographic component order."""
         if not self.is_finite:
             raise ZlinError("character enumeration needs a finite group")
-        return [Character(c, self) for c in
+        return [Character._of(c, self) for c in
                 product(*(range(f) for f in self.invariant_factors))]
 
     def character(self, components):
         return Character(components, self)
 
     def zero_character(self):
-        return Character((0,) * len(self.invariant_factors), self)
+        return Character._of((0,) * len(self.invariant_factors), self)
 
     def check_character(self, value, what):
         """Raise a :class:`ZlinError` naming ``what`` unless ``value`` is a
@@ -482,18 +493,35 @@ class Character:
         comps = tuple(c % f for c, f in zip(comps, factors))
         object.__setattr__(self, "components", comps)
 
+    @classmethod
+    def _of(cls, components, group):
+        """The character with ``components``, a tuple of ``int`` residues
+        already reduced modulo ``group``'s invariant factors, taken as they
+        are: for values computed from a checked group."""
+        chi = object.__new__(cls)
+        object.__setattr__(chi, "components", components)
+        object.__setattr__(chi, "group", group)
+        return chi
+
     def __add__(self, other):
         self.group.check_character(other, "operand")
-        return Character(tuple(a + b for a, b in zip(self.components, other.components)),
-                         self.group)
+        return Character._of(tuple(
+            (a + b) % f for a, b, f in zip(self.components, other.components,
+                                           self.group.invariant_factors)),
+            self.group)
 
     def __sub__(self, other):
         self.group.check_character(other, "operand")
-        return Character(tuple(a - b for a, b in zip(self.components, other.components)),
-                         self.group)
+        return Character._of(tuple(
+            (a - b) % f for a, b, f in zip(self.components, other.components,
+                                           self.group.invariant_factors)),
+            self.group)
 
     def __neg__(self):
-        return Character(tuple(-a for a in self.components), self.group)
+        return Character._of(tuple(
+            -a % f for a, f in zip(self.components,
+                                   self.group.invariant_factors)),
+            self.group)
 
     def is_zero(self):
         return all(c == 0 for c in self.components)
@@ -522,51 +550,64 @@ class LatticeQuotient:
     the character of any superlattice vector and its inverse,
     ``representative``, read from a table filled once here.  Two empty
     bases give the trivial quotient of rank 0.
+
+    Everything is computed in integers over one denominator e, the lcm of
+    the superlattice basis denominators: the superlattice basis is s / e
+    with s integral, and its inverse e B / q comes from
+    :func:`_int_inverse`.  Each public ``Fraction`` is made once, at the
+    end.
     """
 
     def __init__(self, superlattice_basis, sublattice_basis):
-        sup = _rational_columns(superlattice_basis)
-        sub = _rational_columns(sublattice_basis)
+        sup = _exact_columns(superlattice_basis)
+        sub = _exact_columns(sublattice_basis)
         n = len(sup)
         if len(sub) != n or any(len(col) != n for col in sup + sub):
             raise ZlinError("quotient needs two square bases of the same rank")
-        sup_rows = [[sup[j][i] for j in range(n)] for i in range(n)]
-        sup_inv = rational_inverse(sup_rows)
-        # sublattice in superlattice coordinates; must be integral
+        e = lcm(*(x.denominator for col in sup for x in col))
+        s = IntMatrix._of(tuple(
+            tuple(x.numerator * (e // x.denominator) for x in row)
+            for row in zip(*sup)))
+        s_inv, q = _int_inverse(s.entries)
+        # the sublattice in superlattice coordinates, e B c / (q g) for a
+        # column c / g, must be integral
         t_cols = []
         for col in sub:
-            coords = [sum(sup_inv[i][k] * col[k] for k in range(n)) for i in range(n)]
-            for c in coords:
-                if c.denominator != 1:
-                    raise ZlinError("sublattice is not contained in the superlattice")
-            t_cols.append([int(c) for c in coords])
-        snf = smith_normal_form(IntMatrix.from_columns(t_cols, rows=n))
+            c, g = _cleared(col)
+            den = q * g
+            coords = []
+            for row in s_inv:
+                num = e * sum(map(mul, row, c))
+                if num % den:
+                    raise ZlinError("sublattice is not contained in the "
+                                    "superlattice")
+                coords.append(num // den)
+            t_cols.append(coords)
+        snf = smith_normal_form(IntMatrix._of(tuple(zip(*t_cols))))
         diag = snf.D.diagonal()
         if 0 in diag:
             raise ZlinError("sublattice has infinite index (torsion-free quotient direction)")
-        self.superlattice_basis = [tuple(col) for col in sup]
+        self.superlattice_basis = [tuple(map(Fraction, col)) for col in sup]
         self.group = FiniteAbelianGroup(tuple(d for d in diag if d > 1))
-        # adapted superlattice basis: columns of S' = S U^{-1}; the i-th one
-        # generates a cyclic summand of order diag[i] in the quotient, and
-        # the inverse of S' is U S^{-1}
-        u = snf.U.entries
-        u_inv = rational_inverse(u)
-        self._adapted = [tuple(sum(sup_rows[i][k] * u_inv[k][j] for k in range(n))
-                               for i in range(n)) for j in range(n)]
-        self._adapted_inv = [[sum(u[i][k] * sup_inv[k][j] for k in range(n))
-                              for j in range(n)] for i in range(n)]
+        # adapted superlattice basis: columns of S' = S U^{-1} = s U^{-1} / e;
+        # the i-th one generates a cyclic summand of order diag[i] in the
+        # quotient, and the inverse of S' is U S^{-1} = e U B / q (U is
+        # unimodular, so U^{-1} is integral)
+        adapted = (s @ IntMatrix._of(_int_inverse(snf.U.entries)[0])).entries
+        self._adapted = [tuple(Fraction(x, e) for x in col)
+                         for col in zip(*adapted)]
+        self._adapted_inv = [[e * x for x in row]
+                             for row in (snf.U @ IntMatrix._of(s_inv)).entries]
+        self._adapted_den = q
         self._diag = diag
         self._rank = n
         self.index = prod(diag)
         # the representative of chi is sum_i c_i S'_i, with c_i the
         # component of chi on the i-th cyclic summand (0 off them)
-        table = {}
-        for chi in self.group.characters():
-            comps = iter(chi.components)
-            coords = [next(comps) if d > 1 else 0 for d in diag]
-            table[chi.components] = tuple(
-                sum(c * a[i] for c, a in zip(coords, self._adapted))
-                for i in range(n))
+        cyclic = [[x for x, d in zip(row, diag) if d > 1] for row in adapted]
+        table = {comps: tuple(Fraction(sum(map(mul, comps, row)), e)
+                              for row in cyclic)
+                 for comps in product(*map(range, self.group.invariant_factors))}
         self._representative_of = table
         self.representatives = list(table.values())
 
@@ -577,15 +618,16 @@ class LatticeQuotient:
         if len(vec) != self._rank:
             raise ZlinError(f"vector {vec!r} has length {len(vec)}, "
                             f"expected {self._rank}")
-        vec = [Fraction(x) for x in vec]
-        coords = [sum(self._adapted_inv[i][k] * vec[k] for k in range(self._rank))
-                  for i in range(self._rank)]
-        for c in coords:
-            if c.denominator != 1:
+        v, g = _cleared(vec)
+        den = self._adapted_den * g
+        comps = []
+        for row, d in zip(self._adapted_inv, self._diag):
+            num = sum(map(mul, row, v))
+            if num % den:
                 raise ZlinError("vector does not lie in the superlattice")
-        comps = tuple(int(coords[i]) % self._diag[i]
-                      for i in range(self._rank) if self._diag[i] > 1)
-        return Character(comps, self.group)
+            if d > 1:
+                comps.append(num // den % d)
+        return Character._of(tuple(comps), self.group)
 
     def representative(self, chi) -> tuple:
         """The transversal element of ``chi``, inverse to ``character_of``.
@@ -596,12 +638,19 @@ class LatticeQuotient:
         return self._representative_of[chi.components]
 
 
-def _rational_columns(basis):
-    """Columns of a basis as ``Fraction`` lists."""
+def _exact_columns(basis):
+    """Columns of a basis as tuples of checked ``int``/``Fraction`` entries."""
     if isinstance(basis, IntMatrix):
         cols = basis.columns()
     else:
         cols = [tuple(col) for col in basis]
     for col in cols:
         check_exact(col, ZlinError, "basis entry")
-    return [[Fraction(x) for x in col] for col in cols]
+    return cols
+
+
+def _cleared(vec):
+    """``(c, g)`` with ``vec = c / g``: ``int`` entries c over the lcm g of
+    the denominators of ``vec``'s ``int``/``Fraction`` entries."""
+    g = lcm(*(x.denominator for x in vec))
+    return [x.numerator * (g // x.denominator) for x in vec], g

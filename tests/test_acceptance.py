@@ -67,9 +67,12 @@ def test_criterion_2_ccc_binomials():
 def test_criterion_3_two_sided_match():
     for n in (1, 2, 3):
         _expect(checks.two_sided(n), 1 + (n + 1) ** 2)
+    for n in (4, 5):
+        _expect(checks.two_sided(n), 1)  # the Euler Gram record alone
     _, gram = checks.generator_gram(2, ChamberCategory(2))
-    _report(3, "constructible rep homs and Euler Gram matrices equal the "
-               "coherent ones (n = 1..3; P2 rows (1,3,6),(0,1,3),(0,0,1))",
+    _report(3, "constructible rep homs (n = 1..3) and Euler Gram matrices "
+               "(n = 1..5) equal the coherent ones (P2 rows (1,3,6),"
+               "(0,1,3),(0,0,1))",
             gram == [[1, 3, 6], [0, 1, 3], [0, 0, 1]])
 
 

@@ -194,6 +194,15 @@ class TestVerifyCmd:
         assert "FAIL" not in out
         assert "all checks passed" in out
 
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_ccc_above_three_ends_with_the_gram_line(self, n, capsys):
+        # the Euler Gram record runs at every n; the rep homs stop at 3
+        assert main(["verify", "--what", "ccc", "--n", str(n)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 23 + 1 + 1
+        assert lines[-2:] == [f"[PASS] P{n} euler Gram matches coherent "
+                              "Gram", "all checks passed"]
+
     def test_monodromy_names_what_it_compares(self, capsys):
         # the record once claimed "composite = direct on all translation
         # pairs", which no longer described the comparison

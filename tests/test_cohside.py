@@ -33,7 +33,7 @@ from fltzlab.fans import (
     validate_stacky,
 )
 from fltzlab.skeleton import SkeletonError, character_lattice_quotient
-from fltzlab.zlin import FiniteAbelianGroup, IntMatrix, ZlinError
+from fltzlab.zlin import Character, FiniteAbelianGroup, IntMatrix, ZlinError
 
 
 def cyclic_stack(n):
@@ -386,6 +386,55 @@ class TestGradedDims:
     def test_negative_dimension_rejected(self):
         with pytest.raises(CohError, match="nonnegative"):
             GradedDims(dims=(1, -1), bound=1, weight=(1,))
+
+    @pytest.mark.parametrize("dims", [(1, 2, 3), (1,), ()])
+    def test_wrong_length_rejected(self, dims):
+        with pytest.raises(CohError, match="dims length must be bound"):
+            GradedDims(dims=dims, bound=1, weight=(1,))
+
+
+class TestPrivateConstructors:
+    """``GradedDims._of`` and ``Character._of`` skip the checks only for
+    values built from checked inputs; the public constructors keep them
+    (see :class:`TestGradedDims` and ``test_zlin.TestCharacters``)."""
+
+    def test_lattice_hom_values_equal_public_ones(self):
+        # the cyclic charts n = 2..12 at bound 24 and the four stacky
+        # charts with their bounds and weights, as the benchmark runs them
+        dims, chars = [], []
+        charts = [(cyclic_stack(n), 24, None) for n in range(2, 13)]
+        charts += [(orthant_stack(beta), bound, weight)
+                   for beta, bound, weight in zip(
+                       BENCH_CHARTS, (16, 16, 16, 8), ((2, 0), None, None,
+                                                       None))]
+        for sf, bound, weight in charts:
+            G = gamma_category(sf)
+            sigma = sf.fan.maximal_cones()[0]
+            cs = G.group.characters()
+            chars += cs + [G.group.zero_character()]
+            chars += [op(a, b) for a in cs for b in cs
+                      for op in (Character.__add__, Character.__sub__)]
+            chars += [-a for a in cs]
+            dims += [hom_graded(G, a, b, bound, weight) for a in cs
+                     for b in cs]
+            for rep in G.quotient.representatives:
+                chars.append(G.projection(rep))
+                dims.append(isotypic_component(G.monoid, rep, bound, weight))
+                dims.append(costandard_stalk(
+                    sigma, rep, bound, denominator=G.monoid.denominator,
+                    weight=weight))
+            if sf.fan.rank == 1:
+                n = len(cs)
+                dims += [cyclic_quiver_paths(n, i, j, bound)
+                         for i in range(n) for j in range(n)]
+        assert (len(dims), len(chars)) == (1580, 1782)
+        for g in dims:
+            assert type(g.dims) is tuple
+            assert g == GradedDims(dims=g.dims, bound=g.bound,
+                                   weight=g.weight)
+        for chi in chars:
+            assert type(chi.components) is tuple
+            assert chi == Character(chi.components, chi.group)
 
 
 class TestHomGraded:

@@ -685,6 +685,42 @@ class TestArrowsAndRelations:
         with pytest.raises(ConError, match="functoriality fails"):
             CatRep(p, dims, maps)
 
+    def test_relations_are_kept_in_order(self):
+        # each category builds its triples once and hands out that tuple,
+        # in the order the relations were generated before
+        for name, p, leq in oracle_posets():
+            kept = p.relations()
+            assert type(kept) is tuple and p.relations() is kept, name
+            assert list(kept) == reference_relations(p.elements,
+                                                     leq or p.leq), name
+        for n in range(1, 5):
+            cat = ChamberCategory(n)
+            squares = [(cat.arrow(s, j), cat.arrow(s - 1, i),
+                        (s, s - 2, tuple(int(k in (i, j))
+                                         for k in range(n + 1))))
+                       for s in range(2, n + 1)
+                       for i in range(n + 1) for j in range(i + 1, n + 1)]
+            kept = cat.relations()
+            assert type(kept) is tuple and cat.relations() is kept
+            assert list(kept) == squares
+
+    @pytest.mark.parametrize("category", [
+        ChamberCategory(2), ChamberCategory(3),
+        FinitePoset.from_covers("lcr", [("c", "l"), ("c", "r")]).power(2)],
+        ids=repr)
+    def test_broken_square_fails_after_a_valid_rep(self, category):
+        # the kept triples are checked again for every rep: scaling one
+        # arrow by 2 breaks every square it lies on
+        dims = {x: 1 for x in category.objects}
+        maps = {a: [[1]] for _, _, a in category.arrows()}
+        CatRep(category, dims, maps)
+        square = category.relations()[-1]
+        maps[square[0]] = [[2]]
+        with pytest.raises(ConError, match="functoriality fails"):
+            CatRep(category, dims, maps)
+        maps[square[0]] = [[1]]
+        CatRep(category, dims, maps)
+
     @pytest.mark.parametrize("name", sorted(ORACLE_CATEGORIES))
     def test_relation_check_agrees_with_all_pairs_check(self, name):
         category = ORACLE_CATEGORIES[name]
@@ -979,6 +1015,53 @@ def densify(term_dims, diffs):
     return out
 
 
+def per_face_hom_complex(M, N):
+    """``hom_complex`` as built before its entry lists were kept per call:
+    ``_entries`` made M(f_0), N(f_p) and each identity again on every
+    face of every chain."""
+    from fltzlab.conside import _chains, _entries
+    cat = M.category
+    chains = _chains(cat)
+    offsets, term_dims = [], []
+    for chs in chains:
+        at, size = {}, 0
+        for objs, fs in chs:
+            at[objs, fs] = size
+            size += N.dims[objs[-1]] * M.dims[objs[0]]
+        offsets.append(at)
+        term_dims.append(size)
+    diffs = []
+    for p in range(len(chains) - 1):
+        d = [{} for _ in range(term_dims[p + 1])]
+        for (objs, fs), row0 in offsets[p + 1].items():
+            rows, cols = N.dims[objs[-1]], M.dims[objs[0]]
+            if not rows or not cols:
+                continue
+            faces = [(1, (objs[1:], fs[1:]), None, M.matrix(fs[0]))]
+            faces += [((-1) ** k * coeff, (objs[:k] + objs[k + 1:],
+                                           fs[:k - 1] + (h,) + fs[k + 1:]),
+                       None, None)
+                      for k in range(1, len(fs))
+                      for coeff, h in cat.compose(fs[k - 1], fs[k])]
+            faces.append(((-1) ** len(fs), (objs[:-1], fs[:-1]),
+                          N.matrix(fs[-1]), None))
+            for sign, face, left, right in faces:
+                col0 = offsets[p][face]
+                width = M.dims[face[0][0]]
+                right = _entries(right, cols)
+                for i, v, a in _entries(left, rows):
+                    for u, j, b in right:
+                        row = d[row0 + i * cols + j]
+                        col = col0 + v * width + u
+                        x = row.get(col, 0) + sign * a * b
+                        if x:
+                            row[col] = x
+                        else:
+                            row.pop(col, None)
+        diffs.append(d)
+    return term_dims, diffs
+
+
 def all_int(rep):
     return all(type(x) is int for m in rep.matrices.values()
                for row in m for x in row.values())
@@ -1003,6 +1086,48 @@ class TestHomComplexOracle:
                 else:
                     seen["Fraction"] += 1
         assert min(seen.values()) >= 50, seen
+
+    def test_rows_match_the_per_face_build(self):
+        # every generator and simple pair at n <= 3: the same term dims
+        # and the same sparse rows, entry by entry and in the same order
+        from fltzlab.conside import hom_complex
+        for n in (1, 2, 3):
+            cat = ChamberCategory(n)
+            families = ([beilinson_rep(n, k, cat) for k in range(1, n + 2)],
+                        [CatRep(cat, {v: 1}, {}) for v in cat.objects])
+            for reps in families:
+                for M in reps:
+                    for N in reps:
+                        dims, diffs = hom_complex(M, N)
+                        ref_dims, ref_diffs = per_face_hom_complex(M, N)
+                        assert dims == ref_dims
+                        assert ([[list(row.items()) for row in d]
+                                 for d in diffs]
+                                == [[list(row.items()) for row in d]
+                                    for d in ref_diffs])
+
+    def test_entry_lists_are_built_once_per_morphism(self, monkeypatch):
+        # End(gen 4) at n = 3 has 7,113 cells; the per-face build made an
+        # entry list for each face of each chain
+        calls = []
+
+        def counted(m, dim):
+            calls.append(m)
+            return entries(m, dim)
+
+        entries = conside._entries
+        monkeypatch.setattr(conside, "_entries", counted)
+        cat = ChamberCategory(3)
+        gen = beilinson_rep(3, 4, cat)
+        conside.hom_complex(gen, gen)
+        morphisms = sum(len(cat.hom_basis(x, y)) for x in cat.objects
+                        for y in cat.objects)
+        identities = max(gen.dims.values()) + 1
+        assert len(calls) <= 2 * morphisms + identities, len(calls)
+        kept = len(calls)
+        calls.clear()
+        per_face_hom_complex(gen, gen)
+        assert len(calls) > 10 * kept, (len(calls), kept)
 
     def test_rep_hom_builds_no_dense_differential(self):
         # with dense differentials the traced peak was about 3.8 MiB;

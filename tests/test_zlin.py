@@ -1,11 +1,16 @@
 import random
 from enum import IntEnum
 from fractions import Fraction
+from itertools import product
+from math import prod
+from types import SimpleNamespace
 
 import pytest
 
 from fltzlab.fans import FanError
+from fltzlab.skeleton import SkeletonError, character_lattice_quotient
 from fltzlab.zlin import (
+    Character,
     FiniteAbelianGroup,
     IntMatrix,
     LatticeQuotient,
@@ -444,6 +449,25 @@ class TestCharacters:
         with pytest.raises(ZlinError, match="is not an int"):
             FiniteAbelianGroup((3,)).character(components)
 
+    @pytest.mark.parametrize("components, factors, message", [
+        ((True,), (3,), "character component True is not an integer"),
+        ((1, True), (2, 4), "character component True is not an integer"),
+        ((1, 2), (3,), "component count does not match"),
+        ((), (3,), "component count does not match")])
+    def test_public_constructor_still_checks(self, components, factors,
+                                             message):
+        # the library's own characters skip these checks through _of
+        with pytest.raises(ZlinError, match=message):
+            Character(components, FiniteAbelianGroup(factors))
+
+    def test_arithmetic_reduces_components(self):
+        g = FiniteAbelianGroup((2, 4))
+        for a, b in product(g.characters(), repeat=2):
+            for chi in (a + b, a - b, -a):
+                assert chi == Character(chi.components, g)
+                assert all(0 <= c < f for c, f in zip(chi.components,
+                                                      g.invariant_factors))
+
     def test_mixed_groups_rejected(self):
         a = FiniteAbelianGroup((2,)).character((1,))
         b = FiniteAbelianGroup((3,)).character((1,))
@@ -682,3 +706,208 @@ class TestExactnessGate:
     @pytest.mark.parametrize("values", [(), [], {}.values()])
     def test_empty_sequence_passes(self, gate, values):
         assert gate(values, ZlinError, "entry") is None
+
+
+# ---------------------------------------------------------------------------
+# the integer lattice quotient against the Fraction algorithm it replaced
+
+
+def reference_inverse(rows):
+    """Gauss-Jordan over Fractions, pivoting on the first nonzero entry."""
+    n = len(rows)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(rows)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col]), None)
+        if pivot is None:
+            raise ZlinError("matrix is singular")
+        a[col], a[pivot] = a[pivot], a[col]
+        a[col] = [x / a[col][col] for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col]:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return [row[n:] for row in a]
+
+
+def reference_lattice_quotient(superlattice_basis, sublattice_basis):
+    """``LatticeQuotient`` as the Fraction algorithm computed it.
+
+    Every quantity is a ``Fraction``: the inverse of the superlattice
+    basis, the sublattice coordinates, U^-1, the adapted basis and its
+    inverse, and the representative of each character.  Returns the
+    public fields, ``_adapted`` and ``character_of``.
+    """
+    def columns(basis):
+        cols = (basis.columns() if isinstance(basis, IntMatrix)
+                else [tuple(col) for col in basis])
+        for col in cols:
+            check_exact(col, ZlinError, "basis entry")
+        return [[Fraction(x) for x in col] for col in cols]
+
+    sup, sub = columns(superlattice_basis), columns(sublattice_basis)
+    n = len(sup)
+    if len(sub) != n or any(len(col) != n for col in sup + sub):
+        raise ZlinError("quotient needs two square bases of the same rank")
+    sup_rows = [[sup[j][i] for j in range(n)] for i in range(n)]
+    sup_inv = reference_inverse(sup_rows)
+    t_cols = []
+    for col in sub:
+        coords = [sum(sup_inv[i][k] * col[k] for k in range(n))
+                  for i in range(n)]
+        if any(c.denominator != 1 for c in coords):
+            raise ZlinError("sublattice is not contained in the superlattice")
+        t_cols.append([int(c) for c in coords])
+    snf = smith_normal_form(IntMatrix.from_columns(t_cols, rows=n))
+    diag = snf.D.diagonal()
+    if 0 in diag:
+        raise ZlinError("sublattice has infinite index (torsion-free "
+                        "quotient direction)")
+    group = FiniteAbelianGroup(tuple(d for d in diag if d > 1))
+    u = snf.U.entries
+    u_inv = reference_inverse(u)
+    adapted = [tuple(sum(sup_rows[i][k] * u_inv[k][j] for k in range(n))
+                     for i in range(n)) for j in range(n)]
+    adapted_inv = [[sum(u[i][k] * sup_inv[k][j] for k in range(n))
+                    for j in range(n)] for i in range(n)]
+    representatives = []
+    for chi in group.characters():
+        comps = iter(chi.components)
+        coords = [next(comps) if d > 1 else 0 for d in diag]
+        representatives.append(tuple(
+            sum(c * a[i] for c, a in zip(coords, adapted))
+            for i in range(n)))
+
+    def character_of(vec):
+        vec = tuple(vec)
+        check_exact(vec, ZlinError, "vector entry")
+        if len(vec) != n:
+            raise ZlinError(f"vector {vec!r} has length {len(vec)}, "
+                            f"expected {n}")
+        vec = [Fraction(x) for x in vec]
+        coords = [sum(adapted_inv[i][k] * vec[k] for k in range(n))
+                  for i in range(n)]
+        if any(c.denominator != 1 for c in coords):
+            raise ZlinError("vector does not lie in the superlattice")
+        return group.character(tuple(int(coords[i]) % diag[i]
+                                     for i in range(n) if diag[i] > 1))
+
+    return SimpleNamespace(
+        superlattice_basis=[tuple(col) for col in sup], group=group,
+        index=prod(diag), representatives=representatives,
+        _adapted=adapted, character_of=character_of)
+
+
+def reference_character_lattice_quotient(beta):
+    """``skeleton.character_lattice_quotient`` on the reference quotient."""
+    snf = smith_normal_form(beta.transpose())
+    diag = snf.D.diagonal()
+    n = beta.rows
+    if any(d == 0 for d in diag) or len(diag) < n:
+        raise SkeletonError("beta is not injective after dualizing; "
+                            "cokernel of beta must be finite")
+    sup = [tuple(Fraction(x, diag[i]) for x in snf.V.column(i))
+           for i in range(n)]
+    return reference_lattice_quotient(sup, IntMatrix.identity(n))
+
+
+def outcome(call, *args):
+    """The value of ``call(*args)``, or the type and message it raised."""
+    try:
+        return call(*args)
+    except (ZlinError, SkeletonError) as exc:
+        return type(exc), str(exc)
+
+
+def random_exact(rng):
+    return Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3, 4, 6)))
+
+
+def random_quotient_input(rng):
+    """Seeded (superlattice, sublattice) columns: about a third raise.
+
+    The sublattice is the superlattice times an integer matrix (contained,
+    infinite index when that matrix is singular), an integer matrix, or a
+    rational one; the superlattice is sometimes singular.
+    """
+    n = rng.randint(0, 3)
+    sup = [[random_exact(rng) if rng.random() < 0.6 else rng.randint(-2, 2)
+            for _ in range(n)] for _ in range(n)]
+    kind = rng.random()
+    if kind < 0.5:
+        m = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        sub = [[sum(sup[k][i] * m[k][j] for k in range(n)) for i in range(n)]
+               for j in range(n)]
+    elif kind < 0.65:
+        sub = IntMatrix.identity(n)
+    elif kind < 0.85:
+        sub = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+    else:
+        sub = [[random_exact(rng) for _ in range(n)] for _ in range(n)]
+    return sup, sub
+
+
+def random_vectors(rng, sup):
+    """Three superlattice vectors and one rational vector of sup's rank."""
+    n = len(sup)
+    vecs = [tuple(sum(c * col[i] for c, col in zip(coeffs, sup))
+                  for i in range(n))
+            for coeffs in ([rng.randint(-5, 5) for _ in range(n)]
+                           for _ in range(3))]
+    vecs.append(tuple(random_exact(rng) for _ in range(n)))
+    return vecs
+
+
+def assert_same_quotient(got, ref, vectors):
+    """Every public field, ``_adapted`` and ``character_of`` agree, with
+    the types of their entries (compared through ``repr``)."""
+    if isinstance(ref, tuple):
+        assert got == ref
+        return
+    assert not isinstance(got, tuple), got
+    for name in ("superlattice_basis", "representatives", "_adapted"):
+        assert repr(getattr(got, name)) == repr(getattr(ref, name)), name
+    assert got.group == ref.group and got.index == ref.index
+    for vec in vectors:
+        assert outcome(got.character_of, vec) == outcome(ref.character_of,
+                                                         vec), vec
+
+
+class TestIntegerQuotientOracle:
+    def test_lattice_quotient_matches_the_fraction_algorithm(self):
+        rng = random.Random(23)
+        raised = 0
+        for _ in range(3000):
+            sup, sub = random_quotient_input(rng)
+            ref = outcome(reference_lattice_quotient, sup, sub)
+            got = outcome(LatticeQuotient, sup, sub)
+            raised += isinstance(ref, tuple)
+            assert_same_quotient(got, ref, random_vectors(rng, sup))
+        assert 500 <= raised <= 2000, raised
+
+    def test_character_lattice_quotient_matches(self):
+        rng = random.Random(29)
+        built = 0
+        for _ in range(300):
+            n = rng.randint(1, 3)
+            beta = IntMatrix([[rng.randint(-3, 3) for _ in range(n)]
+                              for _ in range(n)])
+            ref = outcome(reference_character_lattice_quotient, beta)
+            got = outcome(character_lattice_quotient, beta)
+            built += not isinstance(ref, tuple)
+            sup = [] if isinstance(ref, tuple) else ref.superlattice_basis
+            assert_same_quotient(got, ref, random_vectors(rng, sup))
+        assert built >= 200, built
+
+    def test_rational_inverse_matches_gauss_jordan(self):
+        rng = random.Random(31)
+        singular = 0
+        for _ in range(500):
+            n = rng.randint(0, 5)
+            rows = [[random_exact(rng) if rng.random() < 0.7 else 0
+                     for _ in range(n)] for _ in range(n)]
+            ref = outcome(reference_inverse, rows)
+            got = outcome(rational_inverse, rows)
+            singular += isinstance(ref, tuple)
+            assert repr(got) == repr(ref)
+        assert 20 <= singular <= 400, singular
