@@ -4,7 +4,7 @@
 Everything downstream rests on this substrate, so this walkthrough
 exercises it directly: diagonalize a matrix by unimodular moves, read a
 finite abelian group off a lattice map, and list coset representatives
-of a finite-index sublattice.
+of Z^n in a rational superlattice.
 """
 
 from fractions import Fraction
@@ -31,15 +31,14 @@ for entries in ([[5]], [[2, 0], [0, 0]], [[1, 1], [-1, 1]]):
     m = IntMatrix(entries)
     print(f"coker {entries} =", cokernel(m))
 
-# Quotients of a lattice by a finite-index sublattice come with honest
+# A superlattice of Z^n, given by one basis, modulo Z^n comes with honest
 # coset representatives.  The fractional line (1/4)Z over Z is the basic
 # cyclic example; a product of refinements assembles to one cyclic group
 # because the indices are coprime.
 print()
-q = LatticeQuotient([[Fraction(1, 4)]], [[1]])
+q = LatticeQuotient([[Fraction(1, 4)]])
 print("(1/4)Z over Z:", q.group, "reps:", [r[0] for r in q.representatives])
 
-q = LatticeQuotient(
-    [[Fraction(1, 2), 0], [0, Fraction(1, 3)]], [[1, 0], [0, 1]])
+q = LatticeQuotient([[Fraction(1, 2), 0], [0, Fraction(1, 3)]])
 print("(1/2)Z x (1/3)Z over Z^2:", q.group,
       f"({len(q.representatives)} representatives)")

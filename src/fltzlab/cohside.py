@@ -102,19 +102,19 @@ class GradedDims:
 
 
 class AffineMonoid:
-    """Lattice points of a cone inside a refined lattice (1/d) Z^r.
+    """Lattice points of a cone inside a lattice L with Z^r ⊆ L ⊆ (1/d) Z^r.
 
-    Membership is exact: a point belongs iff it satisfies every cone
-    inequality and lies in the stored lattice (a basis refinement of
-    (1/d) Z^r when the refined lattice is proper, as for cyclic-quotient
-    charts).  ``rank`` and ``denominator`` must be ``int``.
+    ``lattice`` is the :class:`LatticeQuotient` whose superlattice is L,
+    as for cyclic-quotient charts, or None for L = Z^r; ``denominator``
+    is its d (1 for Z^r).  Membership is exact: a point belongs iff it
+    satisfies every cone inequality and lies in L, tested in integers on
+    y = d x through the quotient's integer basis inverse.  ``rank`` must
+    be an ``int``.
     """
 
-    def __init__(self, rank, inequality_normals, denominator=1, lattice_basis=None):
+    def __init__(self, rank, inequality_normals, lattice=None):
         if type(rank) is not int or rank < 0:
             raise CohError(f"rank {rank!r} is not a nonnegative integer")
-        if type(denominator) is not int:
-            raise CohError(f"denominator {denominator!r} is not an integer")
         self.rank = rank
         rows = []
         for a in inequality_normals:
@@ -127,26 +127,29 @@ class AffineMonoid:
             if len(a) != self.rank:
                 raise CohError(f"inequality {a!r} has length {len(a)}, "
                                f"expected {self.rank}")
-        self.denominator = denominator
-        if self.denominator < 1:
-            raise CohError("denominator must be positive")
+        self._denominator = 1
         self._lattice_rows, self._lattice_modulus = (), 1
-        if lattice_basis is not None:
-            cols = [tuple(c) for c in lattice_basis]
-            for c in cols:
-                check_exact(c, CohError, "lattice basis entry")
-            if len(cols) != self.rank:
-                raise CohError("lattice basis must be square")
-            # the inverse of the basis is B / q, so y = d x is a lattice
-            # point iff every row of B pairs with y to a multiple of q d
-            self._lattice_rows, scale = _int_inverse(
-                [[c[i] for c in cols] for i in range(self.rank)])
-            self._lattice_modulus = scale * self.denominator
+        if lattice is not None:
+            if not isinstance(lattice, LatticeQuotient):
+                raise CohError(f"lattice {lattice!r} is not a LatticeQuotient")
+            if len(lattice.superlattice_basis) != rank:
+                raise CohError(f"lattice {lattice!r} has rank "
+                               f"{len(lattice.superlattice_basis)}, expected "
+                               f"{rank}")
+            # the basis is s / d with s^-1 = B / q, so y = d x is a lattice
+            # point iff every row of B pairs with y to a multiple of q
+            self._denominator = lattice.denominator
+            self._lattice_rows, self._lattice_modulus = lattice._inverse
         rays, lines = dd_generators(self.inequalities, self.rank)
         self._cone_rays = rays
         self._cone_lines = lines
         self._coset_tables = {}
         self._proper_weights = set()
+
+    @property
+    def denominator(self):
+        """The lattice's denominator d: L ⊆ (1/d) Z^rank."""
+        return self._denominator
 
     def contains(self, point):
         """True iff ``point`` (``int`` or ``Fraction`` coordinates) lies in
@@ -289,9 +292,8 @@ class AffineMonoid:
             counts = {}
             for deg, points in self.elements_by_degree(bound, weight).items():
                 for x in points:
-                    key = tuple(c.numerator * (d // c.denominator) % d
-                                for c in x)
-                    counts.setdefault(key, [0] * (bound + 1))[deg] += 1
+                    counts.setdefault(_coset_key(x, d),
+                                      [0] * (bound + 1))[deg] += 1
             entry = ({key: GradedDims._of(tuple(dims), bound, weight)
                       for key, dims in counts.items()},
                      GradedDims._of((0,) * (bound + 1), bound, weight))
@@ -303,6 +305,12 @@ class AffineMonoid:
                 f"denominator={self.denominator})")
 
 
+def _coset_key(x, d):
+    """The key d x mod d of the coset x + Z^rank, for x in (1/d) Z^rank
+    with ``int`` or ``Fraction`` entries, computed in integers."""
+    return tuple(c.numerator * (d // c.denominator) % d for c in x)
+
+
 # ---------------------------------------------------------------------------
 # the hom category of a stacky affine chart
 
@@ -311,24 +319,27 @@ class AffineMonoid:
 class GammaCategory:
     """Characters of the stacky group as objects; homs are lattice points.
 
+    ``quotient`` is the chart's lattice, and ``monoid`` is built on it.
     ``projection`` sends a monoid element to the character it acts by;
     hom(chi, chi') is the isotypic component of the monoid at
-    ``quotient.representative(chi' - chi)``.  ``_homs`` keeps, per
-    (bound, weight), those components keyed by the components of
-    chi' - chi.
+    ``quotient.representative(chi' - chi)``.  ``_coset_keys`` maps the
+    components of each character to the monoid's coset key of its
+    representative, filled once per chart.
     """
 
     group: FiniteAbelianGroup
     monoid: AffineMonoid
     quotient: LatticeQuotient
-    _homs: dict = field(default_factory=dict, init=False, repr=False,
-                        compare=False)
+    _coset_keys: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        d = self.monoid.denominator
+        object.__setattr__(self, "_coset_keys", {
+            chi.components: _coset_key(self.quotient.representative(chi), d)
+            for chi in self.group.characters()})
 
     def projection(self, point) -> Character:
         return self.quotient.character_of(point)
-
-    def objects(self):
-        return self.group.characters()
 
 
 def _adapted_quotient(cone: Cone):
@@ -379,13 +390,7 @@ def gamma_category(sf: StackyFan) -> GammaCategory:
             "gamma category is only computed for a full-dimensional cone")
     sigma = sf.image_cone(sigma_hat)
     quotient = character_lattice_quotient(sf.beta)
-    sup = quotient.superlattice_basis
-    monoid = AffineMonoid(
-        rank=sf.fan.rank,
-        inequality_normals=sigma.rays,
-        denominator=lcm(*(x.denominator for col in sup for x in col)),
-        lattice_basis=sup,
-    )
+    monoid = AffineMonoid(sf.fan.rank, sigma.rays, lattice=quotient)
     return GammaCategory(group=quotient.group, monoid=monoid, quotient=quotient)
 
 
@@ -395,24 +400,20 @@ def hom_graded(G: GammaCategory, chi: Character, chi_prime: Character,
 
     The (chi' - chi)-isotypic component: the dimension in degree d counts
     the monoid elements of weight d in the coset of the representative of
-    chi' - chi.  The first call for a (bound, weight) fills the chart's
-    table from :func:`isotypic_component` at every representative; each
-    call then reads the monoid's kept :class:`GradedDims` for chi' - chi
-    there.  A ``chi`` or ``chi_prime`` that is not a character of
-    ``G.group`` is a :class:`ZlinError` naming the argument.
+    chi' - chi.  It is the monoid's kept :class:`GradedDims` for that
+    coset under (bound, weight), read through the chart's coset keys, so
+    it is the value :func:`isotypic_component` gives at the
+    representative.  A ``chi`` or ``chi_prime`` that is not a character
+    of ``G.group`` is a :class:`ZlinError` naming the argument.
     """
     group = G.group
     group.check_character(chi, "chi")
     group.check_character(chi_prime, "chi_prime")
     weight = G.monoid._checked_grading(bound, weight)
-    table = G._homs.get((bound, weight))
-    if table is None:
-        table = G._homs[bound, weight] = {
-            t.components: isotypic_component(
-                G.monoid, G.quotient.representative(t), bound, weight)
-            for t in group.characters()}
-    return table[tuple((b - a) % f for a, b, f in zip(
+    key = G._coset_keys[tuple((b - a) % f for a, b, f in zip(
         chi.components, chi_prime.components, group.invariant_factors))]
+    table, zero = G.monoid._coset_dims(bound, weight)
+    return table.get(key, zero)
 
 
 def cyclic_quiver_paths(n: int, i: int, j: int, length_bound: int) -> GradedDims:
@@ -461,8 +462,7 @@ def isotypic_component(monoid: AffineMonoid, chi, bound: int,
     d = monoid.denominator
     if any(d % x.denominator for x in chi):
         return zero
-    return table.get(tuple(x.numerator * (d // x.denominator) % d
-                           for x in chi), zero)
+    return table.get(_coset_key(chi, d), zero)
 
 
 def costandard_stalk(c: Cone, chi, bound: int, denominator=1,

@@ -55,7 +55,7 @@ def character_lattice_quotient(beta: IntMatrix) -> LatticeQuotient:
     """The finite quotient housing the skeleton characters of full cones.
 
     Its superlattice is {m : beta^T m integral} in M ⊗ Q, with basis
-    columns of ``Fraction``s, and its sublattice is M = Z^n.
+    columns of ``Fraction``s, taken modulo M = Z^n.
     """
     snf = smith_normal_form(beta.transpose())
     diag = snf.D.diagonal()
@@ -65,7 +65,7 @@ def character_lattice_quotient(beta: IntMatrix) -> LatticeQuotient:
                             "cokernel of beta must be finite")
     sup = [tuple(Fraction(x, diag[i]) for x in snf.V.column(i))
            for i in range(n)]
-    return LatticeQuotient(sup, IntMatrix.identity(n))
+    return LatticeQuotient(sup)
 
 
 def _reduce_to_unit_box(vec):

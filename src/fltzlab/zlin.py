@@ -2,7 +2,7 @@
 
 Smith normal form with unimodular transforms, kernels and cokernels of
 lattice maps, finite abelian groups with their characters, and quotients
-of a lattice by a finite-index sublattice with explicit coset
+of a rational superlattice of Z^n by Z^n with explicit coset
 representatives.  Everything is arbitrary-precision: matrices hold Python
 ints, rational data holds ``fractions.Fraction``.  No floating point
 anywhere.
@@ -153,9 +153,6 @@ class IntMatrix:
                 m[i][k] = 0
             prev = m[k][k]
         return sign * m[n - 1][n - 1]
-
-    def rank(self):
-        return rational_rank(self.entries)
 
     def is_unimodular(self):
         return self.rows == self.cols and self.det() in (1, -1)
@@ -461,9 +458,6 @@ class FiniteAbelianGroup:
         return [Character._of(c, self) for c in
                 product(*(range(f) for f in self.invariant_factors))]
 
-    def character(self, components):
-        return Character(components, self)
-
     def zero_character(self):
         return Character._of((0,) * len(self.invariant_factors), self)
 
@@ -542,60 +536,48 @@ def cokernel(A: IntMatrix) -> FiniteAbelianGroup:
 
 
 class LatticeQuotient:
-    """A superlattice modulo a finite-index sublattice.
+    """A superlattice of Z^n modulo Z^n.
 
-    Bases are given by columns (rational entries allowed); the superlattice
-    columns are kept in ``superlattice_basis``.  Provides the quotient
-    group, a complete duplicate-free transversal of coset representatives,
-    the character of any superlattice vector and its inverse,
-    ``representative``, read from a table filled once here.  Two empty
-    bases give the trivial quotient of rank 0.
+    The superlattice basis is given by columns (rational entries allowed)
+    and kept in ``superlattice_basis``; it must contain Z^n.  Provides the
+    quotient group, a complete duplicate-free transversal of coset
+    representatives, the character of any superlattice vector and its
+    inverse, ``representative``, read from a table filled once here.  An
+    empty basis gives the trivial quotient of rank 0.
 
-    Everything is computed in integers over one denominator e, the lcm of
-    the superlattice basis denominators: the superlattice basis is s / e
-    with s integral, and its inverse e B / q comes from
-    :func:`_int_inverse`.  Each public ``Fraction`` is made once, at the
-    end.
+    Everything is computed in integers over one denominator, the lcm e of
+    the basis denominators, kept as ``denominator``: the basis is s / e
+    with s integral, and s^-1 = B / q comes from :func:`_int_inverse`, so
+    a vector y / e lies in the superlattice iff B y is divisible by q.
+    Each public ``Fraction`` is made once, at the end.
     """
 
-    def __init__(self, superlattice_basis, sublattice_basis):
+    def __init__(self, superlattice_basis):
         sup = _exact_columns(superlattice_basis)
-        sub = _exact_columns(sublattice_basis)
         n = len(sup)
-        if len(sub) != n or any(len(col) != n for col in sup + sub):
-            raise ZlinError("quotient needs two square bases of the same rank")
+        if any(len(col) != n for col in sup):
+            raise ZlinError("quotient needs a square superlattice basis")
         e = lcm(*(x.denominator for col in sup for x in col))
         s = IntMatrix._of(tuple(
             tuple(x.numerator * (e // x.denominator) for x in row)
             for row in zip(*sup)))
         s_inv, q = _int_inverse(s.entries)
-        # the sublattice in superlattice coordinates, e B c / (q g) for a
-        # column c / g, must be integral
-        t_cols = []
-        for col in sub:
-            c, g = _cleared(col)
-            den = q * g
-            coords = []
-            for row in s_inv:
-                num = e * sum(map(mul, row, c))
-                if num % den:
-                    raise ZlinError("sublattice is not contained in the "
-                                    "superlattice")
-                coords.append(num // den)
-            t_cols.append(coords)
-        snf = smith_normal_form(IntMatrix._of(tuple(zip(*t_cols))))
+        # Z^n in superlattice coordinates is the basis inverse e B / q,
+        # which must be integral; it is nonsingular, so the index is finite
+        if any(e * x % q for row in s_inv for x in row):
+            raise ZlinError("sublattice is not contained in the superlattice")
+        snf = smith_normal_form(IntMatrix._of(tuple(
+            tuple(e * x // q for x in row) for row in s_inv)))
         diag = snf.D.diagonal()
-        if 0 in diag:
-            raise ZlinError("sublattice has infinite index (torsion-free quotient direction)")
         self.superlattice_basis = [tuple(map(Fraction, col)) for col in sup]
+        self.denominator = e
+        self._inverse = s_inv, q
         self.group = FiniteAbelianGroup(tuple(d for d in diag if d > 1))
         # adapted superlattice basis: columns of S' = S U^{-1} = s U^{-1} / e;
         # the i-th one generates a cyclic summand of order diag[i] in the
         # quotient, and the inverse of S' is U S^{-1} = e U B / q (U is
         # unimodular, so U^{-1} is integral)
         adapted = (s @ IntMatrix._of(_int_inverse(snf.U.entries)[0])).entries
-        self._adapted = [tuple(Fraction(x, e) for x in col)
-                         for col in zip(*adapted)]
         self._adapted_inv = [[e * x for x in row]
                              for row in (snf.U @ IntMatrix._of(s_inv)).entries]
         self._adapted_den = q
@@ -610,6 +592,9 @@ class LatticeQuotient:
                  for comps in product(*map(range, self.group.invariant_factors))}
         self._representative_of = table
         self.representatives = list(table.values())
+
+    def __repr__(self):
+        return f"LatticeQuotient({self.superlattice_basis!r})"
 
     def character_of(self, vec) -> Character:
         """Character of a superlattice vector in the quotient group."""

@@ -1,8 +1,9 @@
 import random
+import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import comb, lcm
+from math import comb
 
 import pytest
 
@@ -23,7 +24,7 @@ from fltzlab.cohside import (
     isotypic_component,
     pn_line_bundle_cohomology,
 )
-from fltzlab import cohside, fans
+from fltzlab import cohside, fans, zlin
 from fltzlab.fans import (
     Cone,
     StackyFan,
@@ -33,7 +34,15 @@ from fltzlab.fans import (
     validate_stacky,
 )
 from fltzlab.skeleton import SkeletonError, character_lattice_quotient
-from fltzlab.zlin import Character, FiniteAbelianGroup, IntMatrix, ZlinError
+from fltzlab.zlin import (
+    Character,
+    FiniteAbelianGroup,
+    IntMatrix,
+    LatticeQuotient,
+    ZlinError,
+    rational_inverse,
+    smith_normal_form,
+)
 
 
 def cyclic_stack(n):
@@ -108,8 +117,15 @@ def reference_elements_by_degree(monoid, bound, weight=None):
     return out
 
 
+def scaled_lattice(rank, d):
+    """The quotient of (1/d) Z^rank by Z^rank."""
+    return LatticeQuotient([[Fraction(int(i == j), d) for i in range(rank)]
+                            for j in range(rank)])
+
+
 def random_monoid(rng):
-    """A monoid of rank 1-3 with int or Fraction rows, maybe on a lattice.
+    """A monoid of rank 1-3 with int or Fraction rows on (1/d) Z^rank or
+    on the superlattice of a random beta.
 
     Every row is nonnegative on a random vector v, so v lies in the cone;
     the cone is pointed when the rows span, and otherwise no weight is
@@ -125,20 +141,16 @@ def random_monoid(rng):
         if rng.random() < 0.3:
             row = [Fraction(x, rng.randint(1, 4)) for x in row]
         rows.append(tuple(row))
-    denominator = rng.randint(1, 4)
-    basis = None
+    lattice = scaled_lattice(rank, rng.randint(1, 4))
     if rng.random() < 0.5:
         beta = [[rng.randint(-2, 3) for _ in range(rank)] for _ in range(rank)]
         try:
-            basis = character_lattice_quotient(
-                IntMatrix(beta)).superlattice_basis
+            quotient = character_lattice_quotient(IntMatrix(beta))
         except SkeletonError:  # singular beta
-            basis = None
-        own = basis and lcm(*(x.denominator for c in basis for x in c))
-        if own and own <= 4 and rng.random() < 0.5:
-            denominator = own  # the lattice's own, as in gamma_category
-    return AffineMonoid(rank, rows, denominator=denominator,
-                        lattice_basis=basis)
+            quotient = None
+        if quotient and quotient.denominator <= 4 and rng.random() < 0.5:
+            lattice = quotient
+    return AffineMonoid(rank, rows, lattice=lattice)
 
 
 def reference_cyclic_quiver_paths(n, i, j, length_bound):
@@ -154,11 +166,23 @@ def reference_cyclic_quiver_paths(n, i, j, length_bound):
 
 def reference_representative(quotient, chi):
     """The Fraction sum the representative table replaced: chi's
-    components times the adapted basis columns of their summands."""
+    components times the adapted basis columns of their summands.
+
+    The adapted basis is S U^-1, for the superlattice basis S and the
+    Smith form U S^-1 V = D of the coordinates of Z^n in it.
+    """
+    sup = quotient.superlattice_basis
+    n = len(sup)
+    rows = [[col[i] for col in sup] for i in range(n)]
+    snf = smith_normal_form(IntMatrix([[int(x) for x in row]
+                                       for row in rational_inverse(rows)]))
+    u_inv = rational_inverse(snf.U.entries)
+    adapted = [[sum(rows[i][k] * u_inv[k][j] for k in range(n))
+                for i in range(n)] for j in range(n)]
     comps = iter(chi.components)
-    coords = [next(comps) if d > 1 else 0 for d in quotient._diag]
-    return tuple(sum(c * a[i] for c, a in zip(coords, quotient._adapted))
-                 for i in range(quotient._rank))
+    coords = [next(comps) if d > 1 else 0 for d in snf.D.diagonal()]
+    return tuple(sum(c * a[i] for c, a in zip(coords, adapted))
+                 for i in range(n))
 
 
 def reference_hom_graded(G, chi, chi_prime, bound, weight=None):
@@ -354,6 +378,25 @@ class TestChartWork:
         gamma_category(sf)
         assert len(dd_calls) == 5
 
+    def test_two_integer_inverses_per_chart(self, monkeypatch):
+        # one for the superlattice basis and one for U; the monoid reads
+        # the quotient's
+        calls = []
+        int_inverse = zlin._int_inverse
+
+        def counting(rows):
+            calls.append(rows)
+            return int_inverse(rows)
+
+        stacks = [cyclic_stack(n) for n in (2, 3, 7)]
+        stacks += [orthant_stack(beta) for beta in BENCH_CHARTS]
+        for module in (zlin, cohside):
+            monkeypatch.setattr(module, "_int_inverse", counting)
+        for sf in stacks:
+            calls.clear()
+            gamma_category(sf)
+            assert len(calls) == 2
+
     def test_nonstacky_builds_no_image(self, dd_calls):
         p3 = standard_fan("Pn", n=3)
         dd_calls.clear()
@@ -530,7 +573,7 @@ class TestHomGradedOracle:
 
     def test_character_of_another_group_rejected(self):
         G = gamma_category(cyclic_stack(3))
-        other = FiniteAbelianGroup((7,)).character((1,))
+        other = Character((1,), FiniteAbelianGroup((7,)))
         with pytest.raises(ZlinError):
             G.quotient.representative(other)
         with pytest.raises(ZlinError):
@@ -542,7 +585,7 @@ class TestHomGradedOracle:
         # a tuple used to raise a raw AttributeError as chi and a raw
         # TypeError as chi_prime
         G = gamma_category(cyclic_stack(4))
-        chi = G.group.character((1,))
+        chi = Character((1,), G.group)
         with pytest.raises(ZlinError, match=r"^chi \(1,\) is not a character"):
             hom_graded(G, (1,), chi, 4)
         with pytest.raises(ZlinError,
@@ -555,8 +598,8 @@ class TestHomGradedOracle:
         assert equal == G.group and equal is not G.group
         chars = G.group.characters()
         for i, j in ((0, 1), (3, 1)):
-            assert (hom_graded(G, equal.character((i,)),
-                               equal.character((j,)), 6)
+            assert (hom_graded(G, Character((i,), equal),
+                               Character((j,), equal), 6)
                     is hom_graded(G, chars[i], chars[j], 6))
 
     def test_projection_checks_the_length(self):
@@ -567,29 +610,33 @@ class TestHomGradedOracle:
 
 
 class TestHomTable:
-    """hom_graded reads one table of isotypic components per grading."""
+    """hom_graded reads the monoid's coset table through the chart's
+    coset keys."""
 
     def test_filled_once_per_grading(self, monkeypatch):
         calls = []
-        isotypic = cohside.isotypic_component
+        representative = LatticeQuotient.representative
 
-        def counting(monoid, chi, bound, weight=None):
-            calls.append((bound, weight))
-            return isotypic(monoid, chi, bound, weight)
+        def counting(quotient, chi):
+            calls.append(chi.components)
+            return representative(quotient, chi)
 
-        monkeypatch.setattr(cohside, "isotypic_component", counting)
+        monkeypatch.setattr(LatticeQuotient, "representative", counting)
         for n in (2, 5, 7):
             calls.clear()
             G = gamma_category(cyclic_stack(n))
             chars = G.group.characters()
+            # the keys are filled with the chart, one per character
+            assert calls == [chi.components for chi in chars]
+            assert G._coset_keys == {(i,): (i,) for i in range(n)}
             # None and (1,) are one grading
             for bound, weight in ((6, None), (6, (1,)), (9, None), (6, (2,))):
                 for chi in chars:
                     for chi_prime in chars:
                         hom_graded(G, chi, chi_prime, bound, weight)
-            assert calls == ([(6, (1,))] * n + [(9, (1,))] * n
-                             + [(6, (2,))] * n)
-            assert list(G._homs) == [(6, (1,)), (9, (1,)), (6, (2,))]
+            assert len(calls) == n
+            assert list(G.monoid._coset_tables) == [(6, (1,)), (9, (1,)),
+                                                    (6, (2,))]
 
     def test_hom_is_the_kept_isotypic_component(self):
         compared = 0
@@ -771,8 +818,8 @@ class TestIsotypic:
     def test_product_kunneth(self):
         # [A^1/mu_2]^2: the 2d monoid is (1/2)Z>=0 x (1/2)Z>=0
         half = Fraction(1, 2)
-        mono2 = AffineMonoid(2, [(1, 0), (0, 1)], denominator=2)
-        mono1 = AffineMonoid(1, [(1,)], denominator=2)
+        mono2 = AffineMonoid(2, [(1, 0), (0, 1)], lattice=scaled_lattice(2, 2))
+        mono1 = AffineMonoid(1, [(1,)], lattice=scaled_lattice(1, 2))
         bound = 8
         for c1 in (0, half):
             for c2 in (0, half):
@@ -1029,7 +1076,7 @@ class TestAffineMonoid:
     @pytest.mark.parametrize("point", [(0.75,), (True,), ("1",), (1.0,)])
     def test_membership_rejects_inexact_coordinates(self, point):
         # on the order-4 line, (0.75,) and (True,) used to be members
-        mono = AffineMonoid(1, [(1,)], denominator=4)
+        mono = AffineMonoid(1, [(1,)], lattice=scaled_lattice(1, 4))
         assert mono.contains((Fraction(3, 4),)) and mono.contains((1,))
         with pytest.raises(CohError, match="is not an integer or a Fraction"):
             mono.contains(point)
@@ -1077,8 +1124,8 @@ class TestAffineMonoid:
             compared += 1
 
     @pytest.mark.parametrize("mono", [
-        AffineMonoid(0, []), AffineMonoid(0, [()], denominator=3),
-        AffineMonoid(0, [], denominator=2, lattice_basis=[])])
+        AffineMonoid(0, []), AffineMonoid(0, [()]),
+        AffineMonoid(0, [], lattice=LatticeQuotient([]))])
     def test_rank_zero_matches_contains_loop(self, mono):
         for bound in (0, 3):
             got = mono.elements_by_degree(bound)
@@ -1101,10 +1148,9 @@ class TestAffineMonoid:
         beta = IntMatrix([[1] * rank] + [
             [int(i == j + 1) - int(i == j) for i in range(rank)]
             for j in range(rank - 1)])
-        lattice = character_lattice_quotient(beta).superlattice_basis
-        for denominator, basis in ((1, None), (2, None), (rank, lattice)):
-            mono = AffineMonoid(rank, rows, denominator=denominator,
-                                lattice_basis=basis)
+        for lattice in (None, scaled_lattice(rank, 2),
+                        character_lattice_quotient(beta)):
+            mono = AffineMonoid(rank, rows, lattice=lattice)
             assert mono.weight_is_proper(weight)
             for bound in bounds:
                 assert (mono.elements_by_degree(bound, weight)
@@ -1152,16 +1198,47 @@ class TestAffineMonoid:
         with pytest.raises(CohError, match="is not an integer"):
             orthant_monoid(2).elements_by_degree(bound, weight)
 
-    @pytest.mark.parametrize("rank,denominator,message", [
-        (1.7, 1, "rank 1.7"), (True, 1, "rank True"), (-1, 1, "rank -1"),
-        (1, Fraction(5, 2), r"denominator Fraction\(5, 2\)"),
-        (1, 2.0, "denominator 2.0"),
-        (1, True, "denominator True")])
-    def test_non_integer_rank_or_denominator_rejected(self, rank, denominator,
-                                                      message):
-        # int() used to turn these into rank 1 and denominator 2
-        with pytest.raises(CohError, match=message):
-            AffineMonoid(rank, [(1,)], denominator=denominator)
+    @pytest.mark.parametrize("rank", [1.7, True, -1])
+    def test_non_integer_rank_rejected(self, rank):
+        # int() used to turn these into rank 1
+        with pytest.raises(CohError, match=f"^rank {rank!r} is not"):
+            AffineMonoid(rank, [(1,)])
+
+    @pytest.mark.parametrize("lattice", [
+        Fraction(5, 2), 2.0, True, [[Fraction(1, 2)]],
+        LatticeQuotient([[1, 0], [0, 1]]), LatticeQuotient([])])
+    def test_lattice_must_be_a_quotient_of_the_rank(self, lattice):
+        # a basis with a denominator that disagreed with it used to give
+        # a monoid with no element off Z
+        with pytest.raises(CohError,
+                           match=f"^lattice {re.escape(repr(lattice))} "):
+            AffineMonoid(1, [(1,)], lattice=lattice)
+
+    def test_membership_matches_cone_and_character_of(self):
+        # x lies in the monoid iff it pairs nonnegatively with every ray
+        # of the image cone and the quotient places it in the superlattice
+        rng = random.Random(20261020)
+        seen = set()
+        for G, sf, _ in oracle_charts():
+            rays = sf.fan.maximal_cones()[0].rays
+            d = G.monoid.denominator
+            for _ in range(60):
+                point = tuple(Fraction(rng.randint(-2 * d, 2 * d),
+                                       rng.choice((1, d, 2 * d)))
+                              for _ in range(G.monoid.rank))
+                in_cone = all(sum(a * x for a, x in zip(ray, point)) >= 0
+                              for ray in rays)
+                try:
+                    G.quotient.character_of(point)
+                    on_lattice = True
+                except ZlinError as exc:
+                    assert str(exc) == ("vector does not lie in the "
+                                        "superlattice")
+                    on_lattice = False
+                assert G.monoid.contains(point) == (in_cone and on_lattice)
+                seen.add((in_cone, on_lattice))
+        assert seen == {(True, True), (True, False), (False, True),
+                        (False, False)}
 
     def test_weight_of_wrong_length_rejected(self):
         # zip used to drop the 5 and count degrees as for (1, 1)

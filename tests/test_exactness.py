@@ -23,7 +23,7 @@ from fltzlab.conside import CatRep, ConError, FinitePoset, euler_form
 from fltzlab.fans import Cone, FanError, dd_generators
 from fltzlab.picsym import PicError, PicMonomial
 from fltzlab.skeleton import SkeletonError, enumerate_chambers, sample_point
-from fltzlab.zlin import IntMatrix, ZlinError
+from fltzlab.zlin import IntMatrix, LatticeQuotient, ZlinError
 
 PACKAGE_DIR = Path(fltzlab.__path__[0])
 
@@ -129,6 +129,8 @@ LAYERS = {
     "zlin.IntMatrix": (lambda x: IntMatrix([[1, x]]), ZlinError, False),
     "zlin.IntMatrix.__matmul__": (
         lambda x: IntMatrix([[1, 0]]) @ (x, 1), ZlinError, True),
+    "zlin.LatticeQuotient": (
+        lambda x: LatticeQuotient([(x,)]), ZlinError, True),
     "fans.Cone": (lambda x: Cone([(x, 1)]), FanError, True),
     "fans.Cone.contains": (
         lambda x: Cone([(1, 0), (0, 1)]).contains((x, 1)), FanError, True),
@@ -143,9 +145,6 @@ LAYERS = {
         False),
     "cohside.AffineMonoid.contains": (
         lambda x: AffineMonoid(1, [(1,)]).contains((x,)), CohError, True),
-    "cohside.AffineMonoid.lattice_basis": (
-        lambda x: AffineMonoid(1, [(1,)], denominator=3,
-                               lattice_basis=[(x,)]), CohError, True),
     "conside.CatRep": (_cat_rep, ConError, True),
     "conside.euler_form": (
         lambda x: euler_form(FinitePoset.chain(2), (1, x), (1, 0)), ConError,
