@@ -105,11 +105,11 @@ class AffineMonoid:
     """Lattice points of a cone inside a lattice L with Z^r ⊆ L ⊆ (1/d) Z^r.
 
     ``lattice`` is the :class:`LatticeQuotient` whose superlattice is L,
-    as for cyclic-quotient charts, or None for L = Z^r; ``denominator``
-    is its d (1 for Z^r).  Membership is exact: a point belongs iff it
-    satisfies every cone inequality and lies in L, tested in integers on
-    y = d x through the quotient's integer basis inverse.  ``rank`` must
-    be an ``int``.
+    as for cyclic-quotient charts, or None for L = Z^r, and is kept as
+    given; ``denominator`` is its d (1 for Z^r).  Membership is exact: a
+    point belongs iff it satisfies every cone inequality and lies in L,
+    tested in integers on y = d x through the quotient's integer basis
+    inverse.  ``rank`` must be an ``int``.
     """
 
     def __init__(self, rank, inequality_normals, lattice=None):
@@ -127,6 +127,7 @@ class AffineMonoid:
             if len(a) != self.rank:
                 raise CohError(f"inequality {a!r} has length {len(a)}, "
                                f"expected {self.rank}")
+        self.lattice = lattice
         self._denominator = 1
         self._lattice_rows, self._lattice_modulus = (), 1
         if lattice is not None:
@@ -319,7 +320,9 @@ def _coset_key(x, d):
 class GammaCategory:
     """Characters of the stacky group as objects; homs are lattice points.
 
-    ``quotient`` is the chart's lattice, and ``monoid`` is built on it.
+    ``quotient`` is the chart's lattice, ``monoid`` must be built on it
+    (its ``lattice`` is ``quotient``) and ``group`` must be
+    ``quotient.group``, or a :class:`CohError` is raised.
     ``projection`` sends a monoid element to the character it acts by;
     hom(chi, chi') is the isotypic component of the monoid at
     ``quotient.representative(chi' - chi)``.  ``_coset_keys`` maps the
@@ -333,6 +336,16 @@ class GammaCategory:
     _coset_keys: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.quotient, LatticeQuotient):
+            raise CohError(f"quotient {self.quotient!r} is not a "
+                           "LatticeQuotient")
+        if not isinstance(self.monoid, AffineMonoid) or \
+                self.monoid.lattice is not self.quotient:
+            raise CohError(f"monoid {self.monoid!r} is not built on the "
+                           f"quotient {self.quotient!r}")
+        if self.group is not self.quotient.group:
+            raise CohError(f"group {self.group!r} is not the group of the "
+                           f"quotient {self.quotient!r}")
         d = self.monoid.denominator
         object.__setattr__(self, "_coset_keys", {
             chi.components: _coset_key(self.quotient.representative(chi), d)
@@ -474,7 +487,9 @@ def costandard_stalk(c: Cone, chi, bound: int, denominator=1,
     sum in the quotient coordinates).  The count runs in integers over
     y = d z, d the denominator, for z in chi_q + Z^q: y steps through
     d chi_q + d Z^q, its degree is weight . y and it lies in the cone iff
-    every pairing with a generator is >= 0.  This coset-first route is
+    every pairing with a generator is >= 0.  For each head y[:-1] those
+    pairings and 0 <= degree <= bound are linear in the last coordinate,
+    so each clips its range, in integers.  This coset-first route is
     the independent side of the comparison with
     :func:`isotypic_component`, which enumerates the monoid first.
     ``chi`` must have ``int`` or ``Fraction`` entries, ``bound`` be a
@@ -492,17 +507,16 @@ def costandard_stalk(c: Cone, chi, bound: int, denominator=1,
     check_exact(chi, CohError, "character entry")
     if len(chi) != c.ambient_rank:
         raise CohError("character has the wrong rank")
-    for x in chi:
-        if (x * denominator).denominator != 1:
-            raise IncompatibleCharacterError(
-                f"character {chi} is not a torsion point of order dividing "
-                f"{denominator}")
+    if any(denominator % x.denominator for x in chi):
+        raise IncompatibleCharacterError(
+            f"character {chi} is not a torsion point of order dividing "
+            f"{denominator}")
     # a fact of the cone, kept on it: its stalks share one double
     # description
     q, project, ineqs_q, rays_q, lines_q = c._memo("_quotient",
                                                    _adapted_quotient)
     # the projection is integral, so d chi_q is the projection of d chi
-    dchi = [int(x * denominator) for x in chi]
+    dchi = [x.numerator * (denominator // x.denominator) for x in chi]
     base = tuple(sum(a * y for a, y in zip(row, dchi)) for row in project)
     weight = tuple(weight) if weight is not None else (1,) * q
     check_ints(weight, CohError, "weight entry")
@@ -529,13 +543,29 @@ def costandard_stalk(c: Cone, chi, bound: int, denominator=1,
             los[i] = min(los[i], (bound * r[i]) // w)
             his[i] = max(his[i], -(-(bound * r[i]) // w))
     steps = [range(lo + (b - lo) % denominator, hi + 1, denominator)
-             for b, lo, hi in zip(base, los, his)]
-    for y in product(*steps):
-        deg = sum(w * x for w, x in zip(weight, y))
-        if not 0 <= deg <= bound:
-            continue
-        if all(sum(a * x for a, x in zip(ineq, y)) >= 0 for ineq in ineqs_q):
-            dims[deg] += 1
+             for b, lo, hi in zip(base[:-1], los, his)]
+    # a clip (row, c) keeps the y with row . y + c >= 0: each generator
+    # pairing and 0 <= degree <= bound; zip pairs the row's prefix with
+    # the head y[:-1], and its last entry a clips the last coordinate t
+    # by a t + c >= 0
+    clips = [(a, 0) for a in ineqs_q]
+    clips += [(weight, 0), (tuple(-w for w in weight), bound)]
+    for head in product(*steps):
+        lo, hi = los[-1], his[-1]
+        for row, c in clips:
+            c += sum(x * y for x, y in zip(row, head))
+            a = row[-1]
+            if a > 0:
+                lo = max(lo, -(c // a))
+            elif a < 0:
+                hi = min(hi, c // -a)
+            elif c < 0:
+                break
+        else:
+            start = sum(w * y for w, y in zip(weight, head))
+            for t in range(lo + (base[-1] - lo) % denominator, hi + 1,
+                           denominator):
+                dims[start + weight[-1] * t] += 1
     return GradedDims._of(tuple(dims), bound, weight)
 
 
@@ -585,8 +615,9 @@ def _sign_region(n, d, box_bound, missing):
     For i < n, ray i is missing iff m_i <= -1; the last ray is missing
     iff sum(m) >= d + 1.  Each coordinate runs over its sign range,
     clipped to the box and pruned by the partial sum so that every
-    prefix extends to a character of the region; characters come in
-    lexicographic order.
+    prefix extends to a character of the region.  Yields (head, lo, hi)
+    in lexicographic order of the head: the characters head + (t,) for
+    lo <= t <= hi, a range that is empty only when a sign range is.
     """
     los = [-box_bound if i in missing else 0 for i in range(n)]
     his = [-1 if i in missing else box_bound for i in range(n)]
@@ -594,17 +625,17 @@ def _sign_region(n, d, box_bound, missing):
     rest_lo = [sum(los[k:]) for k in range(n + 1)]
     rest_hi = [sum(his[k:]) for k in range(n + 1)]
     last_missing = n in missing
-    m = [0] * n
+    m = [0] * (n - 1)
 
     def extend(k, s):
-        if k == n:
-            yield tuple(m)
-            return
         lo, hi = los[k], his[k]
         if last_missing:
             lo = max(lo, d + 1 - s - rest_hi[k + 1])
         else:
             hi = min(hi, d - s - rest_lo[k + 1])
+        if k == n - 1:
+            yield tuple(m), lo, hi
+            return
         for x in range(lo, hi + 1):
             m[k] = x
             yield from extend(k + 1, s + x)
@@ -620,11 +651,12 @@ def pn_line_bundle_cohomology(n: int, d: int, box_bound=None) -> tuple:
     it fails; the Cech complex of a missing set M has exact integer ranks
     on its +/-1 incidence matrices.  For every M whose complex has
     nonzero cohomology, the characters of the box with missing set M are
-    enumerated by nested integer ranges and counted.  The character box
-    must contain every contributing character or a
-    :class:`TruncationError` naming the lexicographically first
-    contributing character on the box boundary is raised.  ``n``, ``d``
-    and ``box_bound`` (default |d| + 1) must be ``int``.
+    counted: nested integer ranges for all but the last coordinate, and
+    the last coordinate's range by its length.  The character box must
+    contain every contributing character or a :class:`TruncationError`
+    naming the lexicographically first contributing character on the box
+    boundary is raised.  ``n``, ``d`` and ``box_bound`` (default
+    |d| + 1) must be ``int``.
     """
     if box_bound is None and type(d) is int:
         box_bound = abs(d) + 1
@@ -645,12 +677,18 @@ def pn_line_bundle_cohomology(n: int, d: int, box_bound=None) -> tuple:
             if not any(contrib):
                 continue
             count = 0
-            for m in _sign_region(n, d, box_bound, missing):
-                if max(abs(x) for x in m) == box_bound:
-                    if first_on_boundary is None or m < first_on_boundary:
-                        first_on_boundary = m
-                    break
-                count += 1
+            for head, lo, hi in _sign_region(n, d, box_bound, missing):
+                if lo > hi:
+                    continue
+                inside = box_bound not in head and -box_bound not in head
+                if inside and -box_bound < lo and hi < box_bound:
+                    count += hi - lo + 1
+                    continue
+                # the range's first character on the box boundary
+                m = head + (hi if inside and lo > -box_bound else lo,)
+                if first_on_boundary is None or m < first_on_boundary:
+                    first_on_boundary = m
+                break
             for i, x in enumerate(contrib):
                 totals[i] += count * x
     if first_on_boundary is not None:

@@ -4,9 +4,11 @@ All cone computations are exact.  A cone keeps its canonical rays and
 lines and an H-representation.  The canonical form (primitive integer
 generators sorted lexicographically) is the output of a double
 description pass on primitive integer vectors, which decides adjacency
-of rays from their zero sets rather than by rank computations.  Faces
-are read off the incidence of rays and inequalities.  Desk-scale only;
-no attempt at large-dimension performance.
+of rays from their zero sets rather than by rank computations.  A
+simplicial full-dimensional cone skips it: its facet normals are the
+columns of one integer inverse.  Faces are read off the incidence of
+rays and inequalities.  Desk-scale only; no attempt at large-dimension
+performance.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from operator import mul
 
 from .zlin import (
     IntMatrix,
+    ZlinError,
+    _int_inverse,
     check_exact,
     check_ints,
     cokernel,
@@ -190,8 +194,13 @@ class Cone:
     lexicographically, plus a +/- pair per lineality basis vector for
     non-pointed cones (fan construction rejects those; they arise as
     duals of non-full-dimensional cones).  Only ``Cone(generators)``
-    goes through the double dual; every other operation runs at most one
-    ``dd_generators`` pass, on an H-representation it already holds.
+    goes through the double dual, and not when the generators are
+    ``ambient_rank`` linearly independent vectors once primitive and
+    deduplicated: such a cone is simplicial and full-dimensional, its
+    rays are those vectors and its H-representation the primitive
+    columns of their one integer inverse, sorted, as the double dual
+    gives.  Every other operation runs at most one ``dd_generators``
+    pass, on an H-representation it already holds.
     ``_dual_gens`` (x is in the cone iff a.x >= 0 for all of them) may be
     any valid H-representation, redundant or not: nothing compares it.
     ``_dim`` and ``_quotient`` (the data of ``cohside``'s costandard
@@ -216,18 +225,24 @@ class Cone:
                 raise FanError("generator length does not match ambient rank")
             check_exact(g, FanError, "generator entry")
         gens = [primitivize(g) for g in gens if any(x != 0 for x in g)]
+        simplicial = _simplicial_reps(gens, ambient_rank)
+        if simplicial is not None:
+            Cone._from_reps(ambient_rank, simplicial[0], (), simplicial[1],
+                            self, dim=ambient_rank)
+            return
         hrep = _signed(*dd_generators(gens, ambient_rank))
         rays, lines = dd_generators(hrep, ambient_rank)
         Cone._from_reps(ambient_rank, rays, lines, hrep, self)
 
     @classmethod
-    def _from_reps(cls, rank, rays, lines, hrep, cone=None):
-        """Set the slots of ``cone`` (a new Cone by default); the
-        memoized ones start empty."""
+    def _from_reps(cls, rank, rays, lines, hrep, cone=None, dim=None):
+        """Set the slots of ``cone`` (a new Cone by default); ``dim`` is
+        the dimension when the caller knows it, and the other memoized
+        slot starts empty."""
         cone = object.__new__(cls) if cone is None else cone
         for name, value in zip(cls.__slots__, (rank, tuple(rays),
                                                tuple(lines), tuple(hrep),
-                                               None, None)):
+                                               dim, None)):
             object.__setattr__(cone, name, value)
         return cone
 
@@ -304,6 +319,22 @@ class Cone:
         return Cone._from_reps(self.ambient_rank, rays, (), hrep)
 
 
+def _simplicial_reps(gens, rank):
+    """``(rays, hrep)`` of the cone on primitive integer ``gens`` when,
+    deduplicated, they are ``rank`` linearly independent vectors, else
+    None.  Column j of the inverse of the matrix with the rays as rows
+    pairs to a positive number with ray j and to 0 with the others, so
+    the primitive columns are the facet normals."""
+    rays = sorted(set(gens))
+    if len(rays) != rank:
+        return None
+    try:
+        inverse, _ = _int_inverse(rays)
+    except ZlinError:  # singular
+        return None
+    return rays, sorted(_divide_content(col) for col in zip(*inverse))
+
+
 def _generator_rank(c):
     gens = c.generators
     return rational_rank([list(g) for g in gens]) if gens else 0
@@ -336,8 +367,11 @@ def faces(c: Cone):
     Their ray sets are the full set and its intersections with the sets
     of rays that each inequality of c's H-representation is tight on.  A
     face keeps c's H-representation plus its negated tight inequalities,
-    so no face needs a double description.  Returned sorted by
-    (dimension, canonical key); the partial order is inclusion of ray sets.
+    so no face needs a double description.  When c is simplicial (as
+    many rays as its dimension) so is every face, and a face's dimension
+    is its ray count, with no rank computed; otherwise c itself passes
+    on its dimension.  Returned sorted by (dimension, canonical key);
+    the partial order is inclusion of ray sets.
     """
     _check_cone(c, "c")
     if not c.is_strictly_convex():
@@ -345,15 +379,22 @@ def faces(c: Cone):
     rays, hrep = c.rays, c._dual_gens
     tight = [frozenset(i for i, r in enumerate(rays) if _dot(a, r) == 0)
              for a in hrep]
-    found = {frozenset(range(len(rays)))}
+    everything = frozenset(range(len(rays)))
+    found = {everything}
     for t in tight:
         found |= {f & t for f in found}
+    dim = c.dim()
+    simplicial = dim == len(rays)
     out = []
     for f in found:
         negs = [tuple(-x for x in a) for a, t in zip(hrep, tight) if f <= t]
+        if simplicial:
+            face_dim = len(f)
+        else:
+            face_dim = dim if f == everything else None
         out.append(Cone._from_reps(c.ambient_rank,
                                    [rays[i] for i in sorted(f)], (),
-                                   hrep + tuple(negs)))
+                                   hrep + tuple(negs), dim=face_dim))
     return sorted(out, key=lambda f: (f.dim(), f.key))
 
 
@@ -633,7 +674,8 @@ class StackyFan:
 
     def _maximal_images(self):
         """Maximal cone key of fan_hat -> its image cone, built on first
-        use with two double-description passes per cone."""
+        use through ``Cone``: two double-description passes per image,
+        none for a simplicial full-dimensional one."""
         if self._images is None:
             object.__setattr__(self, "_images", {
                 c.key: _image(self.beta, c)

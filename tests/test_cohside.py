@@ -10,6 +10,7 @@ import pytest
 from fltzlab.cohside import (
     AffineMonoid,
     CohError,
+    GammaCategory,
     GradedDims,
     ImproperWeightError,
     IncompatibleCharacterError,
@@ -345,6 +346,32 @@ class TestGammaCategory:
         assert G.projection((Fraction(1, 2), Fraction(1, 2))).components == (1,)
         assert G.projection((1, 0)).components == (0,)
 
+    def test_parts_must_agree(self):
+        # the quotient of (1/4)Z by Z with a monoid over Z used to key
+        # every character to the coset of Z, so hom_graded read
+        # (1, ..., 1) at bound 6 for all four characters
+        q = scaled_lattice(1, 4)
+        for monoid in (AffineMonoid(1, [(1,)]),
+                       AffineMonoid(1, [(1,)], lattice=scaled_lattice(1, 4))):
+            with pytest.raises(CohError, match="is not built on the "
+                                               "quotient"):
+                GammaCategory(group=q.group, monoid=monoid, quotient=q)
+        with pytest.raises(CohError, match="None is not a LatticeQuotient"):
+            GammaCategory(group=q.group, monoid=AffineMonoid(1, [(1,)]),
+                          quotient=None)
+        monoid = AffineMonoid(1, [(1,)], lattice=q)
+        assert monoid.lattice is q
+        with pytest.raises(CohError, match="is not the group of the "
+                                           "quotient"):
+            GammaCategory(group=FiniteAbelianGroup((4,)), monoid=monoid,
+                          quotient=q)
+        G = GammaCategory(group=q.group, monoid=monoid, quotient=q)
+        zero = G.group.zero_character()
+        got = [hom_graded(G, zero, chi, 6).dims
+               for chi in G.group.characters()]
+        assert got == [cyclic_quiver_paths(4, 0, j, 6).dims
+                       for j in range(4)]
+
     def test_needs_full_dimensional_cone(self):
         from fltzlab.skeleton import UnsupportedConeError
         sf = StackyFan(IntMatrix.identity(2),
@@ -369,18 +396,20 @@ class TestChartWork:
         return calls
 
     def test_rank_three_bench_chart(self, dd_calls):
-        # two passes for the orthant, two for its image, none to validate
-        # and one for the monoid cone
+        # the orthant and its image are simplicial, so neither runs a
+        # double description; validating runs none, and the monoid cone
+        # one
         sf = orthant_stack([[2, 0, 0], [0, 2, 0], [0, 0, 1]])
-        assert len(dd_calls) == 4
+        assert len(dd_calls) == 0
         assert validate_stacky(sf)
-        assert len(dd_calls) == 4
+        assert len(dd_calls) == 0
         gamma_category(sf)
-        assert len(dd_calls) == 5
+        assert len(dd_calls) == 1
 
     def test_two_integer_inverses_per_chart(self, monkeypatch):
-        # one for the superlattice basis and one for U; the monoid reads
-        # the quotient's
+        # building the stacky fan takes one for the cone and one for its
+        # image; the chart takes one for the superlattice basis and one
+        # for U, and the monoid reads the quotient's
         calls = []
         int_inverse = zlin._int_inverse
 
@@ -388,11 +417,13 @@ class TestChartWork:
             calls.append(rows)
             return int_inverse(rows)
 
-        stacks = [cyclic_stack(n) for n in (2, 3, 7)]
-        stacks += [orthant_stack(beta) for beta in BENCH_CHARTS]
-        for module in (zlin, cohside):
+        for module in (zlin, fans, cohside):
             monkeypatch.setattr(module, "_int_inverse", counting)
-        for sf in stacks:
+        for build, arg in ([(cyclic_stack, n) for n in (2, 3, 7)]
+                           + [(orthant_stack, b) for b in BENCH_CHARTS]):
+            calls.clear()
+            sf = build(arg)
+            assert len(calls) == 2
             calls.clear()
             gamma_category(sf)
             assert len(calls) == 2

@@ -6,6 +6,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import comb
 
 import pytest
 
@@ -1231,6 +1232,34 @@ class TestCartanEuler:
         with pytest.raises(ConError, match=r"Cartan matrix of Cycle\(\) is "
                                            "not unitriangular"):
             euler_form(Cycle(), (1, 0), (0, 1))
+
+
+def signed_koszul_dual_dims(n, width):
+    """K[x][x - p] = (-1)^p C(width, p) on the steps 0..n, 0 elsewhere:
+    with width n + 1, the signed dimensions of the Koszul dual of the
+    chamber category, which has the p-th exterior power of k^(n+1) from
+    step x to step x - p."""
+    return IntMatrix([[(-1) ** (x - y) * comb(width, x - y) if y <= x else 0
+                       for y in range(n + 1)] for x in range(n + 1)])
+
+
+class TestKoszulIdentity:
+    """The numerical Koszul identity (Polishchuk-Positselski, Ch. 2):
+    the Cartan matrix of the chamber category times the signed
+    dimensions of its Koszul dual is the identity, with no rank."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_cartan_times_koszul_dual_is_identity(self, n):
+        cartan = cartan_matrix(ChamberCategory(n))
+        assert cartan @ signed_koszul_dual_dims(n, n + 1) == \
+            IntMatrix.identity(n + 1)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_wrong_wedge_count_fails(self, n):
+        # exterior powers of k^n, one wall symbol short
+        cartan = cartan_matrix(ChamberCategory(n))
+        assert cartan @ signed_koszul_dual_dims(n, n) != \
+            IntMatrix.identity(n + 1)
 
 
 class TestBeilinsonGenerators:

@@ -463,8 +463,18 @@ class TestFacesGridOracle:
             done += 1
 
 
+def double_dual_cone(generators, rank):
+    """The cone on ``generators`` through the double dual, the route
+    that ``Cone`` takes for every cone that is not simplicial and
+    full-dimensional; its dimension is left to ``rational_rank``."""
+    gens = [primitivize(g) for g in generators if any(x != 0 for x in g)]
+    hrep = _signed(*dd_generators(gens, rank))
+    return Cone._from_reps(rank, *dd_generators(hrep, rank), hrep)
+
+
 def reference_faces(c):
-    """Faces by enumerating every ray subset, each built as Cone(chosen).
+    """Faces by enumerating every ray subset, each built through the
+    double dual.
 
     The algorithm the incidence-set closure replaced: a subset is a face
     iff the sum of the inequalities tight on all of it vanishes on
@@ -482,7 +492,7 @@ def reference_faces(c):
             zero_set = tuple(i for i, g in enumerate(rays)
                              if _frac_dot(w, g) == 0)
             if zero_set == subset:
-                face = Cone(chosen, ambient_rank=c.ambient_rank)
+                face = double_dual_cone(chosen, c.ambient_rank)
                 out[face.key] = face
     return sorted(out.values(), key=lambda f: (f.dim(), f.key))
 
@@ -490,18 +500,18 @@ def reference_faces(c):
 def reference_dual(c):
     """The dual rebuilt from its generators through the double dual."""
     rays, lines = dd_generators(c.generators, c.ambient_rank)
-    return Cone(_signed(rays, lines), ambient_rank=c.ambient_rank)
+    return double_dual_cone(_signed(rays, lines), c.ambient_rank)
 
 
 def reference_intersection(a, b):
     rays, lines = dd_generators(list(a._dual_gens) + list(b._dual_gens),
                                 a.ambient_rank)
-    return Cone(_signed(rays, lines), ambient_rank=a.ambient_rank)
+    return double_dual_cone(_signed(rays, lines), a.ambient_rank)
 
 
 def reference_negated(c):
-    return Cone([tuple(-x for x in g) for g in c.generators],
-                ambient_rank=c.ambient_rank)
+    return double_dual_cone([tuple(-x for x in g) for g in c.generators],
+                            c.ambient_rank)
 
 
 def seeded_cones(rng, count):
@@ -561,6 +571,116 @@ class TestConeOpsOracle:
             assert [f.key for f in fast] == [f.key for f in slow], c
             for f, g in zip(fast, slow):
                 assert_same_cone(f, g, self.GRID)
+
+
+def random_simplicial_generators(rng, rank):
+    """``rank`` linearly independent vectors, each given once or twice,
+    scaled by 1-3 and at random as ``Fraction`` entries; returns the
+    generators and which of those three shapes the draw has."""
+    while True:
+        basis = [tuple(rng.randint(-3, 3) for _ in range(rank))
+                 for _ in range(rank)]
+        if rational_rank(basis) == rank:
+            break
+    gens = []
+    for b in basis:
+        for _ in range(rng.randint(1, 2)):
+            scale, den = rng.randint(1, 3), rng.randint(1, 4)
+            g = tuple(scale * x for x in b)
+            if rng.random() < 0.3:
+                g = tuple(Fraction(x, den) for x in g)
+            gens.append(g)
+    rng.shuffle(gens)
+    shapes = {"duplicated": len(gens) > rank,
+              "non-primitive": any(primitivize(g) != g for g in gens),
+              "fraction": any(type(x) is Fraction for g in gens for x in g)}
+    return gens, shapes
+
+
+class TestSimplicialFastPath:
+    """Simplicial full-dimensional cones read one integer inverse; the
+    double dual is their oracle."""
+
+    GRID = TestConeOpsOracle.GRID
+
+    @pytest.fixture
+    def dd_calls(self, monkeypatch):
+        calls = []
+
+        def counting(inequalities, rank):
+            calls.append(rank)
+            return dd_generators(inequalities, rank)
+
+        monkeypatch.setattr("fltzlab.fans.dd_generators", counting)
+        return calls
+
+    def test_rays_and_hrep_match_double_dual(self, dd_calls):
+        rng = random.Random(83)
+        shapes = {"duplicated": 0, "non-primitive": 0, "fraction": 0}
+        for rank in (1, 2, 3, 4):
+            for _ in range(60):
+                gens, shape = random_simplicial_generators(rng, rank)
+                for k, v in shape.items():
+                    shapes[k] += v
+                dd_calls.clear()
+                fast = Cone(gens, ambient_rank=rank)
+                assert dd_calls == []
+                slow = double_dual_cone(gens, rank)
+                assert fast.rays == slow.rays and fast.lines == ()
+                assert fast._dual_gens == slow._dual_gens, gens
+                assert fast.dim() == slow.dim() == rank
+                assert_same_cone(fast, slow, self.GRID)
+        assert min(shapes.values()) >= 40, shapes
+
+    def test_faces_match_reference(self, monkeypatch):
+        rng = random.Random(89)
+        cones = [Cone(random_simplicial_generators(rng, rank)[0],
+                      ambient_rank=rank)
+                 for rank in (1, 2, 3, 4) for _ in range(15)]
+        ranks = []
+
+        def counting(rows):
+            ranks.append(rows)
+            return rational_rank(rows)
+
+        with monkeypatch.context() as m:
+            m.setattr("fltzlab.fans.rational_rank", counting)
+            fast = [faces(c) for c in cones]
+            dims = [[f.dim() for f in fs] for fs in fast]
+        assert ranks == []  # every dimension is a ray count
+        for c, fs, ds in zip(cones, fast, dims):
+            slow = reference_faces(c)
+            assert [(f.key, d) for f, d in zip(fs, ds)] == \
+                [(f.key, f.dim()) for f in slow], c
+            for f, g in zip(fs, slow):
+                assert_same_cone(f, g, self.GRID)
+
+    def test_dependent_generators_fall_back(self, dd_calls):
+        # r distinct generators of rank < r take the double dual, lines
+        # or not
+        rng = random.Random(97)
+        shapes = {"pointed": 0, "lines": 0}
+        for rank in (2, 3, 4):
+            for _ in range(30):
+                while True:
+                    gens = [tuple(rng.randint(-2, 2) for _ in range(rank))
+                            for _ in range(rank - 1)]
+                    coeffs = [rng.randint(-2, 2) for _ in gens]
+                    gens.append(tuple(
+                        sum(c * g[i] for c, g in zip(coeffs, gens))
+                        for i in range(rank)))
+                    if (any(gens[-1]) and rational_rank(gens) < rank
+                            and len({primitivize(g) for g in gens}) == rank):
+                        break
+                dd_calls.clear()
+                fast = Cone(gens, ambient_rank=rank)
+                assert len(dd_calls) == 2
+                slow = double_dual_cone(gens, rank)
+                assert (fast.rays, fast.lines, fast._dual_gens) == \
+                    (slow.rays, slow.lines, slow._dual_gens)
+                assert fast.dim() == rational_rank(gens) < rank
+                shapes["lines" if fast.lines else "pointed"] += 1
+        assert min(shapes.values()) >= 10, shapes
 
 
 class TestFans:
@@ -858,8 +978,8 @@ class TestDoubleDescriptionCount:
 
 
 def reference_image_cone(sf, cone_hat):
-    return Cone([sf.beta @ g for g in cone_hat.generators] or (),
-                ambient_rank=sf.beta.rows)
+    return double_dual_cone([sf.beta @ g for g in cone_hat.generators],
+                            sf.beta.rows)
 
 
 def reference_validate_stacky(sf):
