@@ -185,20 +185,33 @@ class AffineMonoid:
         The degree of x is weight . (d x) with d the denominator; the
         weight must be strictly positive on the cone, otherwise graded
         pieces would be infinite and an :class:`ImproperWeightError` is
-        raised.  ``bound`` and the weight entries must be ``int``.
-
-        The integer points y = d x are enumerated in lexicographic order
-        inside a box spanned by the extreme rays, all in integers.  For
-        each prefix of y the cone inequalities and the degree bound are
-        linear in the last coordinate, so each clips its range; only
-        in-cone points of degree <= bound reach the lattice congruence.
-        Each coordinate value's ``Fraction`` is built once per call.
+        raised.  ``bound`` and the weight entries must be ``int``.  The
+        points are those of :meth:`_points`, in its order, each
+        coordinate value's ``Fraction`` built once per call.
         """
         weight = self._checked_grading(bound, weight)
         out = {d: [] for d in range(bound + 1)}
+        points = list(self._points(bound, weight))
+        d = self.denominator
+        values = {c: Fraction(c, d) for _, y in points for c in y}
+        for deg, y in points:
+            out[deg].append(tuple(map(values.__getitem__, y)))
+        return out
+
+    def _points(self, bound, weight):
+        """``(degree, y)`` for each monoid element x of degree <= bound,
+        with y = d x as an ``int`` tuple, d the denominator, under a
+        grading checked by :meth:`_checked_grading`.
+
+        The y are enumerated in lexicographic order inside a box spanned
+        by the extreme rays, all in integers.  For each prefix of y the
+        cone inequalities and the degree bound are linear in the last
+        coordinate, so each clips its range; only in-cone points of
+        degree <= bound reach the lattice congruence.
+        """
         if not self.rank:
-            out[0].append(())
-            return out
+            yield 0, ()
+            return
         # bounds on y from the extreme rays: y = d x lies in the cone, so
         # with degree <= bound it is a nonnegative ray combination of
         # total weight <= bound; y is integral, so the bounds round inward
@@ -209,9 +222,6 @@ class AffineMonoid:
             for i in range(self.rank):
                 los[i] = min(los[i], -(-(bound * r[i]) // w))
                 his[i] = max(his[i], (bound * r[i]) // w)
-        base = min(los)
-        values = [Fraction(c, self.denominator)
-                  for c in range(base, max(his) + 1)]
         # a clip (row, c) keeps the y with row . y + c >= 0: each cone
         # inequality and degree <= bound (the proper weight makes every
         # degree in the cone >= 0); zip pairs the row's prefix with the
@@ -236,13 +246,10 @@ class AffineMonoid:
                 start = sum(w * y for w, y in zip(weight, head))
                 residues = [(sum(x * y for x, y in zip(row, head)), row[-1])
                             for row in lattice_rows]
-                point = tuple(values[y - base] for y in head)
                 for t in range(lo, hi + 1):
                     if any((c + a * t) % modulus for c, a in residues):
                         continue
-                    out[start + weight[-1] * t].append(
-                        point + (values[t - base],))
-        return out
+                    yield start + weight[-1] * t, head + (t,)
 
     def _checked_grading(self, bound, weight):
         """The weight as a tuple (default all ones) once bound and weight pass.
@@ -280,10 +287,10 @@ class AffineMonoid:
         """The :class:`GradedDims` of the monoid's elements in each coset
         of Z^rank, and the zero one every other coset reads.
 
-        A coset is keyed by d x mod d, which is d chi mod d for x in
-        chi + Z^rank.  The table is filled by one
-        :meth:`elements_by_degree` call per (bound, weight) and kept for
-        the life of the monoid.  The caller passes a grading checked by
+        A coset is keyed by y mod d with y = d x, which is d chi mod d
+        for x in chi + Z^rank.  The table is filled by one :meth:`_points`
+        enumeration per (bound, weight) and kept for the life of the
+        monoid.  The caller passes a grading checked by
         :meth:`_checked_grading`: 1.0 and True hash as 1 and must never
         reach the key.
         """
@@ -291,10 +298,9 @@ class AffineMonoid:
         if entry is None:
             d = self.denominator
             counts = {}
-            for deg, points in self.elements_by_degree(bound, weight).items():
-                for x in points:
-                    counts.setdefault(_coset_key(x, d),
-                                      [0] * (bound + 1))[deg] += 1
+            for deg, y in self._points(bound, weight):
+                counts.setdefault(tuple(c % d for c in y),
+                                  [0] * (bound + 1))[deg] += 1
             entry = ({key: GradedDims._of(tuple(dims), bound, weight)
                       for key, dims in counts.items()},
                      GradedDims._of((0,) * (bound + 1), bound, weight))
@@ -346,10 +352,12 @@ class GammaCategory:
         if self.group is not self.quotient.group:
             raise CohError(f"group {self.group!r} is not the group of the "
                            f"quotient {self.quotient!r}")
+        # the monoid's denominator is the quotient's, so the key of a
+        # representative y / d is y mod d
         d = self.monoid.denominator
         object.__setattr__(self, "_coset_keys", {
-            chi.components: _coset_key(self.quotient.representative(chi), d)
-            for chi in self.group.characters()})
+            comps: tuple(c % d for c in y)
+            for comps, y in self.quotient._numerators.items()})
 
     def projection(self, point) -> Character:
         return self.quotient.character_of(point)
@@ -367,12 +375,14 @@ def _adapted_quotient(cone: Cone):
     lines of the quotient cone they cut out.
     """
     n = cone.ambient_rank
-    perp = kernel_basis(IntMatrix([list(g) for g in cone.rays])) if cone.rays else \
-        [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    if not perp:
+    if cone.dim() == n:
+        # the rays span, so the perp is 0
         q, project = n, IntMatrix.identity(n).entries
         ineqs_q = [tuple(g) for g in cone.rays]
     else:
+        perp = kernel_basis(IntMatrix([list(g) for g in cone.rays])) \
+            if cone.rays else [tuple(int(i == j) for j in range(n))
+                               for i in range(n)]
         T = IntMatrix.from_columns([list(p) for p in perp], rows=n)
         # U carries the perp into the leading coordinates
         u = smith_normal_form(T).U

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from math import gcd, lcm, prod
 from operator import mul
 
@@ -169,46 +169,86 @@ class IntMatrix:
 # exact elimination on sparse integer rows (shared by the geometric modules)
 
 
-_INT_TYPES = frozenset((int,))
-
-
 def _sparse_rows(rows):
-    """Rows of Fractions/ints as primitive sparse ``{col: int}`` rows.
+    """Rows of Fractions/ints as sparse ``{col: int}`` rows, in order.
 
     A row is a sequence of entries, all sequence rows of one length, or
     a ``{column: entry}`` dict with nonnegative ``int`` columns.  Every
-    entry must be an ``int`` or a ``Fraction``.  Each row is scaled by
-    the lcm of its denominators and divided by its content; zero rows
-    are dropped.
+    entry must be an ``int`` or a ``Fraction``.  Zero entries are
+    dropped; a dict row with none is kept as it is (elimination never
+    writes to a row).  If some entry is not an ``int``, each row is
+    scaled by the lcm of its denominators.  No row is divided by its
+    content: a rank does not depend on it, and the rows of
+    :func:`_int_inverse` start primitive.
+
+    The checks run once per matrix, over all columns and all entries at
+    once.  If one fails, the rows are checked again one at a time, so
+    the error names the first bad row or entry, in row order.
     """
-    ncols = None
-    out = []
+    rows = list(rows)
+    sparse, dicts, lengths = [], [], set()
     for row in rows:
         if isinstance(row, dict):
-            if (not _INT_TYPES.issuperset(map(type, row))
-                    or min(row, default=0) < 0):
+            dicts.append(row)
+            sparse.append({j: x for j, x in row.items() if x}
+                          if 0 in row.values() else row)
+        else:
+            lengths.add(len(row))
+            sparse.append({j: x for j, x in enumerate(row) if x})
+    try:
+        ints = _matrix_is_int(rows, dicts, lengths)
+    except ZlinError:
+        _check_rows(rows)
+        raise
+    if ints:
+        return sparse
+    return [dict(zip(r, _cleared(r.values())[0])) for r in sparse]
+
+
+def _matrix_is_int(rows, dicts, lengths):
+    """Whether every entry of ``rows`` is an ``int``, once the whole
+    matrix passes the checks of :func:`_sparse_rows`; ``dicts`` are its
+    dict rows and ``lengths`` the set of its sequence rows' lengths.  A
+    failed check raises a :class:`ZlinError` that need not name the
+    first bad row."""
+    if len(lengths) > 1:
+        raise ZlinError("ragged rows in rational matrix")
+    values = rows
+    if dicts:
+        check_ints(chain.from_iterable(dicts), ZlinError, "column")
+        if min(chain.from_iterable(dicts), default=0) < 0:
+            raise ZlinError("negative column in sparse row")
+        values = [row.values() if isinstance(row, dict) else row
+                  for row in rows]
+    try:
+        check_ints(chain.from_iterable(values), ZlinError, "matrix entry")
+    except ZlinError:
+        check_exact(chain.from_iterable(values), ZlinError, "matrix entry")
+        return False
+    return True
+
+
+def _check_rows(rows):
+    """Raise the :class:`ZlinError` of the first bad row of ``rows`` or
+    of its first bad entry, checking one row at a time."""
+    ncols = None
+    for row in rows:
+        if isinstance(row, dict):
+            try:
+                check_ints(row, ZlinError, "column")
+                bad = min(row, default=0) < 0
+            except ZlinError:
+                bad = True
+            if bad:
                 raise ZlinError(f"sparse row {row!r} has a column that is "
                                 "not a nonnegative int")
-            values, r = row.values(), row.items()
+            check_exact(row.values(), ZlinError, "matrix entry")
         else:
             if ncols is None:
                 ncols = len(row)
             elif len(row) != ncols:
                 raise ZlinError("ragged rows in rational matrix")
-            values, r = row, enumerate(row)
-        # an all-int row needs no scaling by denominators
-        ints = _INT_TYPES.issuperset(map(type, values))
-        if not ints:
-            check_exact(values, ZlinError, "matrix entry")
-        r = {j: x for j, x in r if x}
-        if not r:
-            continue
-        if not ints:
-            den = lcm(*(x.denominator for x in r.values()))
-            r = {j: x.numerator * (den // x.denominator)
-                 for j, x in r.items()}
-        out.append(_primitive(r))
-    return out
+            check_exact(row, ZlinError, "matrix entry")
 
 
 def _primitive(r):
@@ -257,9 +297,15 @@ def rational_rank(rows):
     Each row is a sequence of entries (all of one length) or a sparse
     ``{column: entry}`` dict, in which a missing column is zero.  An
     entry that is not an ``int`` or a ``Fraction``, or a column that is
-    not a nonnegative ``int``, is a :class:`ZlinError`.
+    not a nonnegative ``int``, is a :class:`ZlinError`; these checks run
+    once per matrix, and the error names the first bad row or entry.
+
+    The rows reach the echelon sparsest first: a stable sort by the
+    number of nonzero entries (Markowitz 1957), so ties keep their
+    given order.  A short row, eliminated early, becomes a short pivot
+    and fills in the rows below it less.
     """
-    return len(_echelon(_sparse_rows(rows)))
+    return len(_echelon(sorted(_sparse_rows(rows), key=len)))
 
 
 def _int_inverse(rows):
@@ -269,7 +315,11 @@ def _int_inverse(rows):
 
     Eliminates ``[A | I]`` to echelon form, then back-substitutes.  Row i
     ends primitive, as p_i e_i beside r_i, so r_i / p_i is row i of the
-    inverse in lowest terms and q is the lcm of the |p_i|.
+    inverse in lowest terms and q is the lcm of the |p_i|.  Each row
+    starts primitive: cleared by the lcm L of its denominators, its
+    identity entry is L, and a prime p of L does not divide the entry
+    whose denominator has the most factors p.  :func:`_eliminate` keeps
+    rows primitive.
     """
     rows = [list(row) for row in rows]
     n = len(rows)
@@ -542,14 +592,15 @@ class LatticeQuotient:
     and kept in ``superlattice_basis``; it must contain Z^n.  Provides the
     quotient group, a complete duplicate-free transversal of coset
     representatives, the character of any superlattice vector and its
-    inverse, ``representative``, read from a table filled once here.  An
-    empty basis gives the trivial quotient of rank 0.
+    inverse, ``representative``, read from a table of integer numerators
+    over ``denominator`` filled once here.  An empty basis gives the
+    trivial quotient of rank 0.
 
     Everything is computed in integers over one denominator, the lcm e of
     the basis denominators, kept as ``denominator``: the basis is s / e
     with s integral, and s^-1 = B / q comes from :func:`_int_inverse`, so
     a vector y / e lies in the superlattice iff B y is divisible by q.
-    Each public ``Fraction`` is made once, at the end.
+    A public ``Fraction`` is made only when it is asked for.
     """
 
     def __init__(self, superlattice_basis):
@@ -585,13 +636,12 @@ class LatticeQuotient:
         self._rank = n
         self.index = prod(diag)
         # the representative of chi is sum_i c_i S'_i, with c_i the
-        # component of chi on the i-th cyclic summand (0 off them)
+        # component of chi on the i-th cyclic summand (0 off them); it is
+        # kept as its integer numerators over e
         cyclic = [[x for x, d in zip(row, diag) if d > 1] for row in adapted]
-        table = {comps: tuple(Fraction(sum(map(mul, comps, row)), e)
-                              for row in cyclic)
-                 for comps in product(*map(range, self.group.invariant_factors))}
-        self._representative_of = table
-        self.representatives = list(table.values())
+        self._numerators = {
+            comps: tuple(sum(map(mul, comps, row)) for row in cyclic)
+            for comps in product(*map(range, self.group.invariant_factors))}
 
     def __repr__(self):
         return f"LatticeQuotient({self.superlattice_basis!r})"
@@ -614,13 +664,20 @@ class LatticeQuotient:
                 comps.append(num // den % d)
         return Character._of(tuple(comps), self.group)
 
+    @property
+    def representatives(self):
+        """The transversal, as ``Fraction`` tuples: the representative of
+        each character, in the order of ``group.characters()``."""
+        return [self.representative(chi) for chi in self.group.characters()]
+
     def representative(self, chi) -> tuple:
         """The transversal element of ``chi``, inverse to ``character_of``.
 
         A character of another group is a :class:`ZlinError`.
         """
         self.group.check_character(chi, "chi")
-        return self._representative_of[chi.components]
+        e = self.denominator
+        return tuple(Fraction(y, e) for y in self._numerators[chi.components])
 
 
 def _exact_columns(basis):

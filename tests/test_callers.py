@@ -34,6 +34,9 @@ KEPT = {
         "the poset invariant the tests compare with chain lengths",
     "conside.FinitePoset.antichain":
         "builds the discrete posets of acceptance criterion 8",
+    "cohside.AffineMonoid.elements_by_degree":
+        "the public Fraction view of the monoid's points, which the "
+        "benchmark's tracer binds as the cohside.enum entry point",
     "conside.FinitePoset.product":
         "builds the grid posets of acceptance criterion 8 through the "
         "product routine that power shares",

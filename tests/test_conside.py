@@ -1063,6 +1063,26 @@ def per_face_hom_complex(M, N):
     return term_dims, diffs
 
 
+def bar_complex_pairs(generators_up_to, simples_at):
+    """``(diffs, widths)`` of ``hom_complex`` for every pair of Beilinson
+    generators at n <= ``generators_up_to`` and every pair of simples at
+    each n in ``simples_at``; ``widths[p]`` is the column count of
+    ``diffs[p]``."""
+    for n in range(1, max(generators_up_to, *simples_at) + 1):
+        cat = ChamberCategory(n)
+        families = []
+        if n <= generators_up_to:
+            families.append([beilinson_rep(n, k, cat)
+                             for k in range(1, n + 2)])
+        if n in simples_at:
+            families.append([CatRep(cat, {v: 1}, {}) for v in cat.objects])
+        for reps in families:
+            for M in reps:
+                for N in reps:
+                    dims, diffs = conside.hom_complex(M, N)
+                    yield diffs, dims[:-1]
+
+
 def all_int(rep):
     return all(type(x) is int for m in rep.matrices.values()
                for row in m for x in row.values())
@@ -1129,6 +1149,47 @@ class TestHomComplexOracle:
         calls.clear()
         per_face_hom_complex(gen, gen)
         assert len(calls) > 10 * kept, (len(calls), kept)
+
+    def test_differentials_rank_as_sympy_in_any_row_order(self):
+        # the rank kernel on the matrices it serves: every generator pair
+        # at n <= 2 and every simple pair at n = 3, as built and with the
+        # rows in a seeded shuffle
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(41)
+        ranked = 0
+        for diffs, widths in bar_complex_pairs(generators_up_to=2,
+                                               simples_at=(3,)):
+            for d, width in zip(diffs, widths):
+                expected = sympy.Matrix(to_dense(d, width)).rank()
+                shuffled = rng.sample(d, len(d))
+                assert zlin.rational_rank(d) == expected
+                assert zlin.rational_rank(shuffled) == expected
+                ranked += 1
+        assert ranked == 70, ranked
+
+    def test_sparsest_rows_first_eliminate_no_more(self, monkeypatch):
+        # rows reach the echelon sorted by their number of entries; on the
+        # bar complexes at n <= 3 that took 13,971 eliminations, against
+        # 16,260 with the rows in the order hom_complex builds them
+        calls = []
+        eliminate = zlin._eliminate
+
+        def counted(r, p, col):
+            calls.append(col)
+            return eliminate(r, p, col)
+
+        monkeypatch.setattr(zlin, "_eliminate", counted)
+        sorted_calls = built_calls = 0
+        for diffs, _ in bar_complex_pairs(generators_up_to=3,
+                                          simples_at=(1, 2, 3)):
+            for d in diffs:
+                calls.clear()
+                rank = zlin.rational_rank(d)
+                sorted_calls += len(calls)
+                calls.clear()
+                assert len(zlin._echelon(zlin._sparse_rows(d))) == rank
+                built_calls += len(calls)
+        assert sorted_calls <= 13971 < 16260 == built_calls
 
     def test_rep_hom_builds_no_dense_differential(self):
         # with dense differentials the traced peak was about 3.8 MiB;

@@ -15,6 +15,7 @@ from fltzlab.zlin import (
     IntMatrix,
     LatticeQuotient,
     ZlinError,
+    _int_inverse,
     check_exact,
     check_ints,
     cokernel,
@@ -626,6 +627,53 @@ class TestExactElimination:
         with pytest.raises(ZlinError, match=message):
             rational_rank(rows)
 
+    def test_rank_of_mixed_rows_matches_dense_reference(self):
+        # dict, list and tuple rows in one matrix, int and Fraction entries
+        rng = random.Random(15)
+        kinds = set()
+        for _ in range(300):
+            rows = random_sparse_matrix(rng)
+            mixed = []
+            for row in rows:
+                kind = rng.choice((dict, list, tuple))
+                kinds.add(kind)
+                mixed.append({j: x for j, x in enumerate(row) if x}
+                             if kind is dict else kind(row))
+            before = repr(mixed)
+            assert rational_rank(mixed) == dense_rank(rows)
+            # dict rows with no zero enter the echelon as they are, and
+            # elimination never writes to them
+            assert repr(mixed) == before
+        assert kinds == {dict, list, tuple}
+
+    @pytest.mark.parametrize("bad, message", [
+        ({3: [0.5, 1, 0, 0, 0, 0], 7: {-1: 1}}, "matrix entry 0.5 is not "
+         "an integer or a Fraction"),
+        ({3: {0: 1, "a": 2}, 7: [1, 2, True, 0, 0, 0]},
+         "sparse row {0: 1, 'a': 2} has a column that is not a "
+         "nonnegative int"),
+        ({3: [1, 2], 7: {0: 0.5}}, "ragged rows in rational matrix"),
+        ({3: {0: 1, 5: "x"}, 7: [1, 2]}, "matrix entry 'x' is not an "
+         "integer or a Fraction"),
+        ({7: {0: Fraction(1, 2), 1: None}}, "matrix entry None is not "
+         "an integer or a Fraction")])
+    def test_rank_names_the_first_bad_row(self, bad, message):
+        # the checks run over the whole matrix at once, and a failure is
+        # checked again row by row: the error names the first bad row or
+        # entry, as a row-at-a-time check does, whatever comes later
+        rng = random.Random(16)
+        rows = []
+        for i in range(50):
+            row = [rng.choice((0, 0, 1, -1, Fraction(1, 3)))
+                   for _ in range(6)]
+            rows.append({j: x for j, x in enumerate(row) if x}
+                        if i % 2 else row)
+        for i, row in bad.items():
+            rows[i] = row
+        with pytest.raises(ZlinError) as caught:
+            rational_rank(rows)
+        assert str(caught.value) == message
+
     def test_rank_zero_entries_are_checked_too(self):
         # a zero entry is dropped from the row, but not before its check
         with pytest.raises(ZlinError):
@@ -876,6 +924,21 @@ class TestIntegerQuotientOracle:
             sup = [] if isinstance(ref, tuple) else ref.superlattice_basis
             assert_same_quotient(got, ref, random_vectors(rng, sup))
         assert built >= 200, built
+
+    def test_int_inverse_is_in_lowest_terms(self):
+        # (B, q) with A^-1 = B / q and q least: the rows of [A | I] enter
+        # the echelon as they are, and start primitive
+        rng = random.Random(31)
+        for _ in range(500):
+            n = rng.randint(0, 5)
+            rows = [[random_exact(rng) if rng.random() < 0.7 else 0
+                     for _ in range(n)] for _ in range(n)]
+            ref = outcome(reference_inverse, rows)
+            if isinstance(ref, tuple):
+                continue
+            q = lcm(*(x.denominator for row in ref for x in row))
+            assert _int_inverse(rows) == (tuple(
+                tuple(int(x * q) for x in row) for row in ref), q)
 
     def test_rational_inverse_matches_gauss_jordan(self):
         rng = random.Random(31)
