@@ -117,10 +117,10 @@ def strata(n):
     The collapse onto the arrow poset has the left adjoint 0 -> c,
     1 -> r, and the collapse after it is the identity, so pulling back
     along the collapse is fully faithful on the derived category.  Ext
-    is compared on the simples for n <= 3 and also on the
+    is compared on the simples for n <= 4 and also on the
     corepresentables for n <= 2; larger n yields no records.
     """
-    if n > 3:
+    if n > 4:
         return
     orthant = fans.Cone([tuple(int(i == j) for j in range(n))
                          for i in range(n)])

@@ -72,6 +72,11 @@ def _parse_pic(spec_text, n):
     names = [s.strip() for s in spec_text.split(",")]
     if len(names) != n:
         raise InputError(f"--pic needs exactly {n} comma-separated names")
+    for i, name in enumerate(names):
+        if not name:
+            raise InputError(f"--pic name {i + 1} of {n} is empty")
+        if name in names[:i]:
+            raise InputError(f"--pic name {name!r} is repeated")
     gens = [picsym.PicMonomial.generator(i, n) for i in range(n)]
     return gens, names
 

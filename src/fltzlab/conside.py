@@ -11,11 +11,14 @@ dimension vectors, and DOT export.
 
 A finite poset is the special case of a directed category whose hom
 spaces have dimension at most one; a single nerve-complex implementation
-serves both.  A poset stores the up-set of each element and reads its
-order, covers and linear extension from it; a product of posets takes
-each tuple's up-set from its coordinates'.  Both are presented by
-arrows and relations: the covers of a poset with every pair of cover
-paths identified, and the n + 1 wall symbols per step of the chamber
+serves both.  The complex for RHom(M, N) has one block per chain from
+the support of M into the support of N: chains start only where M is
+nonzero and grow only to objects that reach the support of N.  A
+poset stores the up-set of each element and reads its order, covers
+and linear extension from it; a product of posets takes each tuple's
+up-set from its coordinates'.  Both are presented by arrows and
+relations: the covers of a poset with every pair of cover paths
+identified, and the n + 1 wall symbols per step of the chamber
 category with the commuting squares.
 A representation stores a matrix on each arrow only, as sparse
 ``{column: entry}`` rows (dense rows are accepted as input), checks the
@@ -477,21 +480,42 @@ def corepresentable(category, v) -> CatRep:
 # derived homs via the nerve (bar) cochain complex
 
 
-def _chains(category):
-    """Nondegenerate composable chains of basis morphisms, by length.
+def _chains(category, sources, targets):
+    """The nondegenerate composable chains of basis morphisms that start
+    in ``sources`` and end in ``targets``, by length.
 
     A chain of length p is ``(objects, morphisms)`` with p + 1 objects.
+    A chain is extended only to objects from which a chain reaches
+    ``targets``, found in one pass over the category's arcs, so each
+    length lists exactly the chains from ``sources`` into ``targets``,
+    in the order of the unrestricted enumeration when ``sources`` are
+    in object order.  There is one list per length up to the category's
+    longest chain, empty ones included.
     """
     arcs = {x: [(f, y) for y in category.objects
                 for f in category.hom_basis(x, y)]
             for x in category.objects}
-    by_len = [[((x,), ()) for x in category.objects]]
-    while True:
-        longer = [(objs + (y,), fs + (f,)) for objs, fs in by_len[-1]
-                  for f, y in arcs[objs[-1]]]
-        if not longer:
-            return by_len
-        by_len.append(longer)
+    height, reaches = {}, {}  # longest chain out of x; x reaches targets
+
+    def visit(x):
+        if x not in height:
+            for _, y in arcs[x]:
+                visit(y)
+            height[x] = max((height[y] + 1 for _, y in arcs[x]), default=0)
+            reaches[x] = x in targets or any(reaches[y] for _, y in arcs[x])
+
+    for x in category.objects:
+        visit(x)
+    arcs = {x: [(f, y) for f, y in out if reaches[y]]
+            for x, out in arcs.items()}
+    growing = [((x,), ()) for x in sources if reaches[x]]
+    by_len = []
+    for _ in range(max(height.values(), default=0) + 1):
+        by_len.append([(objs, fs) for objs, fs in growing
+                       if objs[-1] in targets])
+        growing = [(objs + (y,), fs + (f,)) for objs, fs in growing
+                   for f, y in arcs[objs[-1]]]
+    return by_len
 
 
 def _entries(m, dim):
@@ -506,13 +530,18 @@ def hom_complex(M: CatRep, N: CatRep):
     """The nerve cochain complex computing RHom(M, N).
 
     Term p has one block per chain x_0 -> ... -> x_p of p basis
-    morphisms: a map phi from M(x_0) to N(x_p), laid out row by row,
-    blocks in chain order.  One face rule builds the differential.  On
-    a chain f_0, ..., f_p of p + 1 morphisms, face k drops f_0 (k = 0),
-    composes f_(k-1) f_k (0 < k <= p) or drops f_p (k = p + 1), and adds
+    morphisms from the support of M into the support of N: a map phi
+    from M(x_0) to N(x_p), laid out row by row, blocks in chain order
+    (a chain with M(x_0) = 0 or N(x_p) = 0 has an empty block and is not
+    built).  One face rule builds the differential.  On a chain f_0,
+    ..., f_p of p + 1 morphisms, face k drops f_0 (k = 0), composes
+    f_(k-1) f_k (0 < k <= p) or drops f_p (k = p + 1), and adds
     sign * L * phi(face) * R, where L is N(f_p) on the last face, R is
     M(f_0) on the first, each is the identity otherwise, and sign is
-    (-1)^k times the ``compose`` coefficient.
+    (-1)^k times the ``compose`` coefficient.  The first face is left
+    out when M(x_1) = 0 and the last when N(x_(p-1)) = 0: their blocks
+    are empty.  There is one term per length up to the category's
+    longest chain, so the term count does not depend on M and N.
 
     Returns (dims, differentials): the dimension of each term and the
     sparse differentials d_p from term p to term p + 1, each a list of
@@ -524,7 +553,8 @@ def hom_complex(M: CatRep, N: CatRep):
     if M.category is not N.category:
         raise ConError("representations live on different categories")
     cat = M.category
-    chains = _chains(cat)
+    chains = _chains(cat, [x for x in cat.objects if M.dims[x]],
+                     {x for x in cat.objects if N.dims[x]})
     offsets, term_dims = [], []  # per term: chain -> block start; size
     for chs in chains:
         at, size = {}, 0
@@ -543,23 +573,24 @@ def hom_complex(M: CatRep, N: CatRep):
         d = [{} for _ in range(term_dims[p + 1])]
         for (objs, fs), row0 in offsets[p + 1].items():
             rows, cols = N.dims[objs[-1]], M.dims[objs[0]]
-            if not rows or not cols:
-                continue
             one_rows, one_cols = ident[rows], ident[cols]
-            first = firsts.get(fs[0])
-            if first is None:
-                first = firsts[fs[0]] = _entries(M.matrix(fs[0]), cols)
-            last = lasts.get(fs[-1])
-            if last is None:
-                last = lasts[fs[-1]] = _entries(N.matrix(fs[-1]), rows)
-            faces = [(1, (objs[1:], fs[1:]), one_rows, first)]
+            faces = []
+            if M.dims[objs[1]]:  # else the first face's block is empty
+                first = firsts.get(fs[0])
+                if first is None:
+                    first = firsts[fs[0]] = _entries(M.matrix(fs[0]), cols)
+                faces.append((1, (objs[1:], fs[1:]), one_rows, first))
             faces += [((-1) ** k * coeff, (objs[:k] + objs[k + 1:],
                                            fs[:k - 1] + (h,) + fs[k + 1:]),
                        one_rows, one_cols)
                       for k in range(1, len(fs))
                       for coeff, h in cat.compose(fs[k - 1], fs[k])]
-            faces.append(((-1) ** len(fs), (objs[:-1], fs[:-1]),
-                          last, one_cols))
+            if N.dims[objs[-2]]:  # else the last face's block is empty
+                last = lasts.get(fs[-1])
+                if last is None:
+                    last = lasts[fs[-1]] = _entries(N.matrix(fs[-1]), rows)
+                faces.append(((-1) ** len(fs), (objs[:-1], fs[:-1]),
+                              last, one_cols))
             for sign, face, left, right in faces:
                 col0 = offsets[p][face]
                 width = M.dims[face[0][0]]

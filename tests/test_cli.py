@@ -246,6 +246,18 @@ class TestQuiverCmd:
         assert out.count("->") == 2
         assert '"S,0+\\nL"' in out  # the translated outer lift carries L
 
+    @pytest.mark.parametrize("pic,message", [
+        (",M", "--pic name 1 of 2 is empty"),
+        ("L, ", "--pic name 2 of 2 is empty"),
+        ("L,L", "--pic name 'L' is repeated"),
+    ])
+    def test_empty_or_repeated_name_rejected(self, pic, message, capsys):
+        # these once printed labels such as "^-1 M" and "L^-1 L"
+        assert main(["quiver", "--n", "2", "--pic", pic]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
     def test_untwisted(self, capsys):
         assert main(["quiver", "--n", "2", "--untwisted"]) == 0
         out = capsys.readouterr().out

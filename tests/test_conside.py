@@ -1017,12 +1017,13 @@ def densify(term_dims, diffs):
 
 
 def per_face_hom_complex(M, N):
-    """``hom_complex`` as built before its entry lists were kept per call:
-    ``_entries`` made M(f_0), N(f_p) and each identity again on every
-    face of every chain."""
-    from fltzlab.conside import _chains, _entries
+    """``hom_complex`` as built before its entry lists were kept per call
+    and before its chains were restricted to the supports: over every
+    chain of the category, ``_entries`` made M(f_0), N(f_p) and each
+    identity again on every face."""
+    from fltzlab.conside import _entries
     cat = M.category
-    chains = _chains(cat)
+    chains = list(reference_chains(cat).values())
     offsets, term_dims = [], []
     for chs in chains:
         at, size = {}, 0
@@ -1126,6 +1127,58 @@ class TestHomComplexOracle:
                                  for d in diffs]
                                 == [[list(row.items()) for row in d]
                                     for d in ref_diffs])
+
+    def test_zero_inside_the_support(self):
+        # a chain x_0 -> x_1 -> x_2 through a zero of M drops its first
+        # face, and one through a zero of N its last; both blocks are
+        # empty, so the rows are those of the full enumeration
+        chain = FinitePoset.chain(3)
+        gap = CatRep(chain, {0: 1, 2: 1}, {})
+        cat = ChamberCategory(3)
+        x = 3, 1, Fraction(-2, 3)
+        cat_gap = CatRep(cat, {3: 1, 2: 2, 0: 1},
+                         {cat.arrow(3, i): [[x[i]], [x[i - 1]]]
+                          for i in range(3)})
+        for rep in (gap, cat_gap):
+            category = rep.category
+            others = [corepresentable(category, v) for v in category.objects]
+            others += [CatRep(category, {v: 1}, {}) for v in category.objects]
+            for M, N in ([(rep, rep)] + [(rep, o) for o in others]
+                         + [(o, rep) for o in others]):
+                dims, diffs = conside.hom_complex(M, N)
+                ref_dims, ref_diffs = reference_hom_complex(M, N)
+                assert dims == ref_dims
+                assert densify(dims, diffs) == ref_diffs
+                ref_dims, ref_diffs = per_face_hom_complex(M, N)
+                assert ([[list(row.items()) for row in d] for d in diffs]
+                        == [[list(row.items()) for row in d]
+                            for d in ref_diffs])
+        assert rep_hom(gap, gap) == [2]
+        # S_0 + S_2 on 0 < 1 < 2: no Ext between non-adjacent simples
+        assert rep_hom(CatRep(chain, {2: 1}, {}), gap) == [1]
+
+    def test_chains_start_in_the_source_support(self, monkeypatch):
+        # Ext(S_k, S_0) at n = 4 lists only the chains from k to 0, one
+        # list per length up to 4, where the category has 3,160 chains
+        cat = ChamberCategory(4)
+        reference = reference_chains(cat)
+        chains, built = conside._chains, []
+
+        def recorded(*args):
+            built.append(chains(*args))
+            return built[-1]
+
+        monkeypatch.setattr(conside, "_chains", recorded)
+        simples = [CatRep(cat, {v: 1}, {}) for v in cat.objects]
+        for k in cat.objects:
+            built.clear()
+            dims, _ = conside.hom_complex(simples[k], simples[0])
+            (by_len,) = built
+            assert by_len == [[(objs, fs) for objs, fs in reference[p]
+                               if objs[0] == k and objs[-1] == 0]
+                              for p in range(5)]
+            assert dims == [len(chs) for chs in by_len]
+        assert sum(map(len, reference.values())) == 3160
 
     def test_entry_lists_are_built_once_per_morphism(self, monkeypatch):
         # End(gen 4) at n = 3 has 7,113 cells; the per-face build made an
