@@ -117,8 +117,8 @@ def strata(n):
     The collapse onto the arrow poset has the left adjoint 0 -> c,
     1 -> r, and the collapse after it is the identity, so pulling back
     along the collapse is fully faithful on the derived category.  Ext
-    is compared on the simples for n <= 4 and also on the
-    corepresentables for n <= 2; larger n yields no records.
+    is compared on the simples and the corepresentables for n <= 4;
+    larger n yields no records.
     """
     if n > 4:
         return
@@ -130,10 +130,8 @@ def strata(n):
                 set(collapse.values()) == set(arrows.elements))
     reps = {f"S{''.join(map(str, v))}": conside.CatRep(arrows, {v: 1}, {})
             for v in arrows.objects}
-    if n <= 2:
-        reps.update({f"P{''.join(map(str, v))}":
-                     conside.corepresentable(arrows, v)
-                     for v in arrows.objects})
+    reps.update({f"P{''.join(map(str, v))}": conside.corepresentable(arrows, v)
+                 for v in arrows.objects})
     pulled = {name: _pull_back(M, poset, collapse)
               for name, M in reps.items()}
     for a, b in product(reps, repeat=2):

@@ -52,7 +52,8 @@ class GenerationFailure(ConError):
 
 # ---------------------------------------------------------------------------
 # directed categories: objects, finite hom bases and composition, presented
-# by arrows (``arrows``, ``factor``) and relations (``relations``)
+# by arrows (``arrows``, ``factor``) and relations (``relations``); a basis
+# morphism is a tuple whose first two entries are its source and target
 
 
 def _check_pairs(elements, pairs, what):
@@ -399,7 +400,11 @@ class CatRep:
     matrix is stored as sparse ``{column: entry}`` rows of its nonzero
     entries, kept as given; dense rows are accepted as input.  The
     category's relations are checked on construction, so :meth:`matrix`
-    gives any basis morphism the same matrix along every arrow path.
+    gives any basis morphism the same matrix along every arrow path.  A
+    relation (a, g, f) whose f starts or ends at an object of dimension
+    0 is skipped: both of its sides are then the empty matrix of f's
+    shape, which :func:`_matrix` has checked.  An object of dimension 0
+    between f's ends is still checked through.
     """
 
     def __init__(self, category, dims, matrices):
@@ -440,7 +445,10 @@ class CatRep:
         return m
 
     def _validate(self):
+        dims = self.dims
         for a, g, f in self.category.relations():
+            if not (dims[f[0]] and dims[f[1]]):
+                continue  # both sides are the empty matrix of f's shape
             if self._then(a, g) != self.matrix(f):
                 raise ConError(f"functoriality fails composing {a!r} then "
                                f"{g!r}")
@@ -480,21 +488,32 @@ def corepresentable(category, v) -> CatRep:
 # derived homs via the nerve (bar) cochain complex
 
 
+def _arcs(category):
+    """Each object's basis morphisms out as ``(f, target)`` pairs, targets
+    in object order; built on the first call and kept on the category."""
+    arcs = getattr(category, "_arc_table", None)
+    if arcs is None:
+        arcs = category._arc_table = {
+            x: [(f, y) for y in category.objects
+                for f in category.hom_basis(x, y)]
+            for x in category.objects}
+    return arcs
+
+
 def _chains(category, sources, targets):
     """The nondegenerate composable chains of basis morphisms that start
     in ``sources`` and end in ``targets``, by length.
 
     A chain of length p is ``(objects, morphisms)`` with p + 1 objects.
     A chain is extended only to objects from which a chain reaches
-    ``targets``, found in one pass over the category's arcs, so each
+    ``targets``, found in one pass over the category's arcs (its basis
+    morphisms, listed by source in object order by :func:`_arcs`), so each
     length lists exactly the chains from ``sources`` into ``targets``,
     in the order of the unrestricted enumeration when ``sources`` are
     in object order.  There is one list per length up to the category's
     longest chain, empty ones included.
     """
-    arcs = {x: [(f, y) for y in category.objects
-                for f in category.hom_basis(x, y)]
-            for x in category.objects}
+    arcs = _arcs(category)
     height, reaches = {}, {}  # longest chain out of x; x reaches targets
 
     def visit(x):

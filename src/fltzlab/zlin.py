@@ -175,11 +175,11 @@ def _sparse_rows(rows):
     A row is a sequence of entries, all sequence rows of one length, or
     a ``{column: entry}`` dict with nonnegative ``int`` columns.  Every
     entry must be an ``int`` or a ``Fraction``.  Zero entries are
-    dropped; a dict row with none is kept as it is (elimination never
-    writes to a row).  If some entry is not an ``int``, each row is
-    scaled by the lcm of its denominators.  No row is divided by its
-    content: a rank does not depend on it, and the rows of
-    :func:`_int_inverse` start primitive.
+    dropped; a dict row with none is kept as it is (the echelon copies
+    a row before writing it).  If some entry is not an ``int``, each row
+    is scaled by the lcm of its denominators.  No row is divided by its
+    content: a rank does not depend on it, and :func:`_int_inverse`
+    divides its rows once it has eliminated them.
 
     The checks run once per matrix, over all columns and all entries at
     once.  If one fails, the rows are checked again one at a time, so
@@ -252,42 +252,64 @@ def _check_rows(rows):
 
 
 def _primitive(r):
+    """Divide the row ``r`` by the gcd of its entries, in place."""
     g = gcd(*r.values())
-    if g == 1:
-        return r
-    return {j: x // g for j, x in r.items()}
+    if g != 1:
+        for j in r:
+            r[j] //= g
 
 
 def _eliminate(r, p, col):
-    """Fraction-free ``a*r - b*p`` clearing column ``col``, made primitive."""
-    g = gcd(r[col], p[col])
-    a, b = p[col] // g, r[col] // g
-    out = {j: a * x for j, x in r.items()} if a != 1 else dict(r)
+    """Clear column ``col`` of the row ``r`` against the pivot row ``p``,
+    in place; ``r`` must be a row the caller owns.
+
+    On a unit pivot (``p[col]`` is 1 or -1) this subtracts
+    ``r[col] * p[col] * p``: no scaling and no content division.  On any
+    other pivot it is the fraction-free ``a*r - b*p`` (Bareiss 1968),
+    divided by its content.
+    """
+    c, pc = r[col], p[col]
+    unit = pc == 1 or pc == -1
+    if unit:
+        b = c * pc
+    else:
+        g = gcd(c, pc)
+        a, b = pc // g, c // g
+        if a != 1:
+            for j in r:
+                r[j] *= a
     for j, y in p.items():
-        v = out.get(j, 0) - b * y
+        v = r.get(j, 0) - b * y
         if v:
-            out[j] = v
+            r[j] = v
         else:
-            del out[j]
-    return _primitive(out) if out else out
+            del r[j]
+    if not unit:
+        _primitive(r)
 
 
 def _echelon(rows):
     """Row echelon form of sparse integer rows, keyed by leading column.
 
     Rows are inserted one at a time; each is reduced against the pivot
-    rows by fraction-free elimination (Bareiss 1968) until its leading
-    column is new or it vanishes.  Entries stay integers throughout.
+    rows by :func:`_eliminate` until its leading column is new or it
+    vanishes.  The echelon copies a row before writing it, the first
+    time the row meets a pivot, and then reduces that copy in place, so
+    the given rows are never written; a row that meets no pivot is kept
+    as it is.  Entries stay integers throughout.
     """
     echelon = {}
     for r in rows:
+        owned = False
         while r:
             lead = min(r)
             p = echelon.get(lead)
             if p is None:
                 echelon[lead] = r
                 break
-            r = _eliminate(r, p, lead)
+            if not owned:
+                r, owned = dict(r), True
+            _eliminate(r, p, lead)
     return echelon
 
 
@@ -313,13 +335,12 @@ def _int_inverse(rows):
     B a tuple of ``int`` row tuples and q the least positive ``int`` with
     A^-1 = B / q.
 
-    Eliminates ``[A | I]`` to echelon form, then back-substitutes.  Row i
-    ends primitive, as p_i e_i beside r_i, so r_i / p_i is row i of the
-    inverse in lowest terms and q is the lcm of the |p_i|.  Each row
-    starts primitive: cleared by the lcm L of its denominators, its
-    identity entry is L, and a prime p of L does not divide the entry
-    whose denominator has the most factors p.  :func:`_eliminate` keeps
-    rows primitive.
+    Eliminates ``[A | I]`` to echelon form, back-substitutes, and then
+    divides each row by its content.  Row i so ends primitive, as p_i e_i
+    beside r_i, and r_i / p_i is row i of the inverse in lowest terms, so
+    q is the lcm of the |p_i|.  A step on a unit pivot divides by no
+    content, so a row is not primitive before that last division.  The
+    rows of ``[A | I]`` are built here, so elimination may write to them.
     """
     rows = [list(row) for row in rows]
     n = len(rows)
@@ -333,7 +354,9 @@ def _int_inverse(rows):
         p = echelon[col]
         for lead in range(col):
             if col in echelon[lead]:
-                echelon[lead] = _eliminate(echelon[lead], p, col)
+                _eliminate(echelon[lead], p, col)
+    for r in echelon.values():
+        _primitive(r)
     q = lcm(*(echelon[i][i] for i in range(n)))
     return tuple(tuple(echelon[i].get(n + j, 0) * (q // echelon[i][i])
                        for j in range(n)) for i in range(n)), q

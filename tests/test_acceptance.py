@@ -79,10 +79,10 @@ def test_criterion_3_two_sided_match():
 def test_criterion_4_chamber_counts():
     for n in (1, 2, 3, 4):
         _expect(checks.chambers(n), 3 if n == 2 else 2)
-    # one surjectivity record, then Ext on every pair of 2^n simples and,
-    # for n <= 2, 2^n corepresentables
-    for n, count in ((1, 1 + 4 ** 2), (2, 1 + 8 ** 2), (3, 1 + 8 ** 2),
-                     (4, 1 + 16 ** 2)):
+    # one surjectivity record, then Ext on every pair of the 2^n simples
+    # and 2^n corepresentables
+    for n, count in ((1, 1 + 4 ** 2), (2, 1 + 8 ** 2), (3, 1 + 16 ** 2),
+                     (4, 1 + 32 ** 2)):
         _expect(checks.strata(n), count)
     _report(4, "geometric chamber enumeration equals the closed formula for "
                "n = 1..4, total 7 for n = 2, stable under two epsilons; the "

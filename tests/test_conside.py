@@ -722,6 +722,49 @@ class TestArrowsAndRelations:
         maps[square[0]] = [[1]]
         CatRep(category, dims, maps)
 
+    def test_relations_with_a_zero_end_are_not_multiplied(self, monkeypatch):
+        # every square of the chamber category runs from step s to step
+        # s - 2, so a simple is 0 at one end of each and the relation
+        # check composes nothing; a generator still composes
+        products = []
+        mat_mul = conside._mat_mul
+
+        def counted(a, b):
+            products.append(len(a))
+            return mat_mul(a, b)
+
+        monkeypatch.setattr(conside, "_mat_mul", counted)
+        cat = ChamberCategory(4)
+        for v in cat.objects:
+            CatRep(cat, {v: 1}, {})
+        assert products == []
+        corepresentable(cat, 4)
+        assert products
+
+    @pytest.mark.parametrize("zero", ["b", "c"])
+    def test_zero_object_inside_a_square_is_still_checked(self, zero):
+        # a < b < d and a < c < d with one middle object of dimension 0:
+        # the path through it is 0, the path through the other is not
+        diamond = FinitePoset.from_covers(
+            "abcd", [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")])
+        other = "c" if zero == "b" else "b"
+        dims = {"a": 1, "b": 1, "c": 1, "d": 1, zero: 0}
+        maps = {("a", other): [[1]], (other, "d"): [[1]]}
+        with pytest.raises(ConError, match="functoriality fails"):
+            CatRep(diamond, dims, maps)
+        maps[(other, "d")] = []
+        CatRep(diamond, dims, maps)
+
+    def test_bad_square_with_nonzero_ends_names_it(self):
+        cat = ChamberCategory(2)
+        maps = {a: [[1]] for _, _, a in cat.arrows()}
+        maps[cat.arrow(2, 2)] = [[-1]]
+        message = ("functoriality fails composing (2, 1, (0, 0, 1)) then "
+                   "(1, 0, (1, 0, 0))")
+        with pytest.raises(ConError) as err:
+            CatRep(cat, {0: 1, 1: 1, 2: 1}, maps)
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("name", sorted(ORACLE_CATEGORIES))
     def test_relation_check_agrees_with_all_pairs_check(self, name):
         category = ORACLE_CATEGORIES[name]
@@ -1179,6 +1222,29 @@ class TestHomComplexOracle:
                               for p in range(5)]
             assert dims == [len(chs) for chs in by_len]
         assert sum(map(len, reference.values())) == 3160
+
+    def test_arc_table_is_built_once_per_category(self, monkeypatch):
+        # each hom_complex call used to ask hom_basis for every ordered
+        # pair of objects again; the table is now kept on the category
+        arrows = FinitePoset.chain(2).power(3)
+        simples = [CatRep(arrows, {v: 1}, {}) for v in arrows.objects]
+        asked = []
+        hom_basis = FinitePoset.hom_basis
+
+        def counted(self, x, y):
+            asked.append((x, y))
+            return hom_basis(self, x, y)
+
+        monkeypatch.setattr(FinitePoset, "hom_basis", counted)
+        firsts = [rep_hom(simples[0], N) for N in simples]
+        assert len(asked) == len(arrows) ** 2
+        asked.clear()
+        assert [rep_hom(simples[0], N) for N in simples] == firsts
+        assert asked == []
+        other = FinitePoset.chain(2).power(3)
+        rep_hom(CatRep(other, {other.objects[0]: 1}, {}),
+                CatRep(other, {other.objects[-1]: 1}, {}))
+        assert len(asked) == len(other) ** 2
 
     def test_entry_lists_are_built_once_per_morphism(self, monkeypatch):
         # End(gen 4) at n = 3 has 7,113 cells; the per-face build made an

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from fltzlab import zlin
 from fltzlab.fans import FanError
 from fltzlab.skeleton import SkeletonError, character_lattice_quotient
 from fltzlab.zlin import (
@@ -569,6 +570,69 @@ class TestExactElimination:
                     for row in rows for x in row]
             expected = sympy.Matrix(len(rows), ncols, flat).rank()
             assert rational_rank(rows) == expected
+
+    @pytest.mark.parametrize("exact", [int, Fraction])
+    def test_rank_on_unit_and_other_pivots_matches_sympy(self, exact,
+                                                         monkeypatch):
+        # a step on a pivot of 1 or -1 neither scales nor divides by the
+        # content; entries from {-3, -1, 1, 2, 4} and integer combinations
+        # of earlier rows give both kinds of pivot and dependent rows
+        sympy = pytest.importorskip("sympy")
+        unit = set()
+        eliminate = zlin._eliminate
+
+        def recorded(r, p, col):
+            unit.add(abs(p[col]) == 1)
+            return eliminate(r, p, col)
+
+        monkeypatch.setattr(zlin, "_eliminate", recorded)
+        rng = random.Random(15)
+        dependent = 0
+        for _ in range(300):
+            ncols = rng.randint(1, 9)
+            rows = []
+            for _ in range(rng.randint(1, 9)):
+                if rows and rng.random() < 0.3:
+                    a, b = rng.choice(rows), rng.choice(rows)
+                    s, t = rng.randint(-3, 3), rng.randint(-3, 3)
+                    rows.append([s * x + t * y for x, y in zip(a, b)])
+                else:
+                    rows.append([rng.choice((-3, -1, 1, 2, 4))
+                                 if rng.random() < 0.4 else 0
+                                 for _ in range(ncols)])
+            if exact is Fraction:
+                rows = [[Fraction(x, d) for x in row]
+                        for row, d in zip(rows, (rng.randint(1, 6)
+                                                 for _ in rows))]
+            expected = sympy.Matrix([[sympy.Rational(x) for x in row]
+                                     for row in rows]).rank()
+            assert rational_rank(rows) == expected == dense_rank(rows)
+            dependent += expected < sum(any(row) for row in rows)
+        assert unit == {True, False}
+        assert dependent >= 50, dependent
+
+    def test_rank_leaves_the_callers_rows_unchanged(self):
+        # a dict row with no stored zero reaches the echelon as the
+        # caller's own object; the echelon copies it before writing it
+        rng = random.Random(16)
+        eliminated = 0
+        for _ in range(300):
+            ncols = rng.randint(1, 8)
+            rows = [{j: rng.choice((-2, -1, 1, 3, Fraction(1, 2)))
+                     for j in rng.sample(range(ncols), rng.randint(0, ncols))}
+                    for _ in range(rng.randint(1, 8))]
+            if rng.random() < 0.5:
+                rows = [{j: x for j, x in row.items() if type(x) is int}
+                        for row in rows]
+            dense = [[row.get(j, 0) for j in range(ncols)] for row in rows]
+            given = [list(row.items()) for row in rows]
+            dense_given = [list(row) for row in dense]
+            rank = rational_rank(rows)
+            assert rational_rank(dense) == rank
+            assert [list(row.items()) for row in rows] == given
+            assert dense == dense_given
+            eliminated += rank < sum(map(bool, rows))
+        assert eliminated >= 50, eliminated
 
     def test_rank_of_integer_rows(self):
         assert rational_rank([[2, 4, 6], [1, 2, 3], [0, 0, 5]]) == 2
