@@ -490,14 +490,31 @@ def corepresentable(category, v) -> CatRep:
 
 def _arcs(category):
     """Each object's basis morphisms out as ``(f, target)`` pairs, targets
-    in object order; built on the first call and kept on the category."""
-    arcs = getattr(category, "_arc_table", None)
-    if arcs is None:
-        arcs = category._arc_table = {
-            x: [(f, y) for y in category.objects
-                for f in category.hom_basis(x, y)]
-            for x in category.objects}
-    return arcs
+    in object order, and :func:`_heights` of them; built on the first
+    call and kept on the category."""
+    table = getattr(category, "_arc_table", None)
+    if table is None:
+        arcs = {x: [(f, y) for y in category.objects
+                    for f in category.hom_basis(x, y)]
+                for x in category.objects}
+        table = category._arc_table = (arcs, _heights(arcs))
+    return table
+
+
+def _heights(arcs):
+    """Each object's longest chain out, keyed with every target of an
+    arc before its source."""
+    height = {}
+
+    def visit(x):
+        if x not in height:
+            for _, y in arcs[x]:
+                visit(y)
+            height[x] = max((height[y] + 1 for _, y in arcs[x]), default=0)
+
+    for x in arcs:
+        visit(x)
+    return height
 
 
 def _chains(category, sources, targets):
@@ -513,18 +530,10 @@ def _chains(category, sources, targets):
     in object order.  There is one list per length up to the category's
     longest chain, empty ones included.
     """
-    arcs = _arcs(category)
-    height, reaches = {}, {}  # longest chain out of x; x reaches targets
-
-    def visit(x):
-        if x not in height:
-            for _, y in arcs[x]:
-                visit(y)
-            height[x] = max((height[y] + 1 for _, y in arcs[x]), default=0)
-            reaches[x] = x in targets or any(reaches[y] for _, y in arcs[x])
-
-    for x in category.objects:
-        visit(x)
+    arcs, height = _arcs(category)
+    reaches = {}  # x reaches targets; height lists targets before sources
+    for x in height:
+        reaches[x] = x in targets or any(reaches[y] for _, y in arcs[x])
     arcs = {x: [(f, y) for f, y in out if reaches[y]]
             for x, out in arcs.items()}
     growing = [((x,), ()) for x in sources if reaches[x]]

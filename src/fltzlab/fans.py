@@ -6,9 +6,10 @@ generators sorted lexicographically) is the output of a double
 description pass on primitive integer vectors, which decides adjacency
 of rays from their zero sets rather than by rank computations.  A
 simplicial full-dimensional cone skips it: its facet normals are the
-columns of one integer inverse.  Faces are read off the incidence of
-rays and inequalities.  Desk-scale only; no attempt at large-dimension
-performance.
+columns of one integer inverse.  A pointed cone takes its rays from its
+generators' zero sets over its facet normals.  Faces are read off the
+incidence of rays and inequalities, and their dimensions off the face
+lattice.  Desk-scale only; no attempt at large-dimension performance.
 """
 
 from __future__ import annotations
@@ -193,18 +194,24 @@ class Cone:
     Canonical form: extreme rays as primitive integer vectors sorted
     lexicographically, plus a +/- pair per lineality basis vector for
     non-pointed cones (fan construction rejects those; they arise as
-    duals of non-full-dimensional cones).  Only ``Cone(generators)``
-    goes through the double dual, and not when the generators are
-    ``ambient_rank`` linearly independent vectors once primitive and
-    deduplicated: such a cone is simplicial and full-dimensional, its
-    rays are those vectors and its H-representation the primitive
-    columns of their one integer inverse, sorted, as the double dual
-    gives.  Every other operation runs at most one ``dd_generators``
-    pass, on an H-representation it already holds.
+    duals of non-full-dimensional cones).  ``Cone(generators)`` runs
+    one ``dd_generators`` pass on the primitive generators, which gives
+    the dual's rays (the facet normals) and lines (a basis of the span's
+    perp, so the dimension).  A pointed cone's rays are the generators
+    whose zero set over the facet normals no generator's zero set
+    strictly contains; a cone with lines (one of its generators is tight
+    on every facet normal) takes a second pass.  ``ambient_rank``
+    linearly independent generators, once primitive and deduplicated,
+    run none: such a cone is simplicial and full-dimensional, its rays
+    are those vectors and its H-representation the primitive columns of
+    their one integer inverse, sorted, as the double dual gives.  Every
+    other operation runs at most one ``dd_generators`` pass, on an
+    H-representation it already holds.
     ``_dual_gens`` (x is in the cone iff a.x >= 0 for all of them) may be
     any valid H-representation, redundant or not: nothing compares it.
     ``_dim`` and ``_quotient`` (the data of ``cohside``'s costandard
-    stalks) are facts of the cone, computed on first use by :meth:`_memo`.
+    stalks) are facts of the cone, computed on first use by :meth:`_memo`
+    unless construction knew them.
     ``ambient_rank`` must be a nonnegative ``int``.
     """
 
@@ -230,9 +237,20 @@ class Cone:
             Cone._from_reps(ambient_rank, simplicial[0], (), simplicial[1],
                             self, dim=ambient_rank)
             return
-        hrep = _signed(*dd_generators(gens, ambient_rank))
-        rays, lines = dd_generators(hrep, ambient_rank)
-        Cone._from_reps(ambient_rank, rays, lines, hrep, self)
+        facets, perp = dd_generators(gens, ambient_rank)
+        hrep = _signed(facets, perp)
+        # zero set of each generator over the facet normals; a generator
+        # tight on all of them lies in a line, and otherwise one is
+        # extreme iff no generator's zero set strictly contains its own
+        zeros = {g: frozenset(i for i, a in enumerate(facets)
+                              if _dot(a, g) == 0) for g in gens}
+        if any(len(z) == len(facets) for z in zeros.values()):
+            rays, lines = dd_generators(hrep, ambient_rank)
+        else:
+            rays, lines = sorted(g for g, z in zeros.items() if not any(
+                w > z for w in zeros.values())), ()
+        Cone._from_reps(ambient_rank, rays, lines, hrep, self,
+                        dim=ambient_rank - len(perp))
 
     @classmethod
     def _from_reps(cls, rank, rays, lines, hrep, cone=None, dim=None):
@@ -353,12 +371,14 @@ def _check_cone(value, name):
 def dual_cone(c: Cone) -> Cone:
     """The dual cone {v : v(x) >= 0 for all x in c} in the dual lattice.
 
-    The generators of c are an H-representation of its dual.
+    The generators of c are an H-representation of its dual, whose
+    dimension is the ambient rank less that of c's lines.
     """
     _check_cone(c, "c")
     gens = c.generators
     return Cone._from_reps(c.ambient_rank,
-                           *dd_generators(gens, c.ambient_rank), gens)
+                           *dd_generators(gens, c.ambient_rank), gens,
+                           dim=c.ambient_rank - len(c.lines))
 
 
 def faces(c: Cone):
@@ -369,9 +389,10 @@ def faces(c: Cone):
     face keeps c's H-representation plus its negated tight inequalities,
     so no face needs a double description.  When c is simplicial (as
     many rays as its dimension) so is every face, and a face's dimension
-    is its ray count, with no rank computed; otherwise c itself passes
-    on its dimension.  Returned sorted by (dimension, canonical key);
-    the partial order is inclusion of ray sets.
+    is its ray count; otherwise it is the face's height (longest chain
+    below it) in the face lattice, which is graded by dimension; no face
+    computes a rank.  Returned sorted by (dimension, canonical key); the
+    partial order is inclusion of ray sets.
     """
     _check_cone(c, "c")
     if not c.is_strictly_convex():
@@ -383,18 +404,20 @@ def faces(c: Cone):
     found = {everything}
     for t in tight:
         found |= {f & t for f in found}
-    dim = c.dim()
-    simplicial = dim == len(rays)
+    if c.dim() == len(rays):
+        height = {f: len(f) for f in found}
+    else:
+        height = {}
+        for f in sorted(found, key=len):
+            height[f] = max((h + 1 for g, h in height.items() if g < f),
+                            default=0)
+    negs = [tuple(-x for x in a) for a in hrep]
     out = []
     for f in found:
-        negs = [tuple(-x for x in a) for a, t in zip(hrep, tight) if f <= t]
-        if simplicial:
-            face_dim = len(f)
-        else:
-            face_dim = dim if f == everything else None
+        tight_negs = [n for n, t in zip(negs, tight) if f <= t]
         out.append(Cone._from_reps(c.ambient_rank,
                                    [rays[i] for i in sorted(f)], (),
-                                   hrep + tuple(negs), dim=face_dim))
+                                   hrep + tuple(tight_negs), dim=height[f]))
     return sorted(out, key=lambda f: (f.dim(), f.key))
 
 
@@ -674,8 +697,8 @@ class StackyFan:
 
     def _maximal_images(self):
         """Maximal cone key of fan_hat -> its image cone, built on first
-        use through ``Cone``: two double-description passes per image,
-        none for a simplicial full-dimensional one."""
+        use through ``Cone``: one double-description pass per pointed
+        image, none for a simplicial full-dimensional one."""
         if self._images is None:
             object.__setattr__(self, "_images", {
                 c.key: _image(self.beta, c)

@@ -118,9 +118,9 @@ class IntMatrix:
             if self.cols != other.rows:
                 raise ZlinError("shape mismatch in matrix product")
             columns = tuple(zip(*other.entries))
-            return IntMatrix._of(tuple(
-                tuple(sum(map(mul, row, col)) for col in columns)
-                for row in self.entries))
+            return IntMatrix._of(tuple([
+                tuple([sum(map(mul, row, col)) for col in columns])
+                for row in self.entries]))
         # matrix * vector with int or Fraction entries
         vec = tuple(other)
         check_exact(vec, ZlinError, "vector entry")

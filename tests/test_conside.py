@@ -1246,6 +1246,23 @@ class TestHomComplexOracle:
                 CatRep(other, {other.objects[-1]: 1}, {}))
         assert len(asked) == len(other) ** 2
 
+    def test_heights_are_computed_once_per_category(self, monkeypatch):
+        # each hom_complex call used to recompute every object's longest
+        # chain; only which objects reach the target support is per call
+        cat = ChamberCategory(3)
+        simples = [CatRep(cat, {v: 1}, {}) for v in cat.objects]
+        heights, computed = conside._heights, []
+
+        def counted(arcs):
+            computed.append(len(arcs))
+            return heights(arcs)
+
+        monkeypatch.setattr(conside, "_heights", counted)
+        first = rep_hom(simples[-1], simples[0])
+        assert computed == [len(cat.objects)]
+        assert [rep_hom(simples[-1], N) for N in simples][0] == first
+        assert computed == [len(cat.objects)]
+
     def test_entry_lists_are_built_once_per_morphism(self, monkeypatch):
         # End(gen 4) at n = 3 has 7,113 cells; the per-face build made an
         # entry list for each face of each chain

@@ -656,8 +656,8 @@ class TestSimplicialFastPath:
                 assert_same_cone(f, g, self.GRID)
 
     def test_dependent_generators_fall_back(self, dd_calls):
-        # r distinct generators of rank < r take the double dual, lines
-        # or not
+        # r distinct generators of rank < r are not simplicial: a
+        # pointed cone takes one double description, a cone with lines two
         rng = random.Random(97)
         shapes = {"pointed": 0, "lines": 0}
         for rank in (2, 3, 4):
@@ -674,13 +674,117 @@ class TestSimplicialFastPath:
                         break
                 dd_calls.clear()
                 fast = Cone(gens, ambient_rank=rank)
-                assert len(dd_calls) == 2
+                assert len(dd_calls) == (2 if fast.lines else 1)
                 slow = double_dual_cone(gens, rank)
                 assert (fast.rays, fast.lines, fast._dual_gens) == \
                     (slow.rays, slow.lines, slow._dual_gens)
                 assert fast.dim() == rational_rank(gens) < rank
                 shapes["lines" if fast.lines else "pointed"] += 1
         assert min(shapes.values()) >= 10, shapes
+
+
+def random_cone_generators(rng, rank):
+    """Generators of a cone of random dimension in ``rank``: a few in an
+    open half-space of a random subspace, then positive combinations of
+    them (redundant interior points, two on one pair of generators),
+    scaled copies with ``Fraction`` entries, and at times a negated
+    generator, which makes a line."""
+    dim = rng.randint(1, rank)
+    while True:
+        basis = [tuple(rng.randint(-2, 2) for _ in range(rank))
+                 for _ in range(dim)]
+        if rational_rank(basis) == dim:
+            break
+
+    def embed(coeffs):
+        return tuple(sum(c * b[i] for c, b in zip(coeffs, basis))
+                     for i in range(rank))
+
+    gens = [embed((rng.randint(1, 3),) + tuple(rng.randint(-3, 3)
+                                               for _ in range(dim - 1)))
+            for _ in range(rng.randint(2, 5))]
+    g, h = rng.sample(gens, 2)
+    gens += [tuple(a + b for a, b in zip(g, h)),
+             tuple(a + 2 * b for a, b in zip(g, h))]
+    for _ in range(rng.randint(0, 2)):
+        chosen = rng.sample(gens, rng.randint(2, 3))
+        gens.append(tuple(map(sum, zip(*chosen))))
+    for _ in range(rng.randint(0, 2)):
+        scale, den = rng.randint(1, 3), rng.randint(1, 4)
+        gens.append(tuple(Fraction(scale * x, den) for x in rng.choice(gens)))
+    if rng.random() < 0.3:
+        gens.append(tuple(-x for x in rng.choice(gens)))
+    rng.shuffle(gens)
+    return gens
+
+
+def cone_shapes(gens, slow):
+    """Which shapes a draw of :func:`random_cone_generators` has, read
+    from its double dual ``slow``."""
+    prim = {primitivize(g) for g in gens if any(g)}
+    shapes = {"lines": bool(slow.lines),
+              "fraction": any(type(x) is Fraction for g in gens for x in g),
+              "duplicated": len(prim) < sum(1 for g in gens if any(g))}
+    if not slow.lines:
+        two_faces = [f for f in reference_faces(slow) if f.dim() == 2]
+        shapes.update(
+            redundant=not prim <= set(slow.rays),
+            lower=slow.dim() < slow.ambient_rank,
+            two_in_one_2_face=any(
+                sum(f.contains(g, strict=True) for g in prim) >= 2
+                for f in two_faces))
+    return shapes
+
+
+class TestOneDoubleDescription:
+    """A pointed cone built from generators takes its rays from their zero
+    sets over its facet normals, and no cone dimension needs a rank; the
+    double dual and ``rational_rank`` are the oracles."""
+
+    GRID = TestConeOpsOracle.GRID
+
+    def test_cones_match_double_dual(self, monkeypatch):
+        rng = random.Random(101)
+        shapes = {}
+        calls, ranks = [], []
+
+        def counting_dd(inequalities, rank):
+            calls.append(rank)
+            return dd_generators(inequalities, rank)
+
+        def counting_rank(rows):
+            ranks.append(rows)
+            return rational_rank(rows)
+
+        for rank in (1, 2, 3, 4):
+            for _ in range(40):
+                gens = random_cone_generators(rng, rank)
+                calls.clear()
+                with monkeypatch.context() as m:
+                    m.setattr("fltzlab.fans.dd_generators", counting_dd)
+                    m.setattr("fltzlab.fans.rational_rank", counting_rank)
+                    fast = Cone(gens, ambient_rank=rank)
+                    passes = len(calls)
+                    dims = (fast.dim(), dual_cone(fast).dim())
+                    fs = faces(fast) if not fast.lines else []
+                    face_dims = [f.dim() for f in fs]
+                assert ranks == []
+                slow = double_dual_cone(gens, rank)
+                distinct = {primitivize(g) for g in gens if any(g)}
+                simplicial = len(distinct) == slow.dim() == rank
+                assert passes == (0 if simplicial else 2 if slow.lines
+                                  else 1), gens
+                assert (fast.rays, fast.lines, fast._dual_gens) == \
+                    (slow.rays, slow.lines, slow._dual_gens), gens
+                assert dims == (slow.dim(), reference_dual(slow).dim())
+                assert_same_cone(fast, slow, self.GRID)
+                if fs:
+                    ref = reference_faces(slow)
+                    assert [(f.key, d) for f, d in zip(fs, face_dims)] == \
+                        [(f.key, f.dim()) for f in ref], gens
+                for k, v in cone_shapes(gens, slow).items():
+                    shapes[k] = shapes.get(k, 0) + v
+        assert len(shapes) == 6 and min(shapes.values()) >= 25, shapes
 
 
 class TestFans:
