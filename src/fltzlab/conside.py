@@ -53,7 +53,8 @@ class GenerationFailure(ConError):
 # ---------------------------------------------------------------------------
 # directed categories: objects, finite hom bases and composition, presented
 # by arrows (``arrows``, ``factor``) and relations (``relations``); a basis
-# morphism is a tuple whose first two entries are its source and target
+# morphism is a tuple whose first two entries are its source and target,
+# and ``compose`` returns the basis morphism two of them compose to
 
 
 def _check_pairs(elements, pairs, what):
@@ -196,7 +197,7 @@ class FinitePoset:
 
     def compose(self, f, g):
         # f: x -> y then g: y -> z
-        return ((1, (f[0], g[1])),)
+        return (f[0], g[1])
 
     def arrows(self):
         """The covers, as ``(source, target, morphism)`` triples."""
@@ -290,7 +291,7 @@ class ChamberCategory:
         (t2, u, m2) = g
         if t != t2:
             raise ConError("morphisms are not composable")
-        return ((1, (s, u, tuple(a + b for a, b in zip(m1, m2)))),)
+        return (s, u, tuple(a + b for a, b in zip(m1, m2)))
 
     def arrow(self, s, symbol):
         """The degree-one basis morphism s -> s-1 for one wall symbol."""
@@ -461,8 +462,8 @@ def corepresentable(category, v) -> CatRep:
     """The corepresentable functor k hom(v, -): projective at v.
 
     Its value at x has the basis hom(v, x) (the identity at v); an arrow
-    acts by postcomposition, an ``int`` matrix read off ``compose`` with
-    one 1 per column.
+    acts by postcomposition, an ``int`` matrix with one 1 per column, in
+    the row of the basis morphism that ``compose`` returns.
     On a poset this is the rank-one representation of the up-set of v
     with identity maps.
     """
@@ -476,10 +477,8 @@ def corepresentable(category, v) -> CatRep:
     for x, y, a in category.arrows():
         rows = [{} for _ in basis[y]]
         for col, f in enumerate(basis[x]):
-            terms = ((1, a),) if f == "id" else category.compose(f, a)
-            for coeff, h in terms:
-                row = rows[position[y][h]]
-                row[col] = row.get(col, 0) + coeff
+            h = a if f == "id" else category.compose(f, a)
+            rows[position[y][h]][col] = 1
         matrices[a] = rows
     return CatRep(category, {x: len(hs) for x, hs in basis.items()}, matrices)
 
@@ -562,21 +561,26 @@ def hom_complex(M: CatRep, N: CatRep):
     from M(x_0) to N(x_p), laid out row by row, blocks in chain order
     (a chain with M(x_0) = 0 or N(x_p) = 0 has an empty block and is not
     built).  One face rule builds the differential.  On a chain f_0,
-    ..., f_p of p + 1 morphisms, face k drops f_0 (k = 0), composes
-    f_(k-1) f_k (0 < k <= p) or drops f_p (k = p + 1), and adds
-    sign * L * phi(face) * R, where L is N(f_p) on the last face, R is
-    M(f_0) on the first, each is the identity otherwise, and sign is
-    (-1)^k times the ``compose`` coefficient.  The first face is left
-    out when M(x_1) = 0 and the last when N(x_(p-1)) = 0: their blocks
-    are empty.  There is one term per length up to the category's
-    longest chain, so the term count does not depend on M and N.
+    ..., f_p of p + 1 morphisms, face k drops f_0 (k = 0), replaces
+    f_(k-1), f_k by the basis morphism they compose to (0 < k <= p) or
+    drops f_p (k = p + 1), and contributes (-1)^k * L * phi(face) * R,
+    where L is N(f_p) on the last face, R is M(f_0) on the first, and
+    each is the identity otherwise.  The first face is left out when
+    M(x_1) = 0 and the last when N(x_(p-1)) = 0: their blocks are
+    empty.  There is one term per length up to the category's longest
+    chain, so the term count does not depend on M and N.
+
+    Each entry of the differential is set once, by one face: the
+    category is directed, so a chain's objects are distinct, and its
+    faces, each dropping a different object, lie in different blocks;
+    within a block, a face's pairs of nonzero entries of L and R reach
+    distinct entries.
 
     Returns (dims, differentials): the dimension of each term and the
     sparse differentials d_p from term p to term p + 1, each a list of
     dims[p + 1] rows, each row a ``{column: entry}`` dict of the nonzero
-    entries only.  Entries are summed from ``int`` 0, so they are ``int``
-    when both reps are and ``Fraction`` where a ``Fraction`` entry
-    takes part.
+    entries only.  An entry is ``int`` when both reps are and a
+    ``Fraction`` where a ``Fraction`` entry of M or N takes part.
     """
     if M.category is not N.category:
         raise ConError("representations live on different categories")
@@ -608,11 +612,11 @@ def hom_complex(M: CatRep, N: CatRep):
                 if first is None:
                     first = firsts[fs[0]] = _entries(M.matrix(fs[0]), cols)
                 faces.append((1, (objs[1:], fs[1:]), one_rows, first))
-            faces += [((-1) ** k * coeff, (objs[:k] + objs[k + 1:],
-                                           fs[:k - 1] + (h,) + fs[k + 1:]),
-                       one_rows, one_cols)
-                      for k in range(1, len(fs))
-                      for coeff, h in cat.compose(fs[k - 1], fs[k])]
+            for k in range(1, len(fs)):
+                h = cat.compose(fs[k - 1], fs[k])
+                faces.append(((-1) ** k, (objs[:k] + objs[k + 1:],
+                                          fs[:k - 1] + (h,) + fs[k + 1:]),
+                              one_rows, one_cols))
             if N.dims[objs[-2]]:  # else the last face's block is empty
                 last = lasts.get(fs[-1])
                 if last is None:
@@ -624,13 +628,8 @@ def hom_complex(M: CatRep, N: CatRep):
                 width = M.dims[face[0][0]]
                 for i, v, a in left:
                     for u, j, b in right:
-                        row = d[row0 + i * cols + j]
-                        col = col0 + v * width + u
-                        x = row.get(col, 0) + sign * a * b
-                        if x:
-                            row[col] = x
-                        else:
-                            row.pop(col, None)
+                        d[row0 + i * cols + j][col0 + v * width + u] = \
+                            sign * a * b
         diffs.append(d)
     return term_dims, diffs
 

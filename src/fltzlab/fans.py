@@ -5,11 +5,11 @@ lines and an H-representation.  The canonical form (primitive integer
 generators sorted lexicographically) is the output of a double
 description pass on primitive integer vectors, which decides adjacency
 of rays from their zero sets rather than by rank computations.  A
-simplicial full-dimensional cone skips it: its facet normals are the
-columns of one integer inverse.  A pointed cone takes its rays from its
-generators' zero sets over its facet normals.  Faces are read off the
-incidence of rays and inequalities, and their dimensions off the face
-lattice.  Desk-scale only; no attempt at large-dimension performance.
+pointed cone built from generators takes one pass, for its facet
+normals, and its rays from its generators' zero sets over them.  Faces
+are read off the incidence of rays and inequalities, and their
+dimensions off the face lattice.  Desk-scale only; no attempt at
+large-dimension performance.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ from operator import mul
 
 from .zlin import (
     IntMatrix,
-    ZlinError,
-    _int_inverse,
     check_exact,
     check_ints,
     cokernel,
@@ -200,12 +198,9 @@ class Cone:
     perp, so the dimension).  A pointed cone's rays are the generators
     whose zero set over the facet normals no generator's zero set
     strictly contains; a cone with lines (one of its generators is tight
-    on every facet normal) takes a second pass.  ``ambient_rank``
-    linearly independent generators, once primitive and deduplicated,
-    run none: such a cone is simplicial and full-dimensional, its rays
-    are those vectors and its H-representation the primitive columns of
-    their one integer inverse, sorted, as the double dual gives.  Every
-    other operation runs at most one ``dd_generators`` pass, on an
+    on every facet normal) takes a second pass.  A simplicial
+    full-dimensional cone is no special case: it is pointed.  Every other
+    operation runs at most one ``dd_generators`` pass, on an
     H-representation it already holds.
     ``_dual_gens`` (x is in the cone iff a.x >= 0 for all of them) may be
     any valid H-representation, redundant or not: nothing compares it.
@@ -232,11 +227,6 @@ class Cone:
                 raise FanError("generator length does not match ambient rank")
             check_exact(g, FanError, "generator entry")
         gens = [primitivize(g) for g in gens if any(x != 0 for x in g)]
-        simplicial = _simplicial_reps(gens, ambient_rank)
-        if simplicial is not None:
-            Cone._from_reps(ambient_rank, simplicial[0], (), simplicial[1],
-                            self, dim=ambient_rank)
-            return
         facets, perp = dd_generators(gens, ambient_rank)
         hrep = _signed(facets, perp)
         # zero set of each generator over the facet normals; a generator
@@ -324,33 +314,18 @@ class Cone:
         return True
 
     def negated(self):
-        """The cone -c.  A strictly convex cone negates its rays and its
-        H-representation; a cone with lines takes one double description,
-        since reducing rays modulo the lines does not commute with
-        negation."""
+        """The cone -c, of c's dimension when c knows it.  A strictly
+        convex cone negates its rays and its H-representation; a cone
+        with lines takes one double description, since reducing rays
+        modulo the lines does not commute with negation."""
         hrep = [tuple(-x for x in a) for a in self._dual_gens]
         if self.lines:
             return Cone._from_reps(self.ambient_rank,
                                    *dd_generators(hrep, self.ambient_rank),
-                                   hrep)
+                                   hrep, dim=self._dim)
         rays = sorted(tuple(-x for x in r) for r in self.rays)
-        return Cone._from_reps(self.ambient_rank, rays, (), hrep)
-
-
-def _simplicial_reps(gens, rank):
-    """``(rays, hrep)`` of the cone on primitive integer ``gens`` when,
-    deduplicated, they are ``rank`` linearly independent vectors, else
-    None.  Column j of the inverse of the matrix with the rays as rows
-    pairs to a positive number with ray j and to 0 with the others, so
-    the primitive columns are the facet normals."""
-    rays = sorted(set(gens))
-    if len(rays) != rank:
-        return None
-    try:
-        inverse, _ = _int_inverse(rays)
-    except ZlinError:  # singular
-        return None
-    return rays, sorted(_divide_content(col) for col in zip(*inverse))
+        return Cone._from_reps(self.ambient_rank, rays, (), hrep,
+                               dim=self._dim)
 
 
 def _generator_rank(c):
@@ -698,7 +673,7 @@ class StackyFan:
     def _maximal_images(self):
         """Maximal cone key of fan_hat -> its image cone, built on first
         use through ``Cone``: one double-description pass per pointed
-        image, none for a simplicial full-dimensional one."""
+        image."""
         if self._images is None:
             object.__setattr__(self, "_images", {
                 c.key: _image(self.beta, c)

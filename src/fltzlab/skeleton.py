@@ -3,7 +3,8 @@
 Components of the conical Lagrangian attached to a (stacky) fan, exact
 chamber enumeration for the perturbed projective-space skeleton on the
 torus, the chamber quiver with monodromy-twisted labels, and a small
-deterministic SVG emitter for the 1- and 2-dimensional pictures.
+deterministic SVG emitter for the skeleta of rank 1 and 2 and the
+chamber picture at n = 2.
 
 The perturbation parameter is an exact rational: chambers are encoded by
 sign vectors against the walls {x_i = eps} and {sum x = m}, never by
@@ -408,10 +409,9 @@ def _fmt(x):
     return f"{float(x):.2f}"
 
 
-def _svg_line(x1, y1, x2, y2, color, width=1.5, dash=None):
-    d = f' stroke-dasharray="{dash}"' if dash else ""
+def _svg_line(x1, y1, x2, y2, color, width):
     return (f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" '
-            f'y2="{_fmt(y2)}" stroke="{color}" stroke-width="{width}"{d}/>')
+            f'y2="{_fmt(y2)}" stroke="{color}" stroke-width="{width}"/>')
 
 
 def _svg_text(x, y, text, size=14):
@@ -510,30 +510,6 @@ def _emit_components_2d(components):
     return "\n".join(parts)
 
 
-def _emit_chambers_1d(quiver: ChamberQuiver):
-    size = 300
-    cx = cy = size / 2
-    radius = 100
-    eps = float(default_epsilon(1))
-    parts = [_svg_header(size, size)]
-    parts.append(f'<circle cx="{cx}" cy="{cy}" r="{radius}" fill="none" '
-                 f'stroke="black" stroke-width="2"/>')
-    for frac in (0.0, eps):  # the two wall points on the circle
-        theta = 2 * pi * frac
-        px = cx + radius * cos(theta)
-        py = cy - radius * sin(theta)
-        parts.append(_svg_line(px, py, cx + (radius + 22) * cos(theta),
-                               cy - (radius + 22) * sin(theta), "blue", 2))
-    for v in quiver.vertices:
-        pt = sample_point(v.chamber, default_epsilon(1))
-        theta = 2 * pi * (float(pt[0]) + v.translate[0])
-        px = cx + (radius - 24) * cos(theta)
-        py = cy - (radius - 24) * sin(theta)
-        parts.append(_svg_text(px, py, format_monomial(v.label), 10))
-    parts.append("</svg>")
-    return "\n".join(parts)
-
-
 def _emit_chambers_2d(quiver: ChamberQuiver):
     eps = default_epsilon(2)
     scale = 400
@@ -566,15 +542,14 @@ def _emit_chambers_2d(quiver: ChamberQuiver):
 
 
 def emit_svg(obj) -> str:
-    """Deterministic SVG for skeleta and chamber pictures, n <= 2 only."""
+    """Deterministic SVG for skeleta of rank <= 2 and the chamber
+    picture at n = 2."""
     if isinstance(obj, (Fan, StackyFan)):
         obj = fltz_components(obj)
     if isinstance(obj, ChamberQuiver):
         if obj.n == 2:
             return _emit_chambers_2d(obj)
-        if obj.n == 1:
-            return _emit_chambers_1d(obj)
-        raise SkeletonError("SVG chamber output supports n <= 2 only")
+        raise SkeletonError("SVG chamber output supports n = 2 only")
     components = list(obj)
     if not components:
         raise SkeletonError("nothing to draw")

@@ -98,9 +98,6 @@ class IntMatrix:
     def column(self, j):
         return tuple(row[j] for row in self.entries)
 
-    def columns(self):
-        return [self.column(j) for j in range(self.cols)]
-
     def transpose(self):
         return IntMatrix._of(tuple(zip(*self.entries)))
 
@@ -632,10 +629,9 @@ class LatticeQuotient:
         if any(len(col) != n for col in sup):
             raise ZlinError("quotient needs a square superlattice basis")
         e = lcm(*(x.denominator for col in sup for x in col))
-        s = IntMatrix._of(tuple(
-            tuple(x.numerator * (e // x.denominator) for x in row)
-            for row in zip(*sup)))
-        s_inv, q = _int_inverse(s.entries)
+        s_inv, q = _int_inverse(
+            [x.numerator * (e // x.denominator) for x in row]
+            for row in zip(*sup))
         # Z^n in superlattice coordinates is the basis inverse e B / q,
         # which must be integral; it is nonsingular, so the index is finite
         if any(e * x % q for row in s_inv for x in row):
@@ -647,14 +643,15 @@ class LatticeQuotient:
         self.denominator = e
         self._inverse = s_inv, q
         self.group = FiniteAbelianGroup(tuple(d for d in diag if d > 1))
-        # adapted superlattice basis: columns of S' = S U^{-1} = s U^{-1} / e;
-        # the i-th one generates a cyclic summand of order diag[i] in the
-        # quotient, and the inverse of S' is U S^{-1} = e U B / q (U is
-        # unimodular, so U^{-1} is integral)
-        adapted = (s @ IntMatrix._of(_int_inverse(snf.U.entries)[0])).entries
+        # adapted superlattice basis: columns of S' = S U^{-1}, which is
+        # V D^{-1} since U S^{-1} V = D, so its numerators over e are
+        # e V D^{-1} (integral, as S' = s U^{-1} / e with U unimodular);
+        # the i-th column generates a cyclic summand of order diag[i] in
+        # the quotient, and the inverse of S' is U S^{-1} = e U B / q
+        adapted = [[e * x // d for x, d in zip(row, diag)]
+                   for row in snf.V.entries]
         self._adapted_inv = [[e * x for x in row]
                              for row in (snf.U @ IntMatrix._of(s_inv)).entries]
-        self._adapted_den = q
         self._diag = diag
         self._rank = n
         self.index = prod(diag)
@@ -677,7 +674,7 @@ class LatticeQuotient:
             raise ZlinError(f"vector {vec!r} has length {len(vec)}, "
                             f"expected {self._rank}")
         v, g = _cleared(vec)
-        den = self._adapted_den * g
+        den = self._inverse[1] * g
         comps = []
         for row, d in zip(self._adapted_inv, self._diag):
             num = sum(map(mul, row, v))
@@ -705,10 +702,7 @@ class LatticeQuotient:
 
 def _exact_columns(basis):
     """Columns of a basis as tuples of checked ``int``/``Fraction`` entries."""
-    if isinstance(basis, IntMatrix):
-        cols = basis.columns()
-    else:
-        cols = [tuple(col) for col in basis]
+    cols = [tuple(col) for col in basis]
     for col in cols:
         check_exact(col, ZlinError, "basis entry")
     return cols

@@ -396,20 +396,19 @@ class TestChartWork:
         return calls
 
     def test_rank_three_bench_chart(self, dd_calls):
-        # the orthant and its image are simplicial, so neither runs a
-        # double description; validating runs none, and the monoid cone
-        # one
+        # the orthant and its image are pointed, so each runs one double
+        # description; validating runs none, and the monoid cone one
         sf = orthant_stack([[2, 0, 0], [0, 2, 0], [0, 0, 1]])
-        assert len(dd_calls) == 0
+        assert len(dd_calls) == 2
         assert validate_stacky(sf)
-        assert len(dd_calls) == 0
+        assert len(dd_calls) == 2
         gamma_category(sf)
-        assert len(dd_calls) == 1
+        assert len(dd_calls) == 3
 
-    def test_two_integer_inverses_per_chart(self, monkeypatch):
-        # building the stacky fan takes one for the cone and one for its
-        # image; the chart takes one for the superlattice basis and one
-        # for U, and the monoid reads the quotient's
+    def test_one_integer_inverse_per_chart(self, monkeypatch):
+        # building the stacky fan takes none; the chart takes one for the
+        # superlattice basis, reads its adapted basis off the Smith form,
+        # and the monoid reads the quotient's
         calls = []
         int_inverse = zlin._int_inverse
 
@@ -417,16 +416,15 @@ class TestChartWork:
             calls.append(rows)
             return int_inverse(rows)
 
-        for module in (zlin, fans, cohside):
+        for module in (zlin, cohside):
             monkeypatch.setattr(module, "_int_inverse", counting)
         for build, arg in ([(cyclic_stack, n) for n in (2, 3, 7)]
                            + [(orthant_stack, b) for b in BENCH_CHARTS]):
             calls.clear()
             sf = build(arg)
-            assert len(calls) == 2
-            calls.clear()
+            assert len(calls) == 0
             gamma_category(sf)
-            assert len(calls) == 2
+            assert len(calls) == 1
 
     def test_nonstacky_builds_no_image(self, dd_calls):
         p3 = standard_fan("Pn", n=3)

@@ -403,3 +403,8 @@ class TestSvg:
     def test_high_rank_rejected(self):
         with pytest.raises(SkeletonError):
             emit_svg(fltz_components(standard_fan("Pn", n=3)))
+
+    def test_chamber_picture_only_at_n_2(self):
+        for n in (1, 3):
+            with pytest.raises(SkeletonError, match="n = 2 only"):
+                emit_svg(chamber_quiver(n))

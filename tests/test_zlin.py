@@ -841,9 +841,7 @@ def reference_lattice_quotient(superlattice_basis):
     basis and its inverse, and the representative of each character.
     Returns the public fields and ``character_of``.
     """
-    cols = (superlattice_basis.columns()
-            if isinstance(superlattice_basis, IntMatrix)
-            else [tuple(col) for col in superlattice_basis])
+    cols = [tuple(col) for col in superlattice_basis]
     for col in cols:
         check_exact(col, ZlinError, "basis entry")
     sup = [[Fraction(x) for x in col] for col in cols]
