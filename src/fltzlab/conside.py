@@ -38,8 +38,8 @@ from .fans import Cone, is_smooth_cone
 from .picsym import PicMonomial, format_monomial
 from .skeleton import (ChamberQuiver, UnsupportedConeError, chamber_quiver,
                        enumerate_chambers)
-from .zlin import (IntMatrix, check_exact, check_ints, rational_inverse,
-                   rational_rank)
+from .zlin import (IntMatrix, check_exact, check_ints, pivot_columns,
+                   rational_inverse, rational_rank)
 
 
 class ConError(ValueError):
@@ -642,14 +642,37 @@ def rep_hom(M: CatRep, N: CatRep):
     the value at the chain's source into the value at its target; exact
     because the category is directed.  Returns the list of Ext^i
     dimensions, ending at the last potentially-nonzero degree.
+
+    The differentials are ranked from the top down, with clearing (Chen
+    and Kerber 2011).  Once d_p is eliminated, the rows of d_(p-1) at
+    d_p's pivot columns are dropped: they are never read, and d_(p-1)
+    keeps its rank.  This is exact for any complex: d_p d_(p-1) = 0
+    puts the image of d_(p-1) inside the kernel of d_p, and on that
+    kernel the coordinates at d_p's pivot columns are determined by the
+    others (the pivot rows of an echelon form are triangular on those
+    columns), so the projection that forgets them is injective on the
+    image.  The rows d_p keeps span its whole row space, so its pivot
+    columns are those of d_p itself.  The bottom differential
+    needs only its rank.
     """
     term_dims, diffs = hom_complex(M, N)
     # ranks[p] is the rank of the differential into term p
-    ranks = [0] + [rational_rank(d) for d in diffs] + [0]
+    ranks = [0] * (len(term_dims) + 1)
+    pivots = set()
+    for p in range(len(diffs) - 1, 0, -1):
+        pivots = pivot_columns(_uncleared(diffs[p], pivots))
+        ranks[p + 1] = len(pivots)
+    if diffs:
+        ranks[1] = rational_rank(_uncleared(diffs[0], pivots))
     out = [dim - ranks[p] - ranks[p + 1] for p, dim in enumerate(term_dims)]
     while len(out) > 1 and out[-1] == 0:
         out.pop()
     return out
+
+
+def _uncleared(d, cleared):
+    """The rows of ``d`` whose index is not in ``cleared``, in order."""
+    return [row for i, row in enumerate(d) if i not in cleared]
 
 
 # ---------------------------------------------------------------------------

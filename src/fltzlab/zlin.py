@@ -310,8 +310,9 @@ def _echelon(rows):
     return echelon
 
 
-def rational_rank(rows):
-    """Rank of a matrix given as rows of Fractions/ints.
+def pivot_columns(rows):
+    """The pivot columns of a matrix given as rows of Fractions/ints: the
+    leading columns of a row echelon form, as a set.
 
     Each row is a sequence of entries (all of one length) or a sparse
     ``{column: entry}`` dict, in which a missing column is zero.  An
@@ -319,12 +320,22 @@ def rational_rank(rows):
     not a nonnegative ``int``, is a :class:`ZlinError`; these checks run
     once per matrix, and the error names the first bad row or entry.
 
-    The rows reach the echelon sparsest first: a stable sort by the
-    number of nonzero entries (Markowitz 1957), so ties keep their
-    given order.  A short row, eliminated early, becomes a short pivot
-    and fills in the rows below it less.
+    The set is the greedy column basis: column j is a pivot exactly when
+    it is not a combination of the columns before it.  It depends only
+    on the row space, so neither the order in which rows are eliminated
+    nor dropping rows that the others span changes it.  The rows reach
+    the echelon sparsest first: a stable sort by the number of nonzero
+    entries (Markowitz 1957), so ties keep their given order.  A short
+    row, eliminated early, becomes a short pivot and fills in the rows
+    below it less.
     """
-    return len(_echelon(sorted(_sparse_rows(rows), key=len)))
+    return set(_echelon(sorted(_sparse_rows(rows), key=len)))
+
+
+def rational_rank(rows):
+    """Rank of a matrix given as rows of Fractions/ints: the number of
+    its :func:`pivot_columns`, with the same input checks."""
+    return len(pivot_columns(rows))
 
 
 def _int_inverse(rows):

@@ -152,6 +152,12 @@ class TestHomCmd:
                      "--from", "1", "--to", "2"]) == 0
         assert "dim = 3" in capsys.readouterr().out
 
+    def test_constructible_side_needs_pn(self, capsys):
+        assert main(["hom", "--side", "con", "--from", "1", "--to", "2"]) == 2
+        captured = capsys.readouterr()
+        assert "--side con needs --pn N" in captured.err
+        assert captured.out == ""
+
     def test_stacky_cosets(self, mu4_file, capsys):
         assert main(["hom", "--side", "coh", "--stack", mu4_file,
                      "--from", "1", "--to", "3", "--bound", "8"]) == 0
@@ -196,12 +202,16 @@ class TestVerifyCmd:
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_ccc_above_three_ends_with_the_gram_line(self, n, capsys):
-        # the Euler Gram record runs at every n; the rep homs stop at 3
+        # the Euler Gram record runs at every n and follows the 23
+        # cohomology records; the (n + 1)^2 rep homs follow it up to n = 4
         assert main(["verify", "--what", "ccc", "--n", str(n)]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert len(lines) == 23 + 1 + 1
-        assert lines[-2:] == [f"[PASS] P{n} euler Gram matches coherent "
-                              "Gram", "all checks passed"]
+        rep_homs = (n + 1) ** 2 if n <= 4 else 0
+        assert len(lines) == 23 + 1 + rep_homs + 1
+        assert lines[23] == f"[PASS] P{n} euler Gram matches coherent Gram"
+        assert all(line.startswith(f"[PASS] P{n} rep hom gen")
+                   for line in lines[24:-1])
+        assert lines[-1] == "all checks passed"
 
     def test_monodromy_names_what_it_compares(self, capsys):
         # the record once claimed "composite = direct on all translation

@@ -276,6 +276,15 @@ class TestChamberCategory:
         with pytest.raises(ConError, match=f"needs an int n >= 1, not {n!r}"):
             ChamberCategory(n)
 
+    def test_morphisms_that_do_not_meet_are_not_composed(self):
+        cat = ChamberCategory(2)
+        f, g = cat.hom_basis(2, 1)[0], cat.hom_basis(1, 0)[0]
+        assert cat.compose(f, g)[:2] == (2, 0)
+        with pytest.raises(ConError, match="^morphisms are not composable$"):
+            cat.compose(g, f)
+        with pytest.raises(ConError, match="^morphisms are not composable$"):
+            cat.compose(f, f)
+
 
 class TestStrataPoset:
     def test_one_ray(self):
@@ -384,24 +393,20 @@ class TestRepHom:
                     assert len(ext) <= h + 1
 
     def test_complex_squares_to_zero(self):
-        from fltzlab.conside import hom_complex
-        cases = []
-        sq = FinitePoset.chain(2).product(FinitePoset.chain(2))
-        cases.append((corepresentable(sq, (0, 0)),
-                      corepresentable(sq, (0, 1))))
-        cat = ChamberCategory(2)
-        cases.append((beilinson_rep(2, 3, cat), beilinson_rep(2, 3, cat)))
-        s2 = CatRep(cat, {2: 1}, {})
-        s0 = CatRep(cat, {0: 1}, {})
-        cases.append((s2, s0))
-        for M, N in cases:
-            diffs = densify(*hom_complex(M, N))
-            for d0, d1 in zip(diffs, diffs[1:]):
-                if not (d0 and d0[0] and d1 and d1[0]):
-                    continue
-                prod = [[sum(d1[i][k] * d0[k][j] for k in range(len(d0)))
-                         for j in range(len(d0[0]))] for i in range(len(d1))]
-                assert all(x == 0 for row in prod for x in row)
+        # rep_hom's clearing rests on d_p d_(p-1) = 0; checked on every
+        # complex of cleared_rank_pairs, multiplying the sparse rows
+        composed = 0
+        for label, M, N in cleared_rank_pairs():
+            _, diffs = conside.hom_complex(M, N)
+            for lower, upper in zip(diffs, diffs[1:]):
+                for row in upper:
+                    total = {}
+                    for k, a in row.items():
+                        for j, b in lower[k].items():
+                            total[j] = total.get(j, 0) + a * b
+                    assert not any(total.values()), label
+                    composed += bool(total)
+        assert composed >= 15000, composed
 
     def test_ext_of_simples_on_chamber_category(self):
         # the relation space between the outermost and the center object
@@ -1106,6 +1111,88 @@ def bar_complex_pairs(generators_up_to, simples_at):
 def all_int(rep):
     return all(type(x) is int for m in rep.matrices.values()
                for row in m for x in row.values())
+
+
+def reference_rep_hom(M, N):
+    """``rep_hom`` by the per-matrix route, as it was before clearing:
+    each differential of ``hom_complex`` ranked whole by
+    ``zlin.rational_rank``.  Returns the Ext dimensions and the ranks."""
+    term_dims, diffs = conside.hom_complex(M, N)
+    ranks = [zlin.rational_rank(d) for d in diffs]
+    bounded = [0, *ranks, 0]
+    out = [dim - bounded[p] - bounded[p + 1]
+           for p, dim in enumerate(term_dims)]
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return out, ranks
+
+
+def cleared_rank_pairs():
+    """``(label, M, N)`` for the pairs on which ``rep_hom``'s cleared
+    ranks are checked: 40 seeded :func:`oracle_pairs` of each
+    ``HOM_COMPLEX_CATEGORIES`` entry (``int`` and ``Fraction`` reps);
+    every ordered pair of Beilinson generators and simples of
+    ``ChamberCategory(n)``, n <= 3; and at k <= 3, every pair of
+    corepresentables and simples of the arrow poset {0 < 1}^k, of their
+    pull-backs to the strata of the rank-k orthant (as
+    ``checks.strata`` compares them), and of the strata poset itself."""
+    for name, category in HOM_COMPLEX_CATEGORIES.items():
+        rng = random.Random(f"cleared-ranks-{name}")
+        for M, N in oracle_pairs(category, rng):
+            yield name, M, N
+    families = []
+    for n in (1, 2, 3):
+        cat = ChamberCategory(n)
+        families.append((f"P{n}", [beilinson_rep(n, k, cat)
+                                   for k in range(1, n + 2)]
+                         + [CatRep(cat, {v: 1}, {}) for v in cat.objects]))
+    for k in (1, 2, 3):
+        strata, arrows, collapse = strata_poset_affine(
+            Cone([tuple(int(i == j) for j in range(k)) for i in range(k)]))
+        reps = {}
+        for name, poset in (("arrows", arrows), ("strata", strata)):
+            reps[name] = [corepresentable(poset, v) for v in poset.objects]
+            reps[name] += [CatRep(poset, {v: 1}, {}) for v in poset.objects]
+        reps["pulled"] = [checks._pull_back(M, strata, collapse)
+                          for M in reps["arrows"]]
+        families += [(f"{name}{k}", family) for name, family in reps.items()]
+    for label, reps in families:
+        for M in reps:
+            for N in reps:
+                yield label, M, N
+
+
+class TestClearedRanks:
+    def test_rep_hom_matches_per_matrix_ranks(self):
+        # rep_hom ranks d_(p-1) with the rows at d_p's pivot columns
+        # dropped; the per-matrix ranks must give the same Ext.  Clearing
+        # has work to do where two differentials are nonzero.
+        seen = {"int": 0, "Fraction": 0, "cleared": 0}
+        for label, M, N in cleared_rank_pairs():
+            expected, ranks = reference_rep_hom(M, N)
+            assert rep_hom(M, N) == expected, label
+            seen["int" if all_int(M) and all_int(N) else "Fraction"] += 1
+            seen["cleared"] += sum(map(bool, ranks)) >= 2
+        assert seen["Fraction"] >= 40 and seen["int"] >= 4500, seen
+        assert seen["cleared"] >= 450, seen
+
+    def test_rows_at_pivot_columns_are_not_ranked(self, monkeypatch):
+        # End(gen 3) at n = 2: each differential below the top one is
+        # ranked without the rows at the pivot columns of the one above
+        ranked = []
+        for name in ("pivot_columns", "rational_rank"):
+            def recorded(rows, rank=getattr(conside, name)):
+                ranked.append(len(rows))
+                return rank(rows)
+            monkeypatch.setattr(conside, name, recorded)
+        cat = ChamberCategory(2)
+        gen = beilinson_rep(2, 3, cat)
+        _, ranks = reference_rep_hom(gen, gen)
+        assert rep_hom(gen, gen) == [1]
+        dims, diffs = conside.hom_complex(gen, gen)
+        assert ranked == [len(diffs[-1])] + [
+            dims[p] - ranks[p] for p in reversed(range(1, len(diffs)))]
+        assert sum(ranked) < sum(map(len, diffs))
 
 
 class TestHomComplexOracle:

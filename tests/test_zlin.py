@@ -21,6 +21,7 @@ from fltzlab.zlin import (
     check_ints,
     cokernel,
     kernel_basis,
+    pivot_columns,
     rational_inverse,
     rational_rank,
     smith_normal_form,
@@ -674,6 +675,60 @@ class TestExactElimination:
     def test_rank_rejects_ragged_rows(self):
         with pytest.raises(ZlinError):
             rational_rank([[1, 2], [3]])
+
+    @pytest.mark.parametrize("kind", ["dense", "sparse"])
+    @pytest.mark.parametrize("exact", [int, Fraction])
+    def test_pivot_columns_match_sympy_in_any_row_order(self, kind, exact):
+        # the pivots of any echelon form are the greedy column basis, so
+        # neither the sparsest-first sort nor a shuffle of the rows may
+        # move them; rational_rank is their number
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(f"pivot-columns-{kind}-{exact.__name__}")
+        dependent = proper = 0
+        for _ in range(150):
+            rows = random_sparse_matrix(rng)
+            if exact is int:
+                rows = [[x.numerator for x in row] for row in rows]
+            ncols = len(rows[0]) if rows else 0
+            expected = set(sympy.Matrix(len(rows), ncols, [
+                sympy.Rational(x) for row in rows for x in row]).rref()[1])
+            if kind == "sparse":
+                rows = [{j: x for j, x in enumerate(row) if x}
+                        for row in rows]
+            shuffled = rng.sample(rows, len(rows))
+            assert pivot_columns(rows) == expected
+            assert pivot_columns(shuffled) == expected
+            assert rational_rank(shuffled) == len(expected)
+            dependent += len(expected) < sum(map(any, rows))
+            proper += bool(expected) and expected != set(range(len(expected)))
+        assert dependent >= 20 and proper >= 50, (dependent, proper)
+
+    @pytest.mark.parametrize("function", [rational_rank, pivot_columns])
+    @pytest.mark.parametrize("rows", [[[1, 2], [3]],
+                                      [[1, 2], {0: 1, 5: 2}, (3,)],
+                                      [{1: 1}, [Fraction(1, 2), 0], [], [1]]])
+    def test_ragged_rows_are_named_by_both_checks(self, function, rows,
+                                                  monkeypatch):
+        # the whole-matrix check raises first, and the row-by-row recheck
+        # then names the first ragged row itself
+        raised = []
+
+        def recorded(check):
+            def run(*args):
+                try:
+                    return check(*args)
+                except ZlinError as exc:
+                    raised.append((check.__name__, str(exc)))
+                    raise
+            return run
+
+        for name in ("_matrix_is_int", "_check_rows"):
+            monkeypatch.setattr(zlin, name, recorded(getattr(zlin, name)))
+        with pytest.raises(ZlinError,
+                           match="^ragged rows in rational matrix$"):
+            function(rows)
+        assert raised == [(name, "ragged rows in rational matrix")
+                          for name in ("_matrix_is_int", "_check_rows")]
 
     @pytest.mark.parametrize("rows, message", [
         ([[0.5, 1]], "entry 0.5"), ([{0: 0.5}], "entry 0.5"),
