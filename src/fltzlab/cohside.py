@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 from math import lcm
 from operator import mul
 
@@ -95,6 +95,91 @@ class GradedDims:
 
     def __getitem__(self, d):
         return self.dims[d]
+
+
+# ---------------------------------------------------------------------------
+# integer points of a clipped box
+
+
+def _ranges(los, his, clips, base=None, stride=1):
+    """The integer points of a box cut by linear clips, as ranges of the
+    last coordinate.
+
+    The points are the y with los <= y <= his (r >= 1 coordinates),
+    row . y + c >= 0 for every clip (row, c) and, if ``base`` is given,
+    y = base mod ``stride``.  Returns ``(head, lo, hi)`` in lexicographic
+    order of the head, each for the nonempty range of points head + (t,),
+    t in range(lo, hi + 1, stride).  At each coordinate every clip is
+    checked against the most the later coordinates can add in the box,
+    so a head grows only while each clip can still hold.
+    """
+    last = len(los) - 1
+
+    def span(k, cuts, x):
+        # the range of coordinate k once coordinate k - 1 is x (0 at k = 0);
+        # a cut (row, tops, s) holds a clip's row, the most each coordinate
+        # adds to its pairing in the box, and its slack for coordinate k
+        # less row[k - 1] x: its constant, the pairing of the coordinates
+        # before k - 1 and the most the coordinates after k can add
+        lo, hi = los[k], his[k]
+        for row, _, s in cuts:
+            s += row[k - 1] * x
+            a = row[k]
+            if a > 0:
+                s = -(s // a)
+                if s > lo:
+                    lo = s
+            elif a < 0:
+                s //= -a
+                if s < hi:
+                    hi = s
+            elif s < 0:
+                return 1, 0
+        if base is not None:
+            lo += (base[k] - lo) % stride
+        return lo, hi
+
+    def extend(k, head, cuts, x):
+        # head holds the coordinates before k, the last of them x
+        lo, hi = span(k, cuts, x)
+        if lo > hi:
+            return
+        cuts = [(row, tops, s + row[k - 1] * x - tops[k + 1])
+                for row, tops, s in cuts]
+        if k + 1 < last:
+            for y in range(lo, hi + 1, stride):
+                extend(k + 1, head + (y,), cuts, y)
+            return
+        # the last coordinate's ranges, with no call per head
+        for y in range(lo, hi + 1, stride):
+            t_lo, t_hi = span(last, cuts, y)
+            if t_lo <= t_hi:
+                out.append((head + (y,), t_lo, t_hi))
+
+    cuts = []
+    for row, c in clips:
+        tops = [a * (hi if a > 0 else lo) for a, lo, hi in zip(row, los, his)]
+        cuts.append((row, tops, c + sum(tops) - tops[0]))
+    if not last:
+        lo, hi = span(0, cuts, 0)
+        return [((), lo, hi)] if lo <= hi else []
+    out = []
+    extend(0, (), cuts, 0)
+    return out
+
+
+def _ray_box(rays, weight, bound):
+    """Bounds (los, his) on the integral y of weight . y <= bound in the
+    pointed cone of ``rays``, the weight positive on each: y lies in the
+    box of 0 and the points bound r / (weight . r), rounded inward."""
+    los = [0] * len(weight)
+    his = [0] * len(weight)
+    for r in rays:
+        w = sum(map(mul, weight, r))
+        for i, x in enumerate(r):
+            los[i] = min(los[i], -(-(bound * x) // w))
+            his[i] = max(his[i], bound * x // w)
+    return los, his
 
 
 # ---------------------------------------------------------------------------
@@ -203,52 +288,24 @@ class AffineMonoid:
         with y = d x as an ``int`` tuple, d the denominator, under a
         grading checked by :meth:`_checked_grading`.
 
-        The y are enumerated in lexicographic order inside a box spanned
-        by the extreme rays, all in integers.  For each prefix of y the
-        cone inequalities and the degree bound are linear in the last
-        coordinate, so each clips its range; only in-cone points of
-        degree <= bound reach the lattice congruence.
+        The y are the points :func:`_ranges` finds, in its order, in the
+        :func:`_ray_box` of the cone's rays cut by the cone inequalities
+        and degree <= bound (a proper weight makes every degree in the
+        cone >= 0); only those meet the lattice congruence.
         """
         if not self.rank:
             yield 0, ()
             return
-        # bounds on y from the extreme rays: y = d x lies in the cone, so
-        # with degree <= bound it is a nonnegative ray combination of
-        # total weight <= bound; y is integral, so the bounds round inward
-        los = [0] * self.rank
-        his = [0] * self.rank
-        for r in self._cone_rays:
-            w = sum(a * b for a, b in zip(weight, r))
-            for i in range(self.rank):
-                los[i] = min(los[i], -(-(bound * r[i]) // w))
-                his[i] = max(his[i], (bound * r[i]) // w)
-        # a clip (row, c) keeps the y with row . y + c >= 0: each cone
-        # inequality and degree <= bound (the proper weight makes every
-        # degree in the cone >= 0); zip pairs the row's prefix with the
-        # head y[:-1], and its last entry a clips the last coordinate t
-        # by a t + c >= 0
         clips = [(a, 0) for a in self.inequalities]
         clips.append((tuple(-w for w in weight), bound))
         lattice_rows, modulus = self._lattice_rows, self._lattice_modulus
-        for head in product(*(range(lo, hi + 1)
-                              for lo, hi in zip(los[:-1], his[:-1]))):
-            lo, hi = los[-1], his[-1]
-            for row, c in clips:
-                c += sum(x * y for x, y in zip(row, head))
-                a = row[-1]
-                if a > 0:
-                    lo = max(lo, -(c // a))
-                elif a < 0:
-                    hi = min(hi, c // -a)
-                elif c < 0:
-                    break
-            else:
-                start = sum(w * y for w, y in zip(weight, head))
-                residues = [(sum(x * y for x, y in zip(row, head)), row[-1])
-                            for row in lattice_rows]
-                for t in range(lo, hi + 1):
-                    if any((c + a * t) % modulus for c, a in residues):
-                        continue
+        for head, lo, hi in _ranges(
+                *_ray_box(self._cone_rays, weight, bound), clips):
+            start = sum(map(mul, weight, head))
+            residues = [(sum(map(mul, row, head)), row[-1])
+                        for row in lattice_rows]
+            for t in range(lo, hi + 1):
+                if not any((c + a * t) % modulus for c, a in residues):
                     yield start + weight[-1] * t, head + (t,)
 
     def _checked_grading(self, bound, weight):
@@ -390,13 +447,10 @@ def _adapted_quotient(cone: Cone):
         project = u.entries[n - q:]
         # U is unimodular, so its inverse is integral
         u_inv, _ = _int_inverse(u.entries)
-        ineqs_q = []
-        for g in cone.rays:
-            h = [sum(u_inv[i][j] * g[i] for i in range(n)) for j in range(n)]
-            if any(x != 0 for x in h[:n - q]):
-                raise CohError("generator does not annihilate the cone's "
-                               "perp")
-            ineqs_q.append(tuple(h[n - q:]))
+        # the first n - q columns of U^-1 span the perp, which every
+        # generator annihilates, so only the last q pairings can be nonzero
+        ineqs_q = [tuple(sum(u_inv[i][j] * g[i] for i in range(n))
+                         for j in range(n - q, n)) for g in cone.rays]
     return (q, project, ineqs_q, *dd_generators(ineqs_q, q))
 
 
@@ -495,12 +549,11 @@ def costandard_stalk(c: Cone, chi, bound: int, denominator=1,
     Counted directly as the coset chi + Z^n intersected with the dual
     cone modulo the cone's perp (degree = denominator-cleared coordinate
     sum in the quotient coordinates).  The count runs in integers over
-    y = d z, d the denominator, for z in chi_q + Z^q: y steps through
-    d chi_q + d Z^q, its degree is weight . y and it lies in the cone iff
-    every pairing with a generator is >= 0.  For each head y[:-1] those
-    pairings and 0 <= degree <= bound are linear in the last coordinate,
-    so each clips its range, in integers.  This coset-first route is
-    the independent side of the comparison with
+    y = d z, d the denominator, for z in chi_q + Z^q: :func:`_ranges`
+    steps y through d chi_q + d Z^q inside the :func:`_ray_box` of the
+    quotient cone, clipped by every generator pairing >= 0 and by
+    degree = weight . y <= bound.  This coset-first route is the
+    independent side of the comparison with
     :func:`isotypic_component`, which enumerates the monoid first.
     ``chi`` must have ``int`` or ``Fraction`` entries, ``bound`` be a
     nonnegative ``int``, ``denominator`` a positive one, and ``weight``
@@ -523,8 +576,7 @@ def costandard_stalk(c: Cone, chi, bound: int, denominator=1,
             f"{denominator}")
     # a fact of the cone, kept on it: its stalks share one double
     # description
-    q, project, ineqs_q, rays_q, lines_q = c._memo("_quotient",
-                                                   _adapted_quotient)
+    q, project, ineqs_q, rays_q, _ = c._memo("_quotient", _adapted_quotient)
     # the projection is integral, so d chi_q is the projection of d chi
     dchi = [x.numerator * (denominator // x.denominator) for x in chi]
     base = tuple(sum(a * y for a, y in zip(row, dchi)) for row in project)
@@ -533,49 +585,25 @@ def costandard_stalk(c: Cone, chi, bound: int, denominator=1,
     if len(weight) != q:
         raise CohError(f"weight {weight!r} has length {len(weight)}, "
                        f"expected the quotient rank {q}")
-    dims = [0] * (bound + 1)
-    if q == 0:
-        dims[0] = 1  # a single coset class, sitting in degree zero
-        return GradedDims._of(tuple(dims), bound, weight)
-    if lines_q:
-        raise CohError("quotient cone is not pointed")
+    if q == 0:  # a single coset class, sitting in degree zero
+        return GradedDims._of((1,) + (0,) * bound, bound, weight)
+    # the rewritten generators span Q^q, so the cone they cut out is the
+    # dual of a full-dimensional cone: it is pointed (no lines), and its
+    # rays box in every y of bounded degree
     for r in rays_q:
-        if sum(w * x for w, x in zip(weight, r)) <= 0:
+        if sum(map(mul, weight, r)) <= 0:
             raise ImproperWeightError(
                 "weight is not strictly positive on the quotient cone")
-    # y in the cone with weight . y <= bound is a nonnegative combination
-    # of the points bound r / (weight . r), so it lies in their box with 0
-    los = [0] * q
-    his = [0] * q
-    for r in rays_q:
-        w = sum(a * b for a, b in zip(weight, r))
-        for i in range(q):
-            los[i] = min(los[i], (bound * r[i]) // w)
-            his[i] = max(his[i], -(-(bound * r[i]) // w))
-    steps = [range(lo + (b - lo) % denominator, hi + 1, denominator)
-             for b, lo, hi in zip(base[:-1], los, his)]
-    # a clip (row, c) keeps the y with row . y + c >= 0: each generator
-    # pairing and 0 <= degree <= bound; zip pairs the row's prefix with
-    # the head y[:-1], and its last entry a clips the last coordinate t
-    # by a t + c >= 0
+    # each generator pairing and degree <= bound; degree >= 0 follows,
+    # as the weight is positive on the rays
     clips = [(a, 0) for a in ineqs_q]
-    clips += [(weight, 0), (tuple(-w for w in weight), bound)]
-    for head in product(*steps):
-        lo, hi = los[-1], his[-1]
-        for row, c in clips:
-            c += sum(x * y for x, y in zip(row, head))
-            a = row[-1]
-            if a > 0:
-                lo = max(lo, -(c // a))
-            elif a < 0:
-                hi = min(hi, c // -a)
-            elif c < 0:
-                break
-        else:
-            start = sum(w * y for w, y in zip(weight, head))
-            for t in range(lo + (base[-1] - lo) % denominator, hi + 1,
-                           denominator):
-                dims[start + weight[-1] * t] += 1
+    clips.append((tuple(-w for w in weight), bound))
+    dims = [0] * (bound + 1)
+    for head, lo, hi in _ranges(*_ray_box(rays_q, weight, bound), clips,
+                                base, denominator):
+        start = sum(map(mul, weight, head))
+        for t in range(lo, hi + 1, denominator):
+            dims[start + weight[-1] * t] += 1
     return GradedDims._of(tuple(dims), bound, weight)
 
 
@@ -619,40 +647,6 @@ def _pattern_cohomology(n, missing):
     return tuple(out)
 
 
-def _sign_region(n, d, box_bound, missing):
-    """Characters m of the box [-box_bound, box_bound]^n with this missing set.
-
-    For i < n, ray i is missing iff m_i <= -1; the last ray is missing
-    iff sum(m) >= d + 1.  Each coordinate runs over its sign range,
-    clipped to the box and pruned by the partial sum so that every
-    prefix extends to a character of the region.  Yields (head, lo, hi)
-    in lexicographic order of the head: the characters head + (t,) for
-    lo <= t <= hi, a range that is empty only when a sign range is.
-    """
-    los = [-box_bound if i in missing else 0 for i in range(n)]
-    his = [-1 if i in missing else box_bound for i in range(n)]
-    # the least and the greatest sum of the coordinates k..n-1
-    rest_lo = [sum(los[k:]) for k in range(n + 1)]
-    rest_hi = [sum(his[k:]) for k in range(n + 1)]
-    last_missing = n in missing
-    m = [0] * (n - 1)
-
-    def extend(k, s):
-        lo, hi = los[k], his[k]
-        if last_missing:
-            lo = max(lo, d + 1 - s - rest_hi[k + 1])
-        else:
-            hi = min(hi, d - s - rest_lo[k + 1])
-        if k == n - 1:
-            yield tuple(m), lo, hi
-            return
-        for x in range(lo, hi + 1):
-            m[k] = x
-            yield from extend(k + 1, s + x)
-
-    return extend(0, 0)
-
-
 def pn_line_bundle_cohomology(n: int, d: int, box_bound=None) -> tuple:
     """Exact dims of H^0..H^n of the degree-d line bundle on P^n.
 
@@ -661,8 +655,10 @@ def pn_line_bundle_cohomology(n: int, d: int, box_bound=None) -> tuple:
     it fails; the Cech complex of a missing set M has exact integer ranks
     on its +/-1 incidence matrices.  For every M whose complex has
     nonzero cohomology, the characters of the box with missing set M are
-    counted: nested integer ranges for all but the last coordinate, and
-    the last coordinate's range by its length.  The character box must
+    counted by :func:`_ranges`: each coordinate m_i, i < n, in its sign
+    range (ray i is missing iff m_i <= -1), clipped by the one sum the
+    last ray reads (it is missing iff sum(m) >= d + 1), and the last
+    coordinate's range by its length.  The character box must
     contain every contributing character or a :class:`TruncationError`
     naming the lexicographically first contributing character on the box
     boundary is raised.  ``n``, ``d`` and ``box_bound`` (default
@@ -686,10 +682,12 @@ def pn_line_bundle_cohomology(n: int, d: int, box_bound=None) -> tuple:
             contrib = _pattern_cohomology(n, frozenset(missing))
             if not any(contrib):
                 continue
+            los = [-box_bound if i in missing else 0 for i in range(n)]
+            his = [-1 if i in missing else box_bound for i in range(n)]
+            # sum(m) >= d + 1 if the last ray is missing, else sum(m) <= d
+            clip = ((1,) * n, -d - 1) if n in missing else ((-1,) * n, d)
             count = 0
-            for head, lo, hi in _sign_region(n, d, box_bound, missing):
-                if lo > hi:
-                    continue
+            for head, lo, hi in _ranges(los, his, [clip]):
                 inside = box_bound not in head and -box_bound not in head
                 if inside and -box_bound < lo and hi < box_bound:
                     count += hi - lo + 1

@@ -64,9 +64,10 @@ def test_criterion_2_ccc_binomials():
                "the Euler pairing matches the signed continuation (n = 1..5)")
 
 
-def test_criterion_3_two_sided_match():
-    for n in (1, 2, 3, 4):
+def test_criterion_3_two_sided_match(two_sided_4):
+    for n in (1, 2, 3):
         _expect(checks.two_sided(n), 1 + (n + 1) ** 2)
+    _expect(two_sided_4, 1 + 5 ** 2)
     _expect(checks.two_sided(5), 1)  # the Euler Gram record alone
     _, gram = checks.generator_gram(2, ChamberCategory(2))
     _report(3, "constructible rep homs (n = 1..4) and Euler Gram matrices "

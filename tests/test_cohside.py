@@ -17,6 +17,7 @@ from fltzlab.cohside import (
     TruncationError,
     _adapted_quotient,
     _pattern_cohomology,
+    _ranges,
     costandard_stalk,
     cyclic_quiver_paths,
     euler_pairing_coherent,
@@ -377,6 +378,22 @@ class TestGammaCategory:
         sf = StackyFan(IntMatrix.identity(2),
                        fan_from_max_cones([Cone([(1, 0)], ambient_rank=2)]))
         with pytest.raises(UnsupportedConeError):
+            gamma_category(sf)
+
+    def test_invalid_stacky_fan_rejected(self):
+        # beta = 2 sends the ray (1) onto (1), which the given fan lacks
+        sf = StackyFan(IntMatrix([[2]]),
+                       fan_from_max_cones([Cone([(1,)], ambient_rank=1)]),
+                       fan_from_max_cones([Cone([(-1,)], ambient_rank=1)]))
+        assert not validate_stacky(sf)
+        with pytest.raises(CohError, match="not a valid stacky fan"):
+            gamma_category(sf)
+
+    def test_needs_a_single_chart(self):
+        from fltzlab.skeleton import UnsupportedConeError
+        sf = StackyFan.nonstacky(standard_fan("Pn", 1))
+        assert validate_stacky(sf)
+        with pytest.raises(UnsupportedConeError, match="single affine chart"):
             gamma_category(sf)
 
 
@@ -809,7 +826,8 @@ class TestCyclicPaths:
         ((3, False, 1, 2), "i = False is not an integer"),
         ((3, 0, "1", 2), "j = '1' is not an integer"),
         ((0, 0, 0, 3), "n >= 1"),
-        ((-2, 0, 0, 3), "n >= 1")])
+        ((-2, 0, 0, 3), "n >= 1"),
+        ((3, 0, 1, -1), "length bound must be nonnegative")])
     def test_bad_arguments_rejected(self, args, message):
         # 2.5 and 3.0 used to end in a raw TypeError, and True to count
         # paths on a 1-cycle
@@ -829,6 +847,12 @@ class TestIsotypic:
         dims = isotypic_component(G.monoid, (Fraction(2, 3),), 9)
         # support {2/3, 5/3, 8/3} -> weights 2, 5, 8
         assert dims.dims == (0, 0, 1, 0, 0, 1, 0, 0, 1, 0)
+
+    def test_character_of_the_wrong_rank_rejected(self):
+        mono = orthant_monoid(2)
+        for chi in ((0,), (0, 0, 0)):
+            with pytest.raises(CohError, match="character has the wrong rank"):
+                isotypic_component(mono, chi, 3)
 
     def test_character_off_the_monoid_lattice_is_zero(self):
         G = gamma_category(cyclic_stack(3))
@@ -987,6 +1011,18 @@ class TestCostandard:
         with pytest.raises(CohError, match="quotient rank 1"):
             costandard_stalk(ray, (0, 0), 3, weight=(1, 1))
 
+    def test_character_of_the_wrong_rank_rejected(self):
+        ray = Cone([(1, 0)], ambient_rank=2)
+        for chi in ((0,), (0, 0, 0)):
+            with pytest.raises(CohError, match="character has the wrong rank"):
+                costandard_stalk(ray, chi, 3)
+
+    def test_cone_with_a_line_rejected(self):
+        strip = Cone([(1, 0), (-1, 0), (0, 1)], ambient_rank=2)
+        assert not strip.is_strictly_convex()
+        with pytest.raises(CohError, match="need a strictly convex cone"):
+            costandard_stalk(strip, (0, 0), 3)
+
     def test_incompatible_character(self):
         ray = Cone([(1,)], ambient_rank=1)
         with pytest.raises(IncompatibleCharacterError):
@@ -1065,6 +1101,11 @@ class TestPnCohomology:
                 else:
                     assert pn_line_bundle_cohomology(n, d, box) == expected
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_n_below_one_rejected(self, n):
+        with pytest.raises(CohError, match="projective space needs n >= 1"):
+            pn_line_bundle_cohomology(n, 1)
+
     @pytest.mark.parametrize("args", [
         (2, 1.5), (2, 1, 2.0), (True, 1), (2, False), (2, 1, True),
         (Fraction(2), 1), ("2", 1), (None, 1), (2, None)])
@@ -1111,9 +1152,24 @@ class TestAffineMonoid:
         with pytest.raises(CohError, match="is not an integer or a Fraction"):
             mono.contains(point)
 
+    def test_membership_of_a_point_of_the_wrong_length_is_false(self):
+        mono = orthant_monoid(2)
+        assert mono.contains((1, 1))
+        assert not mono.contains((1,)) and not mono.contains((1, 1, 1))
+
     def test_wrong_length_inequality_rejected(self):
         with pytest.raises(CohError, match="length 3"):
             AffineMonoid(2, [(1, 2, 3)])
+
+    def test_negative_bound_rejected_on_both_grading_paths(self):
+        # the first call checks the default weight and remembers it; the
+        # second returns it after the bound check alone, and an explicit
+        # weight takes the full check
+        mono = orthant_monoid(2)
+        for weight in (None, None, (2, 1)):
+            with pytest.raises(CohError, match="bound must be nonnegative"):
+                mono.elements_by_degree(-1, weight)
+        assert mono._proper_weights == {(1, 1), (2, 1)}
 
     def test_fraction_inequalities_scaled_not_truncated(self):
         mono = AffineMonoid(2, [(Fraction(1, 2), 1), (Fraction(3, 2), -1)])
@@ -1282,3 +1338,60 @@ class TestAffineMonoid:
         # a proper custom weight works: x1 = 1 admits x2 in {-1, 0, 1}
         got = mono.elements_by_degree(2, weight=(2, 0))
         assert [len(got[d]) for d in range(3)] == [1, 0, 3]
+
+
+def scan_box(los, his, clips, base=None, stride=1):
+    """Every integer point of the box, in lexicographic order, kept when
+    it meets every clip and, with a base, lies in its coset."""
+    return [y for y in product(*(range(lo, hi + 1)
+                                 for lo, hi in zip(los, his)))
+            if all(sum(a * x for a, x in zip(row, y)) + c >= 0
+                   for row, c in clips)
+            and (base is None or all((x - b) % stride == 0
+                                     for x, b in zip(y, base)))]
+
+
+class TestRanges:
+    def test_matches_box_scan(self):
+        # seeded boxes of rank 1-4, some empty, with up to three random
+        # clips, sometimes one no point meets, and sometimes a coset
+        rng = random.Random(20261021)
+        seen = {"last > 0": 0, "last < 0": 0, "last = 0": 0, "dead": 0,
+                "coset": 0, "rank 4": 0, "points": 0}
+        for _ in range(800):
+            rank = rng.randint(1, 4)
+            los = [rng.randint(-4, 2) for _ in range(rank)]
+            his = [lo + rng.randint(-1, 5 if rank < 4 else 3) for lo in los]
+            clips = [(tuple(rng.randint(-3, 3) for _ in range(rank)),
+                      rng.randint(-6, 6)) for _ in range(rng.randint(0, 3))]
+            if rng.random() < 0.1:
+                clips.append(((0,) * rank, -rng.randint(1, 3)))
+                seen["dead"] += 1
+            base, stride = None, 1
+            if rng.random() < 0.4:
+                stride = rng.randint(1, 4)
+                base = tuple(rng.randint(-5, 5) for _ in range(rank))
+                seen["coset"] += 1
+            found = _ranges(los, his, clips, base, stride)
+            assert all(lo <= hi for _, lo, hi in found)
+            got = [head + (t,) for head, lo, hi in found
+                   for t in range(lo, hi + 1, stride)]
+            expected = scan_box(los, his, clips, base, stride)
+            assert got == expected, (los, his, clips, base, stride)
+            for row, _ in clips:
+                seen["last > 0" if row[-1] > 0 else
+                     "last < 0" if row[-1] < 0 else "last = 0"] += 1
+            seen["rank 4"] += rank == 4
+            seen["points"] += len(expected)
+        assert min(seen.values()) >= 60, seen
+
+    def test_corner_of_a_large_box(self):
+        # y0 + y1 + y2 >= 3 m - 2 on {0..m}^3 keeps ten points in a corner;
+        # the clip bounds y0 through what y1 and y2 can still add, so no
+        # head below m - 2 is visited
+        m = 10 ** 6
+        found = _ranges([0] * 3, [m] * 3, [((1, 1, 1), 2 - 3 * m)])
+        assert [head + (t,) for head, lo, hi in found
+                for t in range(lo, hi + 1)] == [
+            y for y in product(range(m - 2, m + 1), repeat=3)
+            if sum(y) >= 3 * m - 2]
