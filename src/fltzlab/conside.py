@@ -31,7 +31,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import comb
 
 from .fans import Cone, is_smooth_cone
@@ -268,6 +268,11 @@ class ChamberCategory:
     multiplication as composition (all squares commute).  Its category
     of representations is the classical quiver model for the derived
     category of n-dimensional projective space.
+
+    A basis morphism is the tuple ``(s, t, exponents)``.  The basis of
+    each hom space is built once, with the monomials of each degree in
+    increasing order of their exponent tuples, and :meth:`hom_basis`
+    returns the stored tuple.
     """
 
     def __init__(self, n):
@@ -277,14 +282,13 @@ class ChamberCategory:
         self.objects = tuple(range(n + 1))  # step classes
         self._arrows = tuple((s, s - 1, self.arrow(s, i))
                              for s in range(1, n + 1) for i in range(n + 1))
-        self._bases = {(s, t): tuple(_monomials(n + 1, s - t))
+        monomials = {e: _monomials(n + 1, e) for e in range(1, n + 1)}
+        self._bases = {(s, t): tuple([(s, t, m) for m in monomials[s - t]])
                        for s in self.objects for t in range(s)}
         self._relations = None
 
     def hom_basis(self, s, t):
-        if s == t:
-            return ()
-        return tuple((s, t, m) for m in self._bases.get((s, t), ()))
+        return self._bases.get((s, t), ())
 
     def compose(self, f, g):
         (s, t, m1) = f
@@ -333,12 +337,17 @@ class ChamberCategory:
 
 
 def _monomials(width, degree):
-    if width == 1:
-        yield (degree,)
-        return
-    for a in range(degree + 1):
-        for rest in _monomials(width - 1, degree - a):
-            yield (a,) + rest
+    """The exponent tuples of the monomials of ``degree`` in ``width``
+    symbols, in increasing order.  The multisets of symbols come in
+    increasing order, so their exponent tuples decrease."""
+    out = []
+    for c in combinations_with_replacement(range(width), degree):
+        exps = [0] * width
+        for i in c:
+            exps[i] += 1
+        out.append(tuple(exps))
+    out.reverse()
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -545,11 +554,8 @@ def _chains(category, sources, targets):
     return by_len
 
 
-def _entries(m, dim):
-    """``(row, column, entry)`` of each nonzero entry of ``m``; for ``m``
-    None, of the identity of size ``dim``."""
-    if m is None:
-        return [(i, i, 1) for i in range(dim)]
+def _entries(m):
+    """``(row, column, entry)`` of each nonzero entry of ``m``."""
     return [(i, j, x) for i, row in enumerate(m) for j, x in row.items()]
 
 
@@ -570,6 +576,14 @@ def hom_complex(M: CatRep, N: CatRep):
     empty.  There is one term per length up to the category's longest
     chain, so the term count does not depend on M and N.
 
+    Each face is written as runs of entries.  A middle face is one
+    diagonal of rows * cols entries (-1)^k at a fixed column offset; the
+    first face copies the entries of M(f_0) into each row of phi; the
+    last face spreads each entry of N(f_p), times (-1)^(p+1), along the
+    identity of M(x_0).  Faces are written in the order k = 0, ..., p +
+    1, each row of phi in turn, so each row's dict lists its entries in
+    that order.
+
     Each entry of the differential is set once, by one face: the
     category is directed, so a chain's objects are distinct, and its
     faces, each dropping a different object, lie in different blocks;
@@ -585,51 +599,57 @@ def hom_complex(M: CatRep, N: CatRep):
     if M.category is not N.category:
         raise ConError("representations live on different categories")
     cat = M.category
-    chains = _chains(cat, [x for x in cat.objects if M.dims[x]],
-                     {x for x in cat.objects if N.dims[x]})
+    m_dims, n_dims = M.dims, N.dims
+    chains = _chains(cat, [x for x in cat.objects if m_dims[x]],
+                     {x for x in cat.objects if n_dims[x]})
     offsets, term_dims = [], []  # per term: chain -> block start; size
     for chs in chains:
         at, size = {}, 0
         for objs, fs in chs:
             at[objs, fs] = size
-            size += N.dims[objs[-1]] * M.dims[objs[0]]
+            size += n_dims[objs[-1]] * m_dims[objs[0]]
         offsets.append(at)
         term_dims.append(size)
-    # the entry lists of the identities, of M(f_0) and of N(f_p), each
-    # built once per call: many chains share their first or last morphism
-    ident = [_entries(None, k) for k in range(
-        max([*M.dims.values(), *N.dims.values()], default=0) + 1)]
+    # the entry lists of M(f_0) and of N(f_p), each built once per call:
+    # many chains share their first or last morphism
     firsts, lasts = {}, {}
     diffs = []
     for p in range(len(chains) - 1):
         d = [{} for _ in range(term_dims[p + 1])]
+        below = offsets[p]
         for (objs, fs), row0 in offsets[p + 1].items():
-            rows, cols = N.dims[objs[-1]], M.dims[objs[0]]
-            one_rows, one_cols = ident[rows], ident[cols]
-            faces = []
-            if M.dims[objs[1]]:  # else the first face's block is empty
+            rows, cols = n_dims[objs[-1]], m_dims[objs[0]]
+            size = rows * cols
+            block = d[row0:row0 + size]
+            width = m_dims[objs[1]]
+            if width:  # else the first face's block is empty
                 first = firsts.get(fs[0])
                 if first is None:
-                    first = firsts[fs[0]] = _entries(M.matrix(fs[0]), cols)
-                faces.append((1, (objs[1:], fs[1:]), one_rows, first))
+                    first = firsts[fs[0]] = _entries(M.matrix(fs[0]))
+                col0 = below[objs[1:], fs[1:]]
+                for r, at in zip(range(0, size, cols),
+                                 range(col0, col0 + rows * width, width)):
+                    for u, j, b in first:
+                        block[r + j][at + u] = b
+            sign = 1
             for k in range(1, len(fs)):
-                h = cat.compose(fs[k - 1], fs[k])
-                faces.append(((-1) ** k, (objs[:k] + objs[k + 1:],
-                                          fs[:k - 1] + (h,) + fs[k + 1:]),
-                              one_rows, one_cols))
-            if N.dims[objs[-2]]:  # else the last face's block is empty
+                sign = -sign
+                col0 = below[objs[:k] + objs[k + 1:],
+                             fs[:k - 1] + (cat.compose(fs[k - 1], fs[k]),)
+                             + fs[k + 1:]]
+                for row, col in zip(block, range(col0, col0 + size)):
+                    row[col] = sign
+            if n_dims[objs[-2]]:  # else the last face's block is empty
                 last = lasts.get(fs[-1])
                 if last is None:
-                    last = lasts[fs[-1]] = _entries(N.matrix(fs[-1]), rows)
-                faces.append(((-1) ** len(fs), (objs[:-1], fs[:-1]),
-                              last, one_cols))
-            for sign, face, left, right in faces:
-                col0 = offsets[p][face]
-                width = M.dims[face[0][0]]
-                for i, v, a in left:
-                    for u, j, b in right:
-                        d[row0 + i * cols + j][col0 + v * width + u] = \
-                            sign * a * b
+                    last = lasts[fs[-1]] = _entries(N.matrix(fs[-1]))
+                col0 = below[objs[:-1], fs[:-1]]
+                sign = -sign
+                for i, v, a in last:
+                    x, at = sign * a, col0 + v * cols
+                    for row, col in zip(block[i * cols:(i + 1) * cols],
+                                        range(at, at + cols)):
+                        row[col] = x
         diffs.append(d)
     return term_dims, diffs
 
@@ -736,7 +756,7 @@ class BeilinsonGenerator:
 
 def _class_dims(n, k):
     """Rank of Sym^(k-1-s) of the rank n+1 bundle per step s; 0 from k."""
-    return tuple(comb(n + k - 1 - s, n) if s < k else 0 for s in range(n + 1))
+    return [comb(n + k - 1 - s, n) if s < k else 0 for s in range(n + 1)]
 
 
 def beilinson_generators(n: int):
@@ -751,7 +771,7 @@ def beilinson_generators(n: int):
     chambers = enumerate_chambers(n)
     out = []
     for k in range(1, n + 2):
-        class_dims = _class_dims(n, k)
+        class_dims = tuple(_class_dims(n, k))
         dims = {}
         decs = {}
         for c in chambers:
@@ -823,22 +843,22 @@ def reduce_dimension_vector(n: int, d):
     vector constant on step classes.  The generator classes form a
     unimodular triangular system (asserted), so the trace ends at zero
     after exactly n+1 steps and its coefficients reassemble the input.
+    Row k - 1 of the system is generator k's class vector, and the check
+    reads it as two slices: a 1 at step k - 1 and zeros after it.
     """
     if type(n) is not int or n < 1:
         raise ConError(f"reduction needs an int n >= 1, not {n!r}")
     matrix = [_class_dims(n, k) for k in range(1, n + 2)]
-    for k in range(n + 1):
-        if matrix[k][k] != 1 or any(matrix[k][s] != 0 for s in range(k + 1, n + 1)):
+    for k, row in enumerate(matrix):
+        if row[k] != 1 or any(row[k + 1:]):
             raise GenerationFailure(
                 "generator dimension vectors are not unimodular triangular")
     current = _class_vector(n, d)
     trace = []
     for k in range(n + 1, 0, -1):
-        s = k - 1
-        coeff = current[s]
+        coeff = current[k - 1]
         current = [a - coeff * b for a, b in zip(current, matrix[k - 1])]
-        trace.append(ReductionStep(k=k, coefficient=coeff,
-                                   remainder=tuple(current)))
+        trace.append(ReductionStep(k, coeff, tuple(current)))
     if any(x != 0 for x in current):
         raise GenerationFailure(
             f"reduction did not reach zero within {n + 1} steps: {current}")

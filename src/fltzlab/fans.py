@@ -570,13 +570,14 @@ def is_refinement(fine: Fan, coarse: Fan) -> bool:
             for f in faces(c):
                 if f.dim() == dim_d - 1:
                     facet_cells.setdefault(f, []).append(c)
+        # A facet on the boundary of d has one owner.  Two cells through
+        # it would both lie, near it, on d's side of its hyperplane in
+        # span(d), so they would meet in a cone of full dimension; a Fan
+        # allows that only for equal cones, and maximal cones differ.
         for facet, owners in facet_cells.items():
-            on_boundary = any(all(b.contains(g) for g in facet.generators)
-                              for b in boundary)
-            if on_boundary:
-                if len(owners) != 1:
-                    return False
-            elif len(owners) != 2:
+            if len(owners) != 2 and not any(
+                    all(b.contains(g) for g in facet.generators)
+                    for b in boundary):
                 return False
     return True
 

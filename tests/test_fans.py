@@ -290,6 +290,19 @@ class TestSmoothness:
     def test_zero(self):
         assert is_smooth_cone(Cone((), ambient_rank=3))
 
+    def test_cone_with_a_line_is_not_smooth(self):
+        # the upper half-plane holds the line through (1, 0)
+        half = Cone([(1, 0), (-1, 0), (0, 1)])
+        assert half.lines and not half.is_strictly_convex()
+        assert not is_smooth_cone(half)
+
+    def test_more_rays_than_the_dimension_is_not_smooth(self):
+        # the square cone over (+-1, +-1, 1): pointed, four rays in rank 3
+        square = Cone([(1, 1, 1), (1, -1, 1), (-1, 1, 1), (-1, -1, 1)])
+        assert square.is_strictly_convex()
+        assert (len(square.rays), square.dim()) == (4, 3)
+        assert not is_smooth_cone(square)
+
     def test_brute_force_completion_oracle(self):
         # search over small integer completions for a unimodular extension
         def completable(gens, rank):
@@ -925,6 +938,21 @@ class TestRefinement:
         other = fan_from_max_cones([Cone([(1, 0), (-1, 1)])])
         assert not is_refinement(partial, orthant)
         assert not is_refinement(other, orthant)
+
+    def test_ranks_must_match(self):
+        plane, space = standard_fan("Pn", n=2), standard_fan("Pn", n=3)
+        assert not is_refinement(plane, space)
+        assert not is_refinement(space, plane)
+
+    def test_coarse_cone_without_a_full_dimensional_cell(self):
+        # the ray (1, 1) lies in the quadrant, but no fine cell of
+        # dimension 2 does
+        quadrant = fan_from_max_cones([Cone([(1, 0), (0, 1)])])
+        diagonal = fan_from_max_cones([Cone([(1, 1)], ambient_rank=2)])
+        (ray,) = diagonal.maximal_cones()
+        (cone,) = quadrant.maximal_cones()
+        assert cone.contains((1, 1)) and ray.dim() < cone.dim()
+        assert not is_refinement(diagonal, quadrant)
 
     def test_resolution_of_singular_cone(self):
         singular = fan_from_max_cones([Cone([(0, 1), (2, -1)])])
