@@ -440,7 +440,7 @@ def _adapted_quotient(cone: Cone):
         perp = kernel_basis(IntMatrix([list(g) for g in cone.rays])) \
             if cone.rays else [tuple(int(i == j) for j in range(n))
                                for i in range(n)]
-        T = IntMatrix.from_columns([list(p) for p in perp], rows=n)
+        T = IntMatrix.from_columns([list(p) for p in perp])
         # U carries the perp into the leading coordinates
         u = smith_normal_form(T).U
         q = n - len(perp)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, product
+from itertools import product
 from math import gcd, lcm, prod
 from operator import mul
 
@@ -87,13 +87,11 @@ class IntMatrix:
         return cls._of(tuple(map(tuple, _identity_rows(n))))
 
     @classmethod
-    def from_columns(cls, columns, rows=None):
+    def from_columns(cls, columns):
         columns = [tuple(c) for c in columns]
-        if rows is None:
-            if not columns:
-                raise ZlinError("cannot infer row count of an empty column list")
-            rows = len(columns[0])
-        return cls([[c[i] for c in columns] for i in range(rows)])
+        if not columns:
+            raise ZlinError("cannot infer row count of an empty column list")
+        return cls([[c[i] for c in columns] for i in range(len(columns[0]))])
 
     def column(self, j):
         return tuple(row[j] for row in self.entries)
@@ -173,79 +171,38 @@ def _sparse_rows(rows):
     a ``{column: entry}`` dict with nonnegative ``int`` columns.  Every
     entry must be an ``int`` or a ``Fraction``.  Zero entries are
     dropped; a dict row with none is kept as it is (the echelon copies
-    a row before writing it).  If some entry is not an ``int``, each row
-    is scaled by the lcm of its denominators.  No row is divided by its
-    content: a rank does not depend on it, and :func:`_int_inverse`
-    divides its rows once it has eliminated them.
+    a row before writing it).  A row with an entry that is not an
+    ``int`` is scaled by the lcm of its denominators.  No row is divided
+    by its content: a rank does not depend on it, and
+    :func:`_int_inverse` divides its rows once it has eliminated them.
 
-    The checks run once per matrix, over all columns and all entries at
-    once.  If one fails, the rows are checked again one at a time, so
-    the error names the first bad row or entry, in row order.
+    One pass over the rows checks each row's columns (or its length)
+    and then its entries, so the error names the first bad row or
+    entry, in row order.
     """
-    rows = list(rows)
-    sparse, dicts, lengths = [], [], set()
+    sparse, ncols = [], None
     for row in rows:
         if isinstance(row, dict):
-            dicts.append(row)
-            sparse.append({j: x for j, x in row.items() if x}
-                          if 0 in row.values() else row)
-        else:
-            lengths.add(len(row))
-            sparse.append({j: x for j, x in enumerate(row) if x})
-    try:
-        ints = _matrix_is_int(rows, dicts, lengths)
-    except ZlinError:
-        _check_rows(rows)
-        raise
-    if ints:
-        return sparse
-    return [dict(zip(r, _cleared(r.values())[0])) for r in sparse]
-
-
-def _matrix_is_int(rows, dicts, lengths):
-    """Whether every entry of ``rows`` is an ``int``, once the whole
-    matrix passes the checks of :func:`_sparse_rows`; ``dicts`` are its
-    dict rows and ``lengths`` the set of its sequence rows' lengths.  A
-    failed check raises a :class:`ZlinError` that need not name the
-    first bad row."""
-    if len(lengths) > 1:
-        raise ZlinError("ragged rows in rational matrix")
-    values = rows
-    if dicts:
-        check_ints(chain.from_iterable(dicts), ZlinError, "column")
-        if min(chain.from_iterable(dicts), default=0) < 0:
-            raise ZlinError("negative column in sparse row")
-        values = [row.values() if isinstance(row, dict) else row
-                  for row in rows]
-    try:
-        check_ints(chain.from_iterable(values), ZlinError, "matrix entry")
-    except ZlinError:
-        check_exact(chain.from_iterable(values), ZlinError, "matrix entry")
-        return False
-    return True
-
-
-def _check_rows(rows):
-    """Raise the :class:`ZlinError` of the first bad row of ``rows`` or
-    of its first bad entry, checking one row at a time."""
-    ncols = None
-    for row in rows:
-        if isinstance(row, dict):
-            try:
-                check_ints(row, ZlinError, "column")
-                bad = min(row, default=0) < 0
-            except ZlinError:
-                bad = True
-            if bad:
-                raise ZlinError(f"sparse row {row!r} has a column that is "
-                                "not a nonnegative int")
-            check_exact(row.values(), ZlinError, "matrix entry")
+            for j in row:
+                if type(j) is not int or j < 0:
+                    raise ZlinError(f"sparse row {row!r} has a column that "
+                                    "is not a nonnegative int")
+            values = row.values()
+            r = {j: x for j, x in row.items() if x} if 0 in values else row
         else:
             if ncols is None:
                 ncols = len(row)
             elif len(row) != ncols:
                 raise ZlinError("ragged rows in rational matrix")
-            check_exact(row, ZlinError, "matrix entry")
+            values = row
+            r = {j: x for j, x in enumerate(row) if x}
+        for x in values:
+            if type(x) is not int:
+                check_exact(values, ZlinError, "matrix entry")
+                r = dict(zip(r, _cleared(r.values())[0]))
+                break
+        sparse.append(r)
+    return sparse
 
 
 def _primitive(r):
@@ -318,7 +275,8 @@ def pivot_columns(rows):
     ``{column: entry}`` dict, in which a missing column is zero.  An
     entry that is not an ``int`` or a ``Fraction``, or a column that is
     not a nonnegative ``int``, is a :class:`ZlinError`; these checks run
-    once per matrix, and the error names the first bad row or entry.
+    in one pass over the rows, and the error names the first bad row or
+    entry.
 
     The set is the greedy column basis: column j is a pivot exactly when
     it is not a combination of the columns before it.  It depends only

@@ -1,7 +1,7 @@
 import random
 from enum import IntEnum
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from math import lcm, prod
 from types import SimpleNamespace
 
@@ -16,6 +16,7 @@ from fltzlab.zlin import (
     IntMatrix,
     LatticeQuotient,
     ZlinError,
+    _cleared,
     _int_inverse,
     check_exact,
     check_ints,
@@ -250,6 +251,41 @@ class TestIntMatrix:
         m = IntMatrix(([1, -2], (3, 10 ** 30)))
         assert m.entries == ((1, -2), (3, 10 ** 30))
 
+    def test_ragged_rows_rejected(self):
+        with pytest.raises(ZlinError,
+                           match="^ragged rows in integer matrix$"):
+            IntMatrix([[1, 2], [3]])
+
+    def test_immutable(self):
+        m = IntMatrix([[1, 2]])
+        with pytest.raises(AttributeError, match="^IntMatrix is immutable$"):
+            m.rows = 3
+        assert m.rows == 1
+
+    def test_from_columns(self):
+        m = IntMatrix.from_columns([(1, 2, 3), [4, 5, 6]])
+        assert m == IntMatrix([[1, 4], [2, 5], [3, 6]])
+        assert m.column(1) == (4, 5, 6)
+        with pytest.raises(ZlinError, match="^cannot infer row count of "
+                                            "an empty column list$"):
+            IntMatrix.from_columns([])
+
+    def test_hash_and_repr(self):
+        m = IntMatrix([[1, -2], [3, 4]])
+        assert hash(m) == hash(IntMatrix(((1, -2), (3, 4))))
+        assert len({m, IntMatrix([[1, -2], [3, 4]]), m.transpose()}) == 2
+        assert repr(m) == "IntMatrix([[1, -2], [3, 4]])"
+
+    def test_vector_of_the_wrong_length_rejected(self):
+        with pytest.raises(ZlinError, match="^shape mismatch in "
+                                            "matrix-vector product$"):
+            IntMatrix([[1, 2]]) @ (1,)
+
+    def test_det_of_a_non_square_matrix_rejected(self):
+        with pytest.raises(ZlinError,
+                           match="^determinant of a non-square matrix$"):
+            IntMatrix([[1, 2]]).det()
+
 
 class TestCokernel:
     def test_cyclic(self):
@@ -428,6 +464,23 @@ class TestCharacters:
             FiniteAbelianGroup((3, 2))
         with pytest.raises(ZlinError):
             FiniteAbelianGroup((1,))
+
+    def test_negative_free_rank_rejected(self):
+        with pytest.raises(ZlinError,
+                           match="^free rank must be nonnegative$"):
+            FiniteAbelianGroup((2,), -1)
+
+    def test_infinite_group_has_no_order_or_character_list(self):
+        g = FiniteAbelianGroup((2,), 1)
+        assert not g.is_finite
+        with pytest.raises(ZlinError, match="^group is infinite$"):
+            g.order()
+        with pytest.raises(ZlinError, match="^character enumeration needs "
+                                            "a finite group$"):
+            g.characters()
+        with pytest.raises(ZlinError,
+                           match="^characters require a finite group$"):
+            Character((1,), g)
 
     @pytest.mark.parametrize("factors, free_rank", [
         ((2.9,), 0), ((Fraction(4),), 0), ((True, 2), 0), ((2,), 1.5)])
@@ -707,28 +760,12 @@ class TestExactElimination:
     @pytest.mark.parametrize("rows", [[[1, 2], [3]],
                                       [[1, 2], {0: 1, 5: 2}, (3,)],
                                       [{1: 1}, [Fraction(1, 2), 0], [], [1]]])
-    def test_ragged_rows_are_named_by_both_checks(self, function, rows,
-                                                  monkeypatch):
-        # the whole-matrix check raises first, and the row-by-row recheck
-        # then names the first ragged row itself
-        raised = []
-
-        def recorded(check):
-            def run(*args):
-                try:
-                    return check(*args)
-                except ZlinError as exc:
-                    raised.append((check.__name__, str(exc)))
-                    raise
-            return run
-
-        for name in ("_matrix_is_int", "_check_rows"):
-            monkeypatch.setattr(zlin, name, recorded(getattr(zlin, name)))
+    def test_ragged_rows_are_named_by_both_checks(self, function, rows):
+        # a dense row whose length differs from the first dense row's is
+        # named whatever dict rows come between them
         with pytest.raises(ZlinError,
                            match="^ragged rows in rational matrix$"):
             function(rows)
-        assert raised == [(name, "ragged rows in rational matrix")
-                          for name in ("_matrix_is_int", "_check_rows")]
 
     @pytest.mark.parametrize("rows, message", [
         ([[0.5, 1]], "entry 0.5"), ([{0: 0.5}], "entry 0.5"),
@@ -777,9 +814,8 @@ class TestExactElimination:
         ({7: {0: Fraction(1, 2), 1: None}}, "matrix entry None is not "
          "an integer or a Fraction")])
     def test_rank_names_the_first_bad_row(self, bad, message):
-        # the checks run over the whole matrix at once, and a failure is
-        # checked again row by row: the error names the first bad row or
-        # entry, as a row-at-a-time check does, whatever comes later
+        # the checks run one row at a time: the error names the first bad
+        # row or entry, whatever comes later
         rng = random.Random(16)
         rows = []
         for i in range(50):
@@ -801,6 +837,176 @@ class TestExactElimination:
             rational_inverse([[1, 0.0], [0, 1]])
         rows = [[0, Fraction(0)], {0: 0, 3: Fraction(2, 3)}]
         assert rational_rank(rows) == 1
+
+
+def reference_sparse_rows(rows):
+    """The two-phase gate that ``zlin._sparse_rows`` replaced: the checks
+    run once over the whole matrix, and a failure is checked again row
+    by row, so that the error names the first bad row or entry."""
+    rows = list(rows)
+    sparse, dicts, lengths = [], [], set()
+    for row in rows:
+        if isinstance(row, dict):
+            dicts.append(row)
+            sparse.append({j: x for j, x in row.items() if x}
+                          if 0 in row.values() else row)
+        else:
+            lengths.add(len(row))
+            sparse.append({j: x for j, x in enumerate(row) if x})
+    try:
+        ints = reference_matrix_is_int(rows, dicts, lengths)
+    except ZlinError:
+        reference_check_rows(rows)
+        raise
+    if ints:
+        return sparse
+    return [dict(zip(r, _cleared(r.values())[0])) for r in sparse]
+
+
+def reference_matrix_is_int(rows, dicts, lengths):
+    """Whether every entry of ``rows`` is an ``int``; raises a
+    :class:`ZlinError` that need not name the first bad row."""
+    if len(lengths) > 1:
+        raise ZlinError("ragged rows in rational matrix")
+    values = rows
+    if dicts:
+        check_ints(chain.from_iterable(dicts), ZlinError, "column")
+        if min(chain.from_iterable(dicts), default=0) < 0:
+            raise ZlinError("negative column in sparse row")
+        values = [row.values() if isinstance(row, dict) else row
+                  for row in rows]
+    try:
+        check_ints(chain.from_iterable(values), ZlinError, "matrix entry")
+    except ZlinError:
+        check_exact(chain.from_iterable(values), ZlinError, "matrix entry")
+        return False
+    return True
+
+
+def reference_check_rows(rows):
+    """Raise the :class:`ZlinError` of the first bad row of ``rows`` or
+    of its first bad entry, checking one row at a time."""
+    ncols = None
+    for row in rows:
+        if isinstance(row, dict):
+            try:
+                check_ints(row, ZlinError, "column")
+                bad = min(row, default=0) < 0
+            except ZlinError:
+                bad = True
+            if bad:
+                raise ZlinError(f"sparse row {row!r} has a column that is "
+                                "not a nonnegative int")
+            check_exact(row.values(), ZlinError, "matrix entry")
+        else:
+            if ncols is None:
+                ncols = len(row)
+            elif len(row) != ncols:
+                raise ZlinError("ragged rows in rational matrix")
+            check_exact(row, ZlinError, "matrix entry")
+
+
+GATE_FAULTS = {
+    "float entry": (0.5, 0.0),
+    "bool entry": (True, False),
+    "str entry": ("1", "0"),
+    "negative column": (-1, -7),
+    "bool or str column": (True, False, "a"),
+    "ragged dense row": (1, -1),
+}
+
+
+def random_gate_rows(rng, kind, exact):
+    """Seeded rows for the gate: ``kind`` is dense, dict or mixed and
+    ``exact`` is int, Fraction or both.  A dict row keeps a zero entry
+    now and then, and dense rows are lists or tuples."""
+    rows = random_sparse_matrix(rng, max_dim=8)
+    if exact is int:
+        rows = [[x.numerator for x in row] for row in rows]
+    elif exact == "both":
+        rows = [[x.numerator if x.denominator == 1 and rng.random() < 0.7
+                 else x for x in row] for row in rows]
+    out = []
+    for row in rows:
+        as_dict = kind == "dict" or kind == "mixed" and rng.random() < 0.5
+        if as_dict:
+            out.append({j: x for j, x in enumerate(row)
+                        if x or rng.random() < 0.1})
+        else:
+            out.append(rng.choice((list, tuple))(row))
+    return out
+
+
+def inject_fault(rng, rows, fault):
+    """``rows`` with one ``fault`` of :data:`GATE_FAULTS` at a random row,
+    made a dict row for a column fault and a dense row for a ragged
+    one."""
+    rows = list(rows) or [[]]
+    i = rng.randrange(len(rows))
+    row = rows[i]
+    value = rng.choice(GATE_FAULTS[fault])
+    if fault == "ragged dense row":
+        others = [len(r) for j, r in enumerate(rows)
+                  if j != i and not isinstance(r, dict)]
+        width = others[0] if others else rng.randint(0, 8)
+        rows[i] = [1] * (width + 1 if value > 0 or not width else width - 1)
+        if not others:
+            rows.insert(rng.randint(0, len(rows)), [0] * width)
+    elif fault.endswith("column"):
+        row = dict(row) if isinstance(row, dict) else dict(enumerate(row))
+        # True is the key 1 of a dict, so the int key goes first
+        row.pop(value, None)
+        row[value] = rng.choice((1, Fraction(1, 2)))
+        rows[i] = dict(rng.sample(list(row.items()), len(row)))
+    elif isinstance(row, dict):
+        rows[i] = {**row, rng.choice(list(row) or [0]): value}
+    else:
+        dense = list(row) or [0]
+        dense[rng.randrange(len(dense))] = value
+        rows[i] = dense
+    return rows
+
+
+def gate_outcome(gate, rows):
+    """The rows ``gate`` returns as ``(column, entry, type)`` items, or
+    its error message."""
+    try:
+        return [[(j, x, type(x)) for j, x in r.items()] for r in gate(rows)]
+    except ZlinError as exc:
+        return str(exc)
+
+
+class TestSparseRowsOracle:
+    @pytest.mark.parametrize("kind", ["dense", "dict", "mixed"])
+    @pytest.mark.parametrize("exact", [int, Fraction, "both"],
+                             ids=["int", "Fraction", "both"])
+    def test_gate_matches_the_two_phase_reference(self, kind, exact):
+        # clean matrices give equal rows, item for item; a matrix with
+        # one fault, or two, raises the reference's message
+        rng = random.Random(f"gate-{kind}-{getattr(exact, '__name__', exact)}")
+        raised = dict.fromkeys(GATE_FAULTS, 0)
+        for trial in range(240):
+            rows = random_gate_rows(rng, kind, exact)
+            faults = []
+            if trial % 4:
+                faults = rng.sample(sorted(GATE_FAULTS), 1 + (trial % 4 == 3))
+            for fault in faults:
+                rows = inject_fault(rng, rows, fault)
+            got = gate_outcome(zlin._sparse_rows, rows)
+            assert got == gate_outcome(reference_sparse_rows, rows), rows
+            if len(faults) == 1 and isinstance(got, str):
+                raised[faults[0]] += 1
+        assert min(raised.values()) >= 10, raised
+
+    def test_entries_are_checked_after_the_columns(self):
+        # one dict row with a bad column and a bad entry: the column is
+        # named, as the reference names it
+        for rows in ([{0: 0.5, -1: 1}], [{"a": 1, 1: True}],
+                     [[1, 2], {0: "x", True: 1}]):
+            message = gate_outcome(reference_sparse_rows, rows)
+            assert message.endswith("has a column that is not a "
+                                    "nonnegative int")
+            assert gate_outcome(zlin._sparse_rows, rows) == message
 
 
 class _CountedIterations(list):
