@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import lcm
-from operator import mul
+from math import gcd, lcm
+from operator import mod, mul, sub
 
 from .fans import Cone, StackyFan, dd_generators, validate_stacky
 from .skeleton import UnsupportedConeError, character_lattice_quotient
@@ -88,9 +88,7 @@ class GradedDims:
         nonnegative ``int`` counts, ``bound`` and ``weight`` already
         checked, for values computed from checked inputs."""
         g = object.__new__(cls)
-        object.__setattr__(g, "dims", dims)
-        object.__setattr__(g, "bound", bound)
-        object.__setattr__(g, "weight", weight)
+        g.__dict__.update(dims=dims, bound=bound, weight=weight)
         return g
 
     def __getitem__(self, d):
@@ -291,7 +289,13 @@ class AffineMonoid:
         The y are the points :func:`_ranges` finds, in its order, in the
         :func:`_ray_box` of the cone's rays cut by the cone inequalities
         and degree <= bound (a proper weight makes every degree in the
-        cone >= 0); only those meet the lattice congruence.
+        cone >= 0); only those meet the lattice congruence.  For a fixed
+        head, the t with c + a t = 0 mod q on a row (c the row's pairing
+        with the head, a its last entry) form one class modulo
+        q / gcd(a, q) or none, so on every row they form one class
+        modulo the lcm P of those periods or none: the congruence is
+        tested on at most the first P values of each range, and from
+        the first t that meets it the range is stepped by P.
         """
         if not self.rank:
             yield 0, ()
@@ -299,14 +303,18 @@ class AffineMonoid:
         clips = [(a, 0) for a in self.inequalities]
         clips.append((tuple(-w for w in weight), bound))
         lattice_rows, modulus = self._lattice_rows, self._lattice_modulus
+        period = lcm(*(modulus // gcd(row[-1], modulus)
+                       for row in lattice_rows))
         for head, lo, hi in _ranges(
                 *_ray_box(self._cone_rays, weight, bound), clips):
             start = sum(map(mul, weight, head))
             residues = [(sum(map(mul, row, head)), row[-1])
                         for row in lattice_rows]
-            for t in range(lo, hi + 1):
-                if not any((c + a * t) % modulus for c, a in residues):
-                    yield start + weight[-1] * t, head + (t,)
+            for first in range(lo, min(hi, lo + period - 1) + 1):
+                if not any((c + a * first) % modulus for c, a in residues):
+                    for t in range(first, hi + 1, period):
+                        yield start + weight[-1] * t, head + (t,)
+                    break
 
     def _checked_grading(self, bound, weight):
         """The weight as a tuple (default all ones) once bound and weight pass.
@@ -356,8 +364,11 @@ class AffineMonoid:
             d = self.denominator
             counts = {}
             for deg, y in self._points(bound, weight):
-                counts.setdefault(tuple(c % d for c in y),
-                                  [0] * (bound + 1))[deg] += 1
+                key = tuple(c % d for c in y)
+                dims = counts.get(key)
+                if dims is None:
+                    dims = counts[key] = [0] * (bound + 1)
+                dims[deg] += 1
             entry = ({key: GradedDims._of(tuple(dims), bound, weight)
                       for key, dims in counts.items()},
                      GradedDims._of((0,) * (bound + 1), bound, weight))
@@ -456,6 +467,8 @@ def _adapted_quotient(cone: Cone):
 
 def gamma_category(sf: StackyFan) -> GammaCategory:
     """The finite hom-category of a stacky fan of one full-dimensional cone."""
+    if not isinstance(sf, StackyFan):
+        raise CohError(f"sf {sf!r} is not a StackyFan")
     if not validate_stacky(sf):
         raise CohError("input is not a valid stacky fan")
     maximal = sf.fan_hat.maximal_cones()
@@ -483,12 +496,14 @@ def hom_graded(G: GammaCategory, chi: Character, chi_prime: Character,
     representative.  A ``chi`` or ``chi_prime`` that is not a character
     of ``G.group`` is a :class:`ZlinError` naming the argument.
     """
+    if not isinstance(G, GammaCategory):
+        raise CohError(f"G {G!r} is not a GammaCategory")
     group = G.group
     group.check_character(chi, "chi")
     group.check_character(chi_prime, "chi_prime")
     weight = G.monoid._checked_grading(bound, weight)
-    key = G._coset_keys[tuple((b - a) % f for a, b, f in zip(
-        chi.components, chi_prime.components, group.invariant_factors))]
+    key = G._coset_keys[tuple(map(mod, map(
+        sub, chi_prime.components, chi.components), group.invariant_factors))]
     table, zero = G.monoid._coset_dims(bound, weight)
     return table.get(key, zero)
 
@@ -530,6 +545,8 @@ def isotypic_component(monoid: AffineMonoid, chi, bound: int,
     same object; a chi with d chi not integral, d the denominator, meets
     no element.  The coset key d chi mod d is computed in integers.
     """
+    if not isinstance(monoid, AffineMonoid):
+        raise CohError(f"monoid {monoid!r} is not an AffineMonoid")
     chi = tuple(chi)
     check_exact(chi, CohError, "character entry")
     if len(chi) != monoid.rank:
@@ -558,8 +575,11 @@ def costandard_stalk(c: Cone, chi, bound: int, denominator=1,
     ``chi`` must have ``int`` or ``Fraction`` entries, ``bound`` be a
     nonnegative ``int``, ``denominator`` a positive one, and ``weight``
     (default all ones) q ``int`` entries, q the rank of the quotient
-    modulo the cone's perp (the dimension of the cone).
+    modulo the cone's perp (the dimension of the cone).  ``c`` must be a
+    :class:`Cone`.
     """
+    if not isinstance(c, Cone):
+        raise CohError(f"c {c!r} is not a Cone")
     if type(bound) is not int or bound < 0:
         raise CohError(f"bound {bound!r} is not a nonnegative integer")
     if type(denominator) is not int or denominator < 1:
@@ -707,7 +727,13 @@ def pn_line_bundle_cohomology(n: int, d: int, box_bound=None) -> tuple:
 
 
 def euler_pairing_coherent(n: int, a: int, b: int) -> int:
-    """Alternating sum of cohomology dims of O(b - a) on P^n; exact."""
+    """Alternating sum of cohomology dims of O(b - a) on P^n; exact.
+
+    ``a`` and ``b`` must be ``int``; ``n`` is checked as in
+    :func:`pn_line_bundle_cohomology`.
+    """
+    check_ints((a,), CohError, "a =")
+    check_ints((b,), CohError, "b =")
     e = b - a
     coh = pn_line_bundle_cohomology(n, e, abs(e) + 1)
     return sum((-1) ** i * x for i, x in enumerate(coh))

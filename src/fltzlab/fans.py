@@ -62,21 +62,23 @@ def _dot(a, b):
 
 
 def _reduce_mod_lines(vec, lines):
-    """Reduce an integer vector modulo integer line generators (deterministic)."""
+    """Reduce an integer vector modulo integer line generators (deterministic).
+
+    The lines are those of :func:`_canonical_lines`, each a primitive
+    multiple of a nonzero pivot row, so each has a nonzero entry.
+    """
     v = list(vec)
     for line in lines:
-        pivot = next((i for i, x in enumerate(line) if x != 0), None)
-        if pivot is None:
-            continue
+        pivot = next(i for i, x in enumerate(line) if x != 0)
         q = v[pivot] // line[pivot]
         v = [a - q * b for a, b in zip(v, line)]
     return tuple(v)
 
 
 def _canonical_lines(lines, rank):
-    """Canonical integer basis of the span of the given vectors."""
-    if not lines:
-        return []
+    """Canonical integer basis of the span of the given vectors, of which
+    there is at least one: :func:`dd_generators`, the one caller, calls
+    it only when lines remain."""
     # saturated basis: kernel of the annihilator of the span
     ann = kernel_basis(IntMatrix([list(l) for l in lines]))
     if not ann:
@@ -610,9 +612,8 @@ def cech_nerve(f: Fan) -> CechNerve:
     """
     if not isinstance(f, Fan):
         raise FanError(f"f {f!r} is not a Fan")
+    # a Fan always holds the zero cone, so it has a maximal cone
     maxc = f.maximal_cones()
-    if not maxc:
-        raise FanError("nerve of an empty fan")
     shared = {(i,): frozenset(c.rays) for i, c in enumerate(maxc)}
     simplices = {}
     for size in range(1, len(maxc) + 1):

@@ -56,8 +56,11 @@ def character_lattice_quotient(beta: IntMatrix) -> LatticeQuotient:
     """The finite quotient housing the skeleton characters of full cones.
 
     Its superlattice is {m : beta^T m integral} in M ⊗ Q, with basis
-    columns of ``Fraction``s, taken modulo M = Z^n.
+    columns of ``Fraction``s, taken modulo M = Z^n.  ``beta`` must be an
+    :class:`IntMatrix`.
     """
+    if not isinstance(beta, IntMatrix):
+        raise SkeletonError(f"beta {beta!r} is not an IntMatrix")
     snf = smith_normal_form(beta.transpose())
     diag = snf.D.diagonal()
     n = beta.rows

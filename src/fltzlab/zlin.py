@@ -91,6 +91,8 @@ class IntMatrix:
         columns = [tuple(c) for c in columns]
         if not columns:
             raise ZlinError("cannot infer row count of an empty column list")
+        if any(len(c) != len(columns[0]) for c in columns):
+            raise ZlinError("columns of different lengths in integer matrix")
         return cls([[c[i] for c in columns] for i in range(len(columns[0]))])
 
     def column(self, j):
@@ -362,8 +364,12 @@ def smith_normal_form(A: IntMatrix) -> SnfDecomposition:
     the remaining submatrix, with ties broken by row-major position, so
     the output is deterministic.  Diagonal entries are nonnegative and
     form a divisibility chain.  Rows of d above the pivot are zero from
-    the pivot column on, so column operations skip them.
+    the pivot column on, so column operations skip them.  ``A`` must be
+    an :class:`IntMatrix`, here and in :func:`kernel_basis` and
+    :func:`cokernel`, which start with this form.
     """
+    if not isinstance(A, IntMatrix):
+        raise ZlinError(f"A {A!r} is not an IntMatrix")
     nrows, ncols = A.rows, A.cols
     d = [list(row) for row in A.entries]
     u = _identity_rows(nrows)
@@ -516,6 +522,9 @@ class Character:
     group: FiniteAbelianGroup
 
     def __post_init__(self):
+        if not isinstance(self.group, FiniteAbelianGroup):
+            raise ZlinError(f"group {self.group!r} is not a "
+                            "FiniteAbelianGroup")
         if not self.group.is_finite:
             raise ZlinError("characters require a finite group")
         factors = self.group.invariant_factors
@@ -593,7 +602,13 @@ class LatticeQuotient:
     """
 
     def __init__(self, superlattice_basis):
-        sup = _exact_columns(superlattice_basis)
+        try:
+            sup = [tuple(col) for col in superlattice_basis]
+        except TypeError:
+            raise ZlinError(f"superlattice_basis {superlattice_basis!r} is "
+                            "not a sequence of columns") from None
+        for col in sup:
+            check_exact(col, ZlinError, "basis entry")
         n = len(sup)
         if any(len(col) != n for col in sup):
             raise ZlinError("quotient needs a square superlattice basis")
@@ -667,14 +682,6 @@ class LatticeQuotient:
         self.group.check_character(chi, "chi")
         e = self.denominator
         return tuple(Fraction(y, e) for y in self._numerators[chi.components])
-
-
-def _exact_columns(basis):
-    """Columns of a basis as tuples of checked ``int``/``Fraction`` entries."""
-    cols = [tuple(col) for col in basis]
-    for col in cols:
-        check_exact(col, ZlinError, "basis entry")
-    return cols
 
 
 def _cleared(vec):

@@ -3,7 +3,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import comb
+from math import comb, gcd, lcm
 from operator import mul
 
 import pytest
@@ -19,6 +19,7 @@ from fltzlab.cohside import (
     _adapted_quotient,
     _pattern_cohomology,
     _ranges,
+    _ray_box,
     costandard_stalk,
     cyclic_quiver_paths,
     euler_pairing_coherent,
@@ -1155,6 +1156,40 @@ class TestEulerPairing:
             for e in range(-5, 5):
                 assert euler_pairing_coherent(n, 0, e) == continuation(n, e)
 
+    @pytest.mark.parametrize("a, b, message", [
+        (True, 1, "a = True is not an integer"),
+        (0, 1.0, "b = 1.0 is not an integer"),
+        (Fraction(1), 2, r"a = Fraction\(1, 1\) is not an integer")])
+    def test_non_integer_degrees_rejected(self, a, b, message):
+        # (True, 1) used to return 1 at n = 2
+        with pytest.raises(CohError, match=message):
+            euler_pairing_coherent(2, a, b)
+
+
+class TestStructuredArguments:
+    """Each call used to end in a raw AttributeError."""
+
+    def test_gamma_category_needs_a_stacky_fan(self):
+        with pytest.raises(CohError, match=r"^sf Fan\(rank=1, n_cones=3\) "
+                                           "is not a StackyFan$"):
+            gamma_category(standard_fan("Pn", 1))
+
+    def test_hom_graded_needs_a_gamma_category(self):
+        G = gamma_category(cyclic_stack(3))
+        chi = G.group.zero_character()
+        with pytest.raises(CohError,
+                           match="^G None is not a GammaCategory$"):
+            hom_graded(None, chi, chi, 3)
+
+    def test_isotypic_component_needs_a_monoid(self):
+        with pytest.raises(CohError,
+                           match="^monoid None is not an AffineMonoid$"):
+            isotypic_component(None, (0,), 3)
+
+    def test_costandard_stalk_needs_a_cone(self):
+        with pytest.raises(CohError, match="^c None is not a Cone$"):
+            costandard_stalk(None, (0,), 3)
+
 
 class TestAffineMonoid:
     def test_membership_is_exact(self):
@@ -1415,3 +1450,92 @@ class TestRanges:
                 for t in range(lo, hi + 1)] == [
             y for y in product(range(m - 2, m + 1), repeat=3)
             if sum(y) >= 3 * m - 2]
+
+
+def reference_points(monoid, bound, weight):
+    """``_points`` by the per-t loop: the lattice congruence tested on
+    every t of each range :func:`_ranges` finds, for rank >= 1."""
+    clips = [(a, 0) for a in monoid.inequalities]
+    clips.append((tuple(-w for w in weight), bound))
+    rows, q = monoid._lattice_rows, monoid._lattice_modulus
+    out = []
+    for head, lo, hi in _ranges(
+            *_ray_box(monoid._cone_rays, weight, bound), clips):
+        start = sum(map(mul, weight, head))
+        for t in range(lo, hi + 1):
+            y = head + (t,)
+            if all(sum(map(mul, row, y)) % q == 0 for row in rows):
+                out.append((start + weight[-1] * t, y))
+    return out
+
+
+def random_congruence_monoid(rng):
+    """A monoid of rank 1-3 on the superlattice spanned by the columns of
+    M^-1, M a random integer matrix with 1 <= |det M| <= 12, so its
+    denominator is at most 12 and its congruence rows are mixed.
+
+    Every row is nonnegative on a random vector v, so v lies in the cone.
+    """
+    rank = rng.randint(1, 3)
+    while True:
+        m = [[rng.randint(-3, 4) for _ in range(rank)] for _ in range(rank)]
+        if 1 <= abs(IntMatrix(m).det()) <= 12:
+            break
+    lattice = LatticeQuotient([list(col) for col in zip(*rational_inverse(m))])
+    v = [rng.choice((-1, 1)) * rng.randint(1, 3) for _ in range(rank)]
+    rows = []
+    for _ in range(rng.randint(rank, rank + 2)):
+        row = [rng.randint(-3, 3) for _ in range(rank)]
+        if sum(map(mul, row, v)) < 0:
+            row = [-a for a in row]
+        rows.append(tuple(row))
+    return AffineMonoid(rank, rows, lattice=lattice)
+
+
+class TestResidueClasses:
+    def test_points_match_per_t_loop(self):
+        # 1,000 seeded monoids with a proper weight (so pointed), ranks
+        # 1-3, denominators up to 12, weights drawn whole and bounds 0-12:
+        # _points yields the (degree, y) sequence of the per-t loop
+        rng = random.Random(20261022)
+        seen = {"rank 1": 0, "rank 2": 0, "rank 3": 0, "no t passes": 0,
+                "period below modulus": 0, "first after lo": 0,
+                "first at lo + P - 1": 0, "nondefault weight": 0}
+        denominators = set()
+        compared = 0
+        while compared < 1000:
+            mono = random_congruence_monoid(rng)
+            weights = [(1,) * mono.rank] + [
+                tuple(rng.randint(-4, 4) for _ in range(mono.rank))
+                for _ in range(40)]
+            weight = next(filter(mono.weight_is_proper, weights), None)
+            if weight is None:
+                continue
+            compared += 1
+            bound = rng.randint(0, 12)
+            got = list(mono._points(bound, weight))
+            expected = reference_points(mono, bound, weight)
+            assert got == expected, (mono.inequalities, weight, bound)
+            seen[f"rank {mono.rank}"] += 1
+            seen["nondefault weight"] += weight != (1,) * mono.rank
+            denominators.add(mono.denominator)
+            # which kinds of range the monoid's congruence meets
+            rows, q = mono._lattice_rows, mono._lattice_modulus
+            period = lcm(*(q // gcd(row[-1], q) for row in rows))
+            found = {}
+            for deg, y in expected:
+                found.setdefault(y[:-1], []).append(y[-1])
+            clips = [(a, 0) for a in mono.inequalities]
+            clips.append((tuple(-w for w in weight), bound))
+            for head, lo, hi in _ranges(
+                    *_ray_box(mono._cone_rays, weight, bound), clips):
+                ts = found.get(head)
+                if ts is None:
+                    seen["no t passes"] += 1
+                    continue
+                seen["period below modulus"] += len(ts) > 1 and period < q
+                seen["first after lo"] += ts[0] > lo
+                seen["first at lo + P - 1"] += period > 1 and \
+                    ts[0] == lo + period - 1
+        assert min(seen.values()) >= 100, seen
+        assert 12 in denominators and len(denominators) >= 8, denominators

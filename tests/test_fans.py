@@ -1292,3 +1292,35 @@ class TestTypedErrors:
         # True used to build P1; 2.0 and 1.5 ended in raw TypeErrors
         with pytest.raises(FanError, match=message):
             standard_fan(kind, n=n, k=k)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: Cone([]), "ambient rank needed for a generator-free cone"),
+        (lambda: Cone([(1, 2)], ambient_rank=3),
+         "generator length does not match ambient rank"),
+        (lambda: faces(Cone([(1, 0), (-1, 0)])),
+         "faces are only computed for strictly convex cones"),
+        (lambda: intersect_cones(Cone([(1,)]), Cone([(1, 0)])),
+         "cones live in different ranks"),
+        (lambda: fan_from_max_cones([]), "rank needed for an empty fan"),
+        (lambda: standard_fan("Pn"), "Pn needs n >= 1"),
+        (lambda: standard_fan("Pn", n=0), "Pn needs n >= 1"),
+        (lambda: standard_fan("AkGm", n=1, k=2), r"AkGm needs 0 <= k <= n"),
+        (lambda: standard_fan("AkGm", n=2), r"AkGm needs 0 <= k <= n"),
+        (lambda: StackyFan(IntMatrix.identity(2), standard_fan("Pn", n=1)),
+         "fan_hat rank must equal the source rank of beta"),
+        (lambda: StackyFan(IntMatrix([[1, 0]]), standard_fan("Pn", n=2),
+                           standard_fan("Pn", n=2)),
+         "fan rank must equal the target rank of beta")])
+    def test_shape_errors(self, call, message):
+        with pytest.raises(FanError, match=message):
+            call()
+
+    def test_stacky_fan_repr(self):
+        sf = StackyFan(IntMatrix([[2]]), standard_fan("AkGm", n=1, k=1))
+        assert repr(sf) == "StackyFan(beta=IntMatrix([[2]]), n_cones=2)"
+
+    def test_empty_fan_has_a_one_vertex_nerve(self):
+        # the zero cone is the maximal cone of a fan with no other cone
+        nerve = cech_nerve(Fan([], rank=2))
+        assert nerve.vertices == (Cone((), ambient_rank=2),)
+        assert list(nerve.simplices) == [frozenset({0})]

@@ -270,6 +270,13 @@ class TestIntMatrix:
                                             "an empty column list$"):
             IntMatrix.from_columns([])
 
+    @pytest.mark.parametrize("columns", [[(1,), (2, 3)], [(1, 2), (3,)]])
+    def test_from_columns_of_different_lengths_rejected(self, columns):
+        # the first used to drop the 3, the second to end in an IndexError
+        with pytest.raises(ZlinError, match="^columns of different lengths "
+                                            "in integer matrix$"):
+            IntMatrix.from_columns(columns)
+
     def test_hash_and_repr(self):
         m = IntMatrix([[1, -2], [3, 4]])
         assert hash(m) == hash(IntMatrix(((1, -2), (3, 4))))
@@ -1275,3 +1282,33 @@ class TestIntegerQuotientOracle:
             singular += isinstance(ref, tuple)
             assert repr(got) == repr(ref)
         assert 20 <= singular <= 400, singular
+
+
+class TestStructuredArguments:
+    @pytest.mark.parametrize("call", [smith_normal_form, kernel_basis,
+                                      cokernel])
+    def test_matrix_functions_need_an_int_matrix(self, call):
+        # each used to end in a raw AttributeError on a list
+        with pytest.raises(ZlinError,
+                           match=r"^A \[\[1, 2\]\] is not an IntMatrix$"):
+            call([[1, 2]])
+
+    def test_character_needs_a_group(self):
+        # used to end in a raw AttributeError on None.is_finite
+        with pytest.raises(ZlinError, match="^group None is not a "
+                                            "FiniteAbelianGroup$"):
+            Character((1,), None)
+
+    @pytest.mark.parametrize("basis", [5, [5], None])
+    def test_quotient_needs_a_sequence_of_columns(self, basis):
+        # each used to end in a raw TypeError
+        with pytest.raises(ZlinError) as error:
+            LatticeQuotient(basis)
+        assert str(error.value) == (f"superlattice_basis {basis!r} is not "
+                                    "a sequence of columns")
+
+    def test_character_lattice_quotient_needs_an_int_matrix(self):
+        # used to end in a raw AttributeError on beta.transpose
+        with pytest.raises(SkeletonError, match=r"^beta \[\[2\]\] is not "
+                                                "an IntMatrix$"):
+            character_lattice_quotient([[2]])
